@@ -615,7 +615,8 @@ def pointset_to_csv(ps: PointSet, force_float: bool = False) -> str:
 
 def pointset_from_csv(text: str, provenance: Optional[dict] = None) -> PointSet:
     """Parse the CSV format back.  num/den tokens rebuild an exact set
-    (one common denominator per column); plain decimals rebuild floats."""
+    (one denominator per column, the lcm of those written in it); plain
+    decimals rebuild floats."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty CSV")
@@ -626,22 +627,34 @@ def pointset_from_csv(text: str, provenance: Optional[dict] = None) -> PointSet:
     if not exact:
         rows = [[float(tok) for tok in ln.split(",")] for ln in body]
         return PointSet.floating(rows, provenance=provenance)
-    fracs = []
+    # written, not reduced, denominators: a column whose numerators all
+    # share a factor with the denominator keeps its grid.  Rows with the
+    # same written denominators share one key tuple, so memory stays at
+    # the numerators whatever the row count.
+    nums = []
+    row_keys = []
+    keys: dict[tuple, tuple] = {}
     for ln in body:
-        row = []
-        for tok in ln.split(","):
-            num_s, den_s = tok.split("/")
-            row.append(Fraction(int(num_s), int(den_s)))
-        fracs.append(row)
-    dim = len(fracs[0])
+        toks = [tok.partition("/") for tok in ln.split(",")]
+        nums.append([int(num) for num, _, _ in toks])
+        key = tuple(den for _, _, den in toks)
+        row_keys.append(keys.setdefault(key, key))
+    dim = len(nums[0])
+    if any(len(key) != dim for key in keys):
+        raise ValueError("ragged rows")
     dens = []
+    scales = []
     for j in range(dim):
-        d = 1
-        for row in fracs:
-            d = d * row[j].denominator // math.gcd(d, row[j].denominator)
-        dens.append(d)
-    nums = [
-        [int(row[j] * dens[j]) for j in range(dim)]
-        for row in fracs
-    ]
+        written = {w: int(w) for w in {key[j] for key in keys}}
+        if min(written.values()) < 1:
+            raise ValueError("denominators must be >= 1")
+        den = math.lcm(*written.values())
+        dens.append(den)
+        scales.append({w: den // d for w, d in written.items()})
+    factors = {
+        key: [scale[w] for w, scale in zip(key, scales)] for key in keys
+    }
+    for row, key in zip(nums, row_keys):
+        if any(f != 1 for f in factors[key]):
+            row[:] = [v * f for v, f in zip(row, factors[key])]
     return PointSet.exact(nums, dens, provenance=provenance)

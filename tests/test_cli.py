@@ -170,6 +170,24 @@ def test_verify_reads_sidecar_for_dual_t(tmp_path, capsys):
     assert report["star_discrepancy"] == {"num": 11, "den": 64}
 
 
+def test_verify_keeps_denominators_of_odd_m_net(tmp_path, capsys):
+    # the third matrix's last digit row is zero, so every numerator of that
+    # column is even; the written denominator 512 must survive the CSV
+    out_dir = tmp_path / "net"
+    run(capsys, "gen", "--kind", "niederreiter", "--b", "2", "--s", "3", "--m", "9",
+        "--out", str(out_dir))
+    code, out = run(
+        capsys,
+        "verify", "--points", str(out_dir / "points.csv"),
+        "--b", "2", "--m", "9", "--s", "3", "--json",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["t_geometric"] == 1
+    assert report["t_dual"] == 1
+    assert report["diagnostic_ratio"] is not None
+
+
 def test_verify_polylattice_rebuilds_matrices(tmp_path, capsys):
     out_dir = tmp_path / "pl"
     run(capsys, "gen", "--kind", "polylattice", "--b", "2", "--f", "1,1,0,1",

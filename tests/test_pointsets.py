@@ -441,10 +441,29 @@ def test_csv_without_header_and_empty():
         (Fraction(1, 4), Fraction(1, 2)),
         (Fraction(3, 4), Fraction(0)),
     ]
-    # column denominators are the least common ones, not the written ones
+    # a column's denominator is the lcm of the denominators written in it
     assert back.denominators == (4, 2)
     with pytest.raises(ValueError):
         pointset_from_csv("\n\n")
+
+
+def test_csv_keeps_written_denominators():
+    back = pointset_from_csv("1/2,2/4\n1/4,0/4\n")
+    assert back.denominators == (4, 4)
+    assert back.numerators == ((2, 2), (1, 0))
+    for bad in ("1/4,1/2\n3/4\n", "1/0\n"):
+        with pytest.raises(ValueError):
+            pointset_from_csv(bad)
+
+
+@pytest.mark.parametrize("b,s,m", [(2, 3, 9), (2, 4, 13), (3, 4, 9)])
+def test_csv_roundtrip_keeps_net_denominators(b, s, m):
+    # each of these nets has a column whose numerators all share a factor
+    # with b^m; the reduced fractions would shrink its denominator
+    ps = niederreiter_net(b, s, m)
+    back = pointset_from_csv(pointset_to_csv(ps))
+    assert back.denominators == ps.denominators == (b ** m,) * s
+    assert back.numerators == ps.numerators
 
 
 def test_csv_provenance_passthrough():

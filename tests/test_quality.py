@@ -6,7 +6,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from star_reference import star_exact, star_float
 
 from lowdisc.algebra import monic_irreducibles
 from lowdisc.pointsets import (
@@ -285,6 +289,68 @@ def test_star_budget_guards():
     assert 0 < float(val) < 1
 
 
+@st.composite
+def tied_exact_sets(draw):
+    """Exact sets with s = 2, 3 on coarse grids: ties in every coordinate,
+    points at 0 and single points are all common."""
+    s = draw(st.sampled_from([2, 3]))
+    dens = draw(st.lists(st.integers(1, 6), min_size=s, max_size=s))
+    cell = st.tuples(*[st.integers(0, d - 1) for d in dens])
+    rows = draw(st.lists(cell, min_size=1, max_size=10))
+    return PointSet.exact(rows, dens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_exact_sets())
+@example(PointSet.exact([[0, 0]], [1, 1]))
+@example(PointSet.exact([[0, 0, 0]], [5, 3, 2]))
+@example(PointSet.exact([[1, 2, 1]] * 3, [3, 5, 2]))
+@example(PointSet.exact([[0, 3, 0], [2, 0, 0], [0, 0, 1], [2, 3, 1]], [4, 4, 2]))
+def test_star_sweep_matches_naive_on_tied_sets(ps):
+    assert star_discrepancy(ps) == naive_star_discrepancy(ps)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    n=st.integers(1, 512),
+    dens=st.lists(st.integers(1, 1024), min_size=3, max_size=3),
+)
+@example(seed=3, n=512, dens=[512, 512, 512])
+@example(seed=4, n=300, dens=[7, 1024, 3])
+def test_star_sweep_equals_retired_exact_sweep_s3(seed, n, dens):
+    rng = random.Random(seed)
+    ps = PointSet.exact([[rng.randrange(d) for d in dens] for _ in range(n)], dens)
+    nums = np.array(ps.numerators, dtype=np.int64)
+    assert star_discrepancy(ps) == star_exact(nums, ps.denominators, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    s=st.integers(1, 3),
+    n=st.integers(1, 64),
+    grid=st.integers(1, 8),
+)
+def test_star_float_is_bit_identical_to_retired_sweep(seed, s, n, grid):
+    # half the coordinates sit on a coarse grid, so ties are common
+    rng = random.Random(seed)
+    rows = [
+        [rng.randrange(grid) / grid if rng.random() < 0.5 else rng.random()
+         for _ in range(s)]
+        for _ in range(n)
+    ]
+    ps = PointSet.floating(rows)
+    got = star_discrepancy(ps)
+    assert got.hex() == star_float(np.array(ps.float_rows), n).hex()
+
+
+def test_star_float_kronecker_bit_identical_to_retired_sweep():
+    ps = kronecker(["sqrt(2)", "sqrt(3)", "sqrt(5)"], 200)
+    want = star_float(np.array(ps.float_rows), ps.count)
+    assert star_discrepancy(ps).hex() == want.hex()
+
+
 def test_sampled_lower_bound_never_exceeds_exact():
     for ps in (
         lattice_points([1, 8], 13),
@@ -294,6 +360,31 @@ def test_sampled_lower_bound_never_exceeds_exact():
         exact = star_discrepancy(ps)
         lb = sampled_deviation_lower_bound(ps, samples=3000, seed=11)
         assert lb <= exact
+
+
+def test_sampled_lower_bound_survives_denominators_beyond_int64():
+    # {1/2, 1/4}: 2^30 * 2^40 overflows int64; the bound must stay <= 1/2
+    ps = PointSet.exact([[1 << 39], [1 << 38]], [1 << 40])
+    assert star_discrepancy(ps) == Fraction(1, 2)
+    assert 0 < sampled_deviation_lower_bound(ps) <= star_discrepancy(ps)
+    # the same points over 2^70, past what the exact sweep accepts
+    ps = PointSet.exact([[1 << 69], [1 << 68]], [1 << 70])
+    exact = star_discrepancy_1d_closed_form(ps)
+    assert exact == Fraction(1, 2)
+    assert 0 < sampled_deviation_lower_bound(ps) <= exact
+
+
+def test_sampled_lower_bound_frozen():
+    # criterion 9's s = 3 probe (one chunk of samples), and a set large
+    # enough to be compared in several chunks
+    lb = sampled_deviation_lower_bound(
+        lattice_points([1, 3, 5], 16), samples=10_000, seed=99
+    )
+    assert lb == Fraction(
+        56063938725040011999721687, 309485009821345068724781056
+    )
+    lb = sampled_deviation_lower_bound(halton([2, 3, 5], 2000), samples=3000, seed=5)
+    assert lb == Fraction(2081127574149502169837257, 604462909807314587353088000)
 
 
 def test_sampled_lower_bound_needs_exact_points():
