@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional
 
-from .algebra import Poly, interpolate, is_irreducible
+from .algebra import Poly, interpolate, is_irreducible, is_prime
 from .diophantine import zaremba_table
 from .factorizer import factor
 from .generators import audit_bound
@@ -60,10 +60,6 @@ class CriterionResult:
     budget: float
 
 
-def _primes_upto(n: int) -> list[int]:
-    return [p for p in range(2, n + 1) if all(p % d for d in range(2, int(p ** 0.5) + 1))]
-
-
 # ---------------------------------------------------------------------------
 # 1. ISBN validation and single-error detection, through the CLI
 # ---------------------------------------------------------------------------
@@ -98,12 +94,11 @@ def _criterion_1() -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 def _criterion_2() -> tuple[bool, str]:
-    odd_primes = [q for q in _primes_upto(49) if q > 2]
-    for q in odd_primes:
+    for q in filter(is_prime, range(3, 50)):
         sweep = fb_sweep(q)
         if sweep.mismatches:
             return False, f"criterion/exhaustive mismatch at q={q}: {sweep.mismatches}"
-    for q in _primes_upto(31):
+    for q in filter(is_prime, range(2, 32)):
         for a in range(q):
             expected = a % q not in (0, q - 1)
             got = is_complete_mapping(Poly([0, a], q))

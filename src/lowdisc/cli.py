@@ -140,10 +140,10 @@ def _poly_pretty(f: Poly) -> str:
     return "+".join(terms)
 
 
-def _load_points(args) -> PointSet:
+def _load_points(args, provenance: Optional[dict] = None) -> PointSet:
     with open(args.points) as fh:
         text = fh.read()
-    return pointset_from_csv(text)
+    return pointset_from_csv(text, provenance)
 
 
 def _fraction_payload(value) -> dict:
@@ -264,7 +264,8 @@ def cmd_gen(args) -> int:
 # verify / discrepancy / p2 / integrate
 # ---------------------------------------------------------------------------
 
-def _matrices_from_sidecar(args) -> Optional[GeneratingMatrixSet]:
+def _sidecar_provenance(args) -> Optional[dict]:
+    """The provenance recorded next to --points (or in --sidecar), if any."""
     path = args.sidecar
     if path is None:
         guess = os.path.splitext(args.points)[0] + ".json"
@@ -273,7 +274,12 @@ def _matrices_from_sidecar(args) -> Optional[GeneratingMatrixSet]:
         return None
     with open(path) as fh:
         meta = json.load(fh)
-    prov = meta.get("provenance", meta)
+    return meta.get("provenance", meta)
+
+
+def _matrices_from_provenance(prov: Optional[dict]) -> Optional[GeneratingMatrixSet]:
+    if prov is None:
+        return None
     if "matrices" in prov:
         return GeneratingMatrixSet.from_lists(prov["b"], prov["matrices"])
     if prov.get("kind") == "polylattice":
@@ -285,10 +291,11 @@ def _matrices_from_sidecar(args) -> Optional[GeneratingMatrixSet]:
 
 
 def cmd_verify(args) -> int:
-    ps = _load_points(args)
+    prov = _sidecar_provenance(args)
+    ps = _load_points(args, prov)
     if args.s is not None and ps.dim != args.s:
         raise ValueError(f"points have s={ps.dim}, expected --s {args.s}")
-    G = _matrices_from_sidecar(args)
+    G = _matrices_from_provenance(prov)
     report = assess(ps, b=args.b, m=args.m, G=G, n_limit=args.n_limit)
     payload = report.as_json_dict()
     lines = [

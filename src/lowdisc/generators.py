@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import check_prime
+from .algebra import check_prime, is_prime
 
 __all__ = [
     "InversiveParams",
@@ -220,7 +220,7 @@ def audit_bound(
     Primes are independent, so workers > 1 fans them out over a thread pool;
     results are merged in prime order, identical for any worker count.
     """
-    primes = [q for q in range(max(3, min_q), q_max + 1) if _is_prime(q)]
+    primes = [q for q in range(max(3, min_q), q_max + 1) if is_prime(q)]
     if workers < 1:
         raise ValueError("need workers >= 1")
     if workers == 1 or len(primes) <= 1:
@@ -245,9 +245,3 @@ def audit_bound(
         checks=checks,
         violations=tuple(violations),
     )
-
-
-def _is_prime(n: int) -> bool:
-    from .algebra import is_prime
-
-    return is_prime(n)

@@ -17,6 +17,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .algebra import Poly, check_prime, laurent_expand, monic_irreducibles
 
 __all__ = [
@@ -285,20 +287,25 @@ def halton(
                     )
     last = start + n - 1
     dens = []
+    columns = []
     for b in blist:
         length = 1
         while b ** length <= last:
             length += 1
-        dens.append(b ** length)
-    rows = []
-    for k in range(start, start + n):
-        row = []
-        for b, den in zip(blist, dens):
-            num, kden = radical_inverse(k, b)
-            row.append(num * (den // kden))
-        rows.append(row)
+        den = b ** length
+        dens.append(den)
+        # reversing all `length` digits of k gives its radical inverse
+        # already scaled to den; numerators stay below den
+        k = _index_range(start, n, den)
+        num = np.zeros_like(k)
+        for _ in range(length):
+            num *= b
+            num += k % b
+            k //= b
+        columns.append(num.tolist())
+        del num, k  # before the rows are built, where memory peaks
     return PointSet.exact(
-        rows,
+        zip(*columns) if columns else [()] * n,
         dens,
         provenance={
             "kind": "halton",
@@ -401,14 +408,11 @@ class GeneratingMatrixSet:
         return [[list(row) for row in mat] for mat in self.matrices]
 
 
-def _index_digits(k: int, b: int, width: int) -> list[int]:
-    digits = []
-    for _ in range(width):
-        k, d = divmod(k, b)
-        digits.append(d)
-    if k:
-        raise ValueError("index needs more digits than the matrices have columns")
-    return digits
+def _index_range(start: int, count: int, bound: int) -> np.ndarray:
+    """Indices start..start+count-1 as an int64 array, or as Python ints
+    (dtype object) when they or a result below `bound` could reach 2^63."""
+    dtype = np.int64 if bound < 1 << 63 and start + count <= 1 << 63 else object
+    return np.arange(count, dtype=dtype) + start
 
 
 def digital_points(G: GeneratingMatrixSet, start: int, count: int) -> PointSet:
@@ -429,23 +433,23 @@ def digital_points(G: GeneratingMatrixSet, start: int, count: int) -> PointSet:
             f"index {start + count - 1} does not fit in {cols} base-{b} digits"
         )
     den = b ** rows_n
-    out = []
-    for k in range(start, start + count):
-        digits = _index_digits(k, b, cols)
-        row = []
-        for mat in G.matrices:
-            num = 0
-            for i in range(rows_n):
-                mrow = mat[i]
-                y = 0
-                for r, d in enumerate(digits):
-                    if d:
-                        y += mrow[r] * d
-                num = num * b + (y % b)
-            row.append(num)
-        out.append(row)
+    # a row-times-digits dot product reaches cols (b - 1)^2 before mod b
+    k = _index_range(start, count, max(den, cols * (b - 1) ** 2 + 1))
+    digits = np.empty((cols, count), dtype=k.dtype)
+    for r in range(cols):
+        digits[r] = k % b
+        k //= b
+    columns = []
+    for mat in G.matrices:
+        # Horner over the matrix rows, most significant digit first
+        num = np.zeros_like(k)
+        for mrow in np.array(mat, dtype=k.dtype):
+            num *= b
+            num += mrow @ digits % b
+        columns.append(num.tolist())
+    del digits, num, k  # before the rows are built, where memory peaks
     return PointSet.exact(
-        out,
+        zip(*columns),
         [den] * G.s,
         provenance={
             "kind": "digital",
@@ -552,7 +556,8 @@ def polynomial_lattice_matrices(
 def polynomial_lattice(f: Poly, g: Sequence[Poly]) -> PointSet:
     """Polynomial lattice point set: for every polynomial n(x) of degree < m
     over F_b, coordinate j is v_m(n(x) g_j(x) / f(x)) where v_m keeps the
-    x^-1..x^-m coefficients as base-b digits.  Exact, b^m points."""
+    x^-1..x^-m coefficients as base-b digits.  Exact, b^m points, built as
+    the digital net of polynomial_lattice_matrices(f, g)."""
     m = f.degree
     if m is None or f.is_zero or m < 1:
         raise ValueError("modulus f must have degree >= 1")
@@ -564,30 +569,15 @@ def polynomial_lattice(f: Poly, g: Sequence[Poly]) -> PointSet:
             raise ValueError("g_j modulus differs from f")
         if not gj.is_zero and gj.degree >= m:
             raise ValueError("deg g_j must be < deg f")
-    n_points = b ** m
-    den = b ** m
-    rows = []
-    for k in range(n_points):
-        n_poly = Poly(_index_digits(k, b, m), b)
-        row = []
-        for gj in g:
-            series = laurent_expand(n_poly * gj, f, order=-m)
-            num = 0
-            for i in range(1, m + 1):
-                num = num * b + series.coeff(-i)
-            row.append(num)
-        rows.append(row)
-    return PointSet.exact(
-        rows,
-        [den] * len(g),
-        provenance={
-            "kind": "polylattice",
-            "b": b,
-            "m": m,
-            "f": list(f.coeffs),
-            "g": [list(gj.coeffs) for gj in g],
-        },
-    )
+    ps = digital_points(polynomial_lattice_matrices(f, g), 0, b ** m)
+    ps.provenance = {
+        "kind": "polylattice",
+        "b": b,
+        "m": m,
+        "f": list(f.coeffs),
+        "g": [list(gj.coeffs) for gj in g],
+    }
+    return ps
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ __all__ = [
     "BudgetError",
     "net_property",
     "minimal_t_geometric",
-    "t_monotonicity_check",
     "nrt_weight",
     "DualSpace",
     "dual_space",
@@ -91,6 +90,31 @@ def _check_net_input(
         raise ValueError(f"expected all denominators {den}, got {ps.denominators}")
 
 
+def _numerator_columns(ps: PointSet) -> np.ndarray:
+    """(s, N) int64 numerators of a set that passed _check_net_input, whose
+    numerators are all below b^m = N."""
+    return np.array(ps.numerators, dtype=np.int64).T
+
+
+def _cells_balanced(cols: np.ndarray, b: int, m: int, t: int) -> bool:
+    """The net property at level t, counting points per elementary interval.
+
+    For each shape (d_1, ..., d_s) with sum m - t, a point's cell is its
+    leading d_j digits per coordinate, numerator // b^(m - d_j), read as one
+    mixed-radix key below b^(m - t); np.bincount counts the cells.
+    """
+    target = b ** t
+    cells = b ** (m - t)
+    for shape in _compositions(m - t, len(cols)):
+        key = np.zeros(cols.shape[1], dtype=np.int64)
+        for v, d in zip(cols, shape):
+            key *= b ** d
+            key += v // b ** (m - d)
+        if not (np.bincount(key, minlength=cells) == target).all():
+            return False
+    return True
+
+
 def net_property(
     ps: PointSet, b: int, m: int, t: int, s: Optional[int] = None
 ) -> bool:
@@ -103,18 +127,7 @@ def net_property(
     _check_net_input(ps, b, m, s)
     if not 0 <= t <= m:
         raise ValueError(f"need 0 <= t <= m, got t={t}")
-    s = ps.dim
-    target = b ** t
-    nums = ps.numerators
-    for shape in _compositions(m - t, s):
-        shifts = [b ** (m - d) for d in shape]
-        counts: dict[tuple, int] = {}
-        for row in nums:
-            key = tuple(v // sh for v, sh in zip(row, shifts))
-            counts[key] = counts.get(key, 0) + 1
-        if any(c != target for c in counts.values()):
-            return False
-    return True
+    return _cells_balanced(_numerator_columns(ps), b, m, t)
 
 
 def minimal_t_geometric(
@@ -124,19 +137,12 @@ def minimal_t_geometric(
 
     Always terminates: t = m trivially holds (the single cell [0,1)^s).
     """
+    _check_net_input(ps, b, m, s)
+    cols = _numerator_columns(ps)
     for t in range(m + 1):
-        if net_property(ps, b, m, t, s):
+        if _cells_balanced(cols, b, m, t):
             return t
     raise AssertionError("unreachable: t = m always satisfies the net property")
-
-
-def t_monotonicity_check(
-    ps: PointSet, b: int, m: int, t: int, s: Optional[int] = None
-) -> bool:
-    """A (t, m, s)-net must also be a (t', m, s)-net for every t' in [t, m]."""
-    if not net_property(ps, b, m, t, s):
-        return True  # nothing to propagate
-    return all(net_property(ps, b, m, t2, s) for t2 in range(t, m + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,148 @@
+"""The per-point loops that the digital-net constructions and the
+geometric net check used before the numpy kernels, kept verbatim as
+reference implementations.
+
+Each builds or counts one point at a time in Python ints, so these are slow
+but straightforward; the tests compare the production kernels against them
+value for value.
+"""
+
+from typing import Optional, Sequence
+
+from lowdisc.algebra import Poly, laurent_expand
+from lowdisc.pointsets import GeneratingMatrixSet, PointSet
+from lowdisc.quality import _check_net_input, _compositions
+
+
+def _index_digits(k: int, b: int, width: int) -> list[int]:
+    digits = []
+    for _ in range(width):
+        k, d = divmod(k, b)
+        digits.append(d)
+    if k:
+        raise ValueError("index needs more digits than the matrices have columns")
+    return digits
+
+
+def digital_points(G: GeneratingMatrixSet, start: int, count: int) -> PointSet:
+    """Digital points x_k for k = start..start+count-1, exact.
+
+    Index digits (least significant first) fill the column vector; matrix
+    rows give base-b digits of the coordinate, row 1 being the most
+    significant.  Denominator is b^rows for every coordinate.
+    """
+    if count < 1:
+        raise ValueError("need count >= 1")
+    if start < 0:
+        raise ValueError("need start >= 0")
+    b = G.b
+    rows_n, cols = G.rows, G.cols
+    if start + count - 1 >= b ** cols:
+        raise ValueError(
+            f"index {start + count - 1} does not fit in {cols} base-{b} digits"
+        )
+    den = b ** rows_n
+    out = []
+    for k in range(start, start + count):
+        digits = _index_digits(k, b, cols)
+        row = []
+        for mat in G.matrices:
+            num = 0
+            for i in range(rows_n):
+                mrow = mat[i]
+                y = 0
+                for r, d in enumerate(digits):
+                    if d:
+                        y += mrow[r] * d
+                num = num * b + (y % b)
+            row.append(num)
+        out.append(row)
+    return PointSet.exact(
+        out,
+        [den] * G.s,
+        provenance={
+            "kind": "digital",
+            "b": b,
+            "rows": rows_n,
+            "cols": cols,
+            "start": start,
+            "n": count,
+            "matrices": G.as_lists(),
+        },
+    )
+
+
+def polynomial_lattice(f: Poly, g: Sequence[Poly]) -> PointSet:
+    """Polynomial lattice point set: for every polynomial n(x) of degree < m
+    over F_b, coordinate j is v_m(n(x) g_j(x) / f(x)) where v_m keeps the
+    x^-1..x^-m coefficients as base-b digits.  Exact, b^m points."""
+    m = f.degree
+    if m is None or f.is_zero or m < 1:
+        raise ValueError("modulus f must have degree >= 1")
+    b = f.p
+    if not g:
+        raise ValueError("empty generating vector")
+    for gj in g:
+        if gj.p != b:
+            raise ValueError("g_j modulus differs from f")
+        if not gj.is_zero and gj.degree >= m:
+            raise ValueError("deg g_j must be < deg f")
+    n_points = b ** m
+    den = b ** m
+    rows = []
+    for k in range(n_points):
+        n_poly = Poly(_index_digits(k, b, m), b)
+        row = []
+        for gj in g:
+            series = laurent_expand(n_poly * gj, f, order=-m)
+            num = 0
+            for i in range(1, m + 1):
+                num = num * b + series.coeff(-i)
+            row.append(num)
+        rows.append(row)
+    return PointSet.exact(
+        rows,
+        [den] * len(g),
+        provenance={
+            "kind": "polylattice",
+            "b": b,
+            "m": m,
+            "f": list(f.coeffs),
+            "g": [list(gj.coeffs) for gj in g],
+        },
+    )
+
+
+def net_property(
+    ps: PointSet, b: int, m: int, t: int, s: Optional[int] = None
+) -> bool:
+    """Does every elementary interval of volume b^(t-m) hold exactly b^t points?
+
+    Checks all digit-resolution shapes (d_1, ..., d_s) with sum = m - t; a
+    point falls in cell a iff its truncated base-b digits match, i.e.
+    numerator // b^(m - d_j) agrees per coordinate.
+    """
+    _check_net_input(ps, b, m, s)
+    if not 0 <= t <= m:
+        raise ValueError(f"need 0 <= t <= m, got t={t}")
+    s = ps.dim
+    target = b ** t
+    nums = ps.numerators
+    for shape in _compositions(m - t, s):
+        shifts = [b ** (m - d) for d in shape]
+        counts: dict[tuple, int] = {}
+        for row in nums:
+            key = tuple(v // sh for v, sh in zip(row, shifts))
+            counts[key] = counts.get(key, 0) + 1
+        if any(c != target for c in counts.values()):
+            return False
+    return True
+
+
+def t_monotonicity_check(
+    ps: PointSet, b: int, m: int, t: int, s: Optional[int] = None
+) -> bool:
+    """A (t, m, s)-net must also be a (t', m, s)-net for every t' in [t, m]."""
+    if not net_property(ps, b, m, t, s):
+        return True  # nothing to propagate
+    return all(net_property(ps, b, m, t2, s) for t2 in range(t, m + 1))

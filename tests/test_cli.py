@@ -8,6 +8,7 @@ import os
 import pytest
 
 from lowdisc.cli import main
+from lowdisc.quality import p_alpha
 
 
 def run(capsys, *argv):
@@ -200,6 +201,16 @@ def test_verify_polylattice_rebuilds_matrices(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["t_dual"] == 0  # g coprime to f: full rank
+
+
+def test_verify_reports_p2_of_a_lattice(tmp_path, capsys):
+    # the sidecar's provenance names the lattice, so verify can compute P_2
+    out_dir = tmp_path / "fib"
+    run(capsys, "gen", "--kind", "lattice", "--a", "1,34", "--n", "55",
+        "--out", str(out_dir))
+    code, out = run(capsys, "verify", "--points", str(out_dir / "points.csv"), "--json")
+    assert code == 0
+    assert json.loads(out)["p2"] == p_alpha([1, 34], 55)
 
 
 def test_verify_dimension_mismatch(tmp_path, capsys):

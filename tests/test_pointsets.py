@@ -5,7 +5,10 @@ import math
 import random
 from fractions import Fraction
 
+import net_reference
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lowdisc.algebra import Poly
 from lowdisc.pointsets import (
@@ -227,6 +230,41 @@ def test_halton_coprimality_guard():
     assert ps.count == 8
 
 
+def _assert_halton_is_radical_inverse(ps, bases, start):
+    last = start + ps.count - 1
+    for b, den in zip(bases, ps.denominators):
+        # the smallest power of b above the last index
+        assert den > last and den // b <= max(last, 1)
+    for k, row in enumerate(ps.numerators, start):
+        for b, v, den in zip(bases, row, ps.denominators):
+            num, kden = radical_inverse(k, b)
+            assert type(v) is int and v == num * (den // kden)
+
+
+@settings(max_examples=60)
+@given(
+    bases=st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), min_size=1, max_size=4, unique=True),
+    start=st.one_of(st.integers(0, 10 ** 6), st.integers(0, 2 ** 66)),
+    n=st.integers(1, 40),
+)
+def test_halton_matches_radical_inverse(bases, start, n):
+    _assert_halton_is_radical_inverse(halton(bases, n, start=start), bases, start)
+
+
+@pytest.mark.parametrize(
+    "bases,start,n",
+    [
+        ([2, 5], 2 ** 61, 8),  # 2^62 and 5^27 < 2^63: both columns int64
+        ([2], 2 ** 62 - 3, 6),  # last index past 2^62: the column's 2^L is 2^63
+        ([2, 3], 2 ** 63 - 4, 4),  # last index 2^63 - 1
+        ([2, 3, 5], 2 ** 63 - 2, 5),  # indices cross 2^63
+        ([3], 3 ** 39 - 2, 4),  # last index past 3^39 < 2^63: 3^L is 3^40 > 2^63
+    ],
+)
+def test_halton_columns_around_2_63(bases, start, n):
+    _assert_halton_is_radical_inverse(halton(bases, n, start=start), bases, start)
+
+
 # ---------------------------------------------------------------------------
 # Hybrid sequences
 # ---------------------------------------------------------------------------
@@ -299,6 +337,61 @@ def test_digital_points_index_must_fit():
         digital_points(G, 0, 5)
     with pytest.raises(ValueError):
         digital_points(G, 4, 1)
+
+
+def _assert_same_points(ps, ref):
+    assert ps.numerators == ref.numerators
+    assert all(type(v) is int for row in ps.numerators for v in row)
+    assert ps.denominators == ref.denominators
+    assert ps.provenance == ref.provenance
+
+
+@st.composite
+def digital_inputs(draw):
+    """(G, start, count) with rows <= cols and any start that fits."""
+    b = draw(st.sampled_from([2, 3, 5]))
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(rows, 7))
+    s = draw(st.integers(1, 3))
+    entry = st.integers(0, b - 1)
+    matrix = st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+    G = GeneratingMatrixSet.from_lists(b, draw(st.lists(matrix, min_size=s, max_size=s)))
+    start = draw(st.integers(0, b ** cols - 1))
+    count = draw(st.integers(1, min(64, b ** cols - start)))
+    return G, start, count
+
+
+@settings(max_examples=80)
+@given(digital_inputs())
+def test_digital_points_match_retired_loop(case):
+    G, start, count = case
+    _assert_same_points(digital_points(G, start, count), net_reference.digital_points(G, start, count))
+
+
+@pytest.mark.parametrize("rows", [62, 63, 64])
+@pytest.mark.parametrize(
+    "start,count",
+    [(0, 4), (2 ** 63 - 5, 5), (2 ** 63 - 3, 6), (2 ** 64 - 3, 3)],
+    ids=["from-0", "ends-at-2^63-1", "crosses-2^63", "ends-at-2^64-1"],
+)
+def test_digital_points_wide_integers(rows, start, count):
+    # b = 2, 64 index digits: numerators below 2^62, 2^63 and 2^64
+    rng = random.Random(rows)
+    mats = [[[rng.randrange(2) for _ in range(64)] for _ in range(rows)] for _ in range(2)]
+    mats.append([[1] * 64] * rows)  # every row the parity of the index bits
+    G = GeneratingMatrixSet.from_lists(2, mats)
+    ps = digital_points(G, start, count)
+    _assert_same_points(ps, net_reference.digital_points(G, start, count))
+    assert ps.denominators == (2 ** rows,) * 3
+
+
+def test_digital_points_large_base_dot_products():
+    # b^rows < 2^63 but (b - 1)^2 > 2^63: the dot products must not wrap
+    b = 3037000507
+    G = GeneratingMatrixSet.from_lists(b, [[[b - 1, b - 1]]])
+    ps = digital_points(G, b - 2, 2)
+    _assert_same_points(ps, net_reference.digital_points(G, b - 2, 2))
+    assert ps.numerators == ((2,), (1,))
 
 
 def test_identity_matrix_gives_van_der_corput():
@@ -392,6 +485,22 @@ def test_polynomial_lattice_agrees_with_its_net_matrices():
         net = digital_net(polynomial_lattice_matrices(f, g))
         assert ps.numerators == net.numerators
         assert ps.denominators == net.denominators
+
+
+@settings(max_examples=40)
+@given(
+    b=st.sampled_from([2, 3, 5]),
+    m=st.integers(1, 4),
+    s=st.integers(1, 3),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@example(b=2, m=1, s=1, seed=0)
+def test_polynomial_lattice_matches_retired_laurent_loop(b, m, s, seed):
+    rng = random.Random(seed)
+    f = Poly.monomial(b, m) + Poly([rng.randrange(b) for _ in range(m)], b)
+    # g_j = 0 is allowed and gives an all-zero coordinate
+    g = [Poly([rng.randrange(b) for _ in range(m)], b) for _ in range(s)]
+    _assert_same_points(polynomial_lattice(f, g), net_reference.polynomial_lattice(f, g))
 
 
 def test_polynomial_lattice_validation():

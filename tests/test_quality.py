@@ -8,8 +8,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+import net_reference
 from star_reference import star_exact, star_float
 
 from lowdisc.algebra import monic_irreducibles
@@ -41,7 +42,6 @@ from lowdisc.quality import (
     sampled_deviation_lower_bound,
     star_discrepancy,
     star_discrepancy_1d_closed_form,
-    t_monotonicity_check,
 )
 
 
@@ -143,6 +143,56 @@ def test_net_property_validates_input():
         net_property(PointSet.exact([[0]] * 4, [5]), 2, 2, 0)
 
 
+@st.composite
+def net_inputs(draw, b):
+    """(ps, m) over s in 1..4, m in 0..6: digital nets of random or
+    all-zero matrices and arbitrary sets of b^m grid points."""
+    m = draw(st.integers(0, 6))
+    s = draw(st.integers(1, 4))
+    # the retired counter costs b^m points times C(m + s, s) shapes over
+    # all t; this keeps each example under a second
+    assume(b ** m * math.comb(m + s, s) <= 500_000)
+    kind = draw(st.sampled_from(["matrices", "zero", "points"]))
+    if m == 0:
+        return PointSet.exact([[0] * s], [1] * s), m
+    if kind == "points":
+        rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+        rows = [[rng.randrange(b ** m) for _ in range(s)] for _ in range(b ** m)]
+        return PointSet.exact(rows, [b ** m] * s), m
+    entry = st.integers(0, b - 1) if kind == "matrices" else st.just(0)
+    matrix = st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m)
+    mats = draw(st.lists(matrix, min_size=s, max_size=s))
+    return digital_net(GeneratingMatrixSet.from_lists(b, mats)), m
+
+
+@pytest.mark.parametrize("b", [2, 3, 5])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_net_property_matches_retired_counter(b, data):
+    ps, m = data.draw(net_inputs(b))
+    holds = [net_property(ps, b, m, t) for t in range(m + 1)]
+    assert holds == [net_reference.net_property(ps, b, m, t) for t in range(m + 1)]
+    assert minimal_t_geometric(ps, b, m) == holds.index(True)
+
+
+@pytest.mark.parametrize(
+    "build,b,m",
+    [
+        (lambda: PointSet.exact([[0, 0, 0]], [1, 1, 1]), 5, 0),
+        (lambda: digital_net(GeneratingMatrixSet.from_lists(5, [[[0] * 4] * 4] * 2)), 5, 4),
+        (lambda: niederreiter_net(5, 4, 4), 5, 4),
+        (lambda: niederreiter_net(3, 4, 5), 3, 5),
+        (lambda: niederreiter_net(2, 4, 6), 2, 6),
+    ],
+    ids=["single-point", "zero-matrices", "niederreiter-b5-s4", "niederreiter-b3-s4", "niederreiter-b2-s4"],
+)
+def test_net_property_matches_retired_counter_on_known_nets(build, b, m):
+    ps = build()
+    holds = [net_property(ps, b, m, t) for t in range(m + 1)]
+    assert holds == [net_reference.net_property(ps, b, m, t) for t in range(m + 1)]
+    assert minimal_t_geometric(ps, b, m) == holds.index(True)
+
+
 def test_t_is_monotone_upward():
     rng = random.Random(7)
     for _ in range(10):
@@ -150,7 +200,7 @@ def test_t_is_monotone_upward():
         rows = [[rng.randrange(8), rng.randrange(8)] for _ in range(8)]
         ps = PointSet.exact(rows, [8, 8])
         t = minimal_t_geometric(ps, b, m)
-        assert t_monotonicity_check(ps, b, m, t)
+        assert net_reference.t_monotonicity_check(ps, b, m, t)
         # the holds-set {t' : net property at t'} is exactly [t, m]
         holds = [net_property(ps, b, m, t2) for t2 in range(m + 1)]
         assert holds == [False] * t + [True] * (m + 1 - t)
@@ -300,7 +350,7 @@ def tied_exact_sets(draw):
     return PointSet.exact(rows, dens)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(tied_exact_sets())
 @example(PointSet.exact([[0, 0]], [1, 1]))
 @example(PointSet.exact([[0, 0, 0]], [5, 3, 2]))
@@ -310,7 +360,7 @@ def test_star_sweep_matches_naive_on_tied_sets(ps):
     assert star_discrepancy(ps) == naive_star_discrepancy(ps)
 
 
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=8)
 @given(
     seed=st.integers(0, 2 ** 32 - 1),
     n=st.integers(1, 512),
@@ -325,7 +375,7 @@ def test_star_sweep_equals_retired_exact_sweep_s3(seed, n, dens):
     assert star_discrepancy(ps) == star_exact(nums, ps.denominators, n)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     seed=st.integers(0, 2 ** 32 - 1),
     s=st.integers(1, 3),
