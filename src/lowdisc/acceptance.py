@@ -16,11 +16,10 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable
 
-from .algebra import Poly, interpolate, is_irreducible, is_prime
+from .algebra import Poly, interpolate, is_prime
 from .diophantine import zaremba_table
 from .factorizer import factor
 from .generators import audit_bound

@@ -10,8 +10,6 @@ the power families n = base^m.
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -132,26 +130,19 @@ class ZarembaRow:
         return max(self.quotients) if self.quotients else None
 
 
-def zaremba_table(base: int, m_max: int, c: int, workers: int = 1) -> list[ZarembaRow]:
+def zaremba_table(base: int, m_max: int, c: int) -> list[ZarembaRow]:
     """zaremba_search along n = base^m for m = 1..m_max, base in {2, 3, 5}.
 
-    Rows are computed independently (optionally on a thread pool) and always
-    returned in ascending m order, so the output is identical for any worker
-    count.
+    Rows come back in ascending m order.
     """
     if base not in (2, 3, 5):
         raise ValueError(f"base must be one of 2, 3, 5; got {base}")
     if m_max < 1:
         raise ValueError("need m_max >= 1")
-
-    def row(m: int) -> ZarembaRow:
+    rows = []
+    for m in range(1, m_max + 1):
         n = base ** m
         a = zaremba_search(n, c)
         qs = continued_fraction(a, n) if a is not None else None
-        return ZarembaRow(m=m, n=n, witness=a, quotients=qs)
-
-    ms = range(1, m_max + 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(row, ms))
-    return [row(m) for m in ms]
+        rows.append(ZarembaRow(m=m, n=n, witness=a, quotients=qs))
+    return rows

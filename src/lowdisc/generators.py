@@ -210,35 +210,23 @@ def audit_bound(
     b_values: Sequence[int] = (0, 1),
     u0: int = 1,
     min_q: int = 3,
-    workers: int = 1,
 ) -> AuditResult:
     """Exhaustive audit of the residue bound for all odd primes q <= q_max.
 
     Sweeps every a in [1, q), the given b values, every divisor s >= 2 of
     q-1, and every prefix length N up to the orbit period.  Degenerate short
     orbits are included on purpose; no parameter combination is excluded.
-    Primes are independent, so workers > 1 fans them out over a thread pool;
-    results are merged in prime order, identical for any worker count.
+    Results are merged in prime order.
     """
-    primes = [q for q in range(max(3, min_q), q_max + 1) if is_prime(q)]
-    if workers < 1:
-        raise ValueError("need workers >= 1")
-    if workers == 1 or len(primes) <= 1:
-        per_prime = [_audit_prime(q, b_values, u0) for q in primes]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_prime = list(
-                pool.map(lambda q: _audit_prime(q, b_values, u0), primes)
-            )
     combos = 0
     checks = 0
     violations = []
-    for c, k, v in per_prime:
-        combos += c
-        checks += k
-        violations.extend(v)
+    for q in range(max(3, min_q), q_max + 1):
+        if is_prime(q):
+            c, k, v = _audit_prime(q, b_values, u0)
+            combos += c
+            checks += k
+            violations.extend(v)
     return AuditResult(
         q_max=q_max,
         combinations=combos,

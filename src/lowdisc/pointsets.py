@@ -600,7 +600,8 @@ def pointset_to_csv(ps: PointSet, force_float: bool = False) -> str:
     else:
         for row in ps.as_floats():
             lines.append(",".join(repr(v) for v in row))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without copying the whole text again
+    return "\n".join(lines)
 
 
 def pointset_from_csv(text: str, provenance: Optional[dict] = None) -> PointSet:

@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .algebra import nullspace_mod_p
-from .pointsets import GeneratingMatrixSet, PointSet, Representation
+from .pointsets import GeneratingMatrixSet, PointSet
 
 __all__ = [
     "BudgetError",

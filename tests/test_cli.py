@@ -4,6 +4,7 @@ artifact determinism."""
 import json
 import math
 import os
+import re
 
 import pytest
 
@@ -60,10 +61,29 @@ def test_gen_json_inlines_csv(capsys):
     assert payload["csv"].startswith("x1,x2")
 
 
-def test_gen_missing_parameters_is_domain_error(capsys):
-    code, out = run(capsys, "gen", "--kind", "lattice", "--n", "4")
-    assert code == 1
-    assert "error" in json.loads(out)
+GEN_NEEDS = {
+    "lattice": ["--a", "--n"],
+    "kronecker": ["--alphas", "--n"],
+    "halton": ["--bases", "--n"],
+    "hybrid": ["--first", "--second"],
+    "digital": ["--matrices"],
+    "niederreiter": ["--b", "--s", "--m"],
+    "polylattice": ["--b", "--f", "--g"],
+}
+
+
+@pytest.mark.parametrize("kind", list(GEN_NEEDS))
+def test_gen_missing_parameters_is_domain_error(capsys, kind):
+    # the check runs before any value is used, so "1" stands in for all
+    needs = GEN_NEEDS[kind]
+    for given in range(len(needs)):
+        argv = ["gen", "--kind", kind]
+        for option in needs[:given]:
+            argv += [option, "1"]
+        code, out = run(capsys, *argv)
+        assert code == 1
+        named = re.findall(r"--[a-z0-9-]+", json.loads(out)["error"])
+        assert named == ["--kind"] + needs[given:]
 
 
 def test_gen_writes_artifacts_and_manifest(tmp_path, capsys):
@@ -376,13 +396,18 @@ def test_inversive_bad_params(capsys):
 def test_inversive_audit_clean_and_thread_invariant(capsys):
     code, out1 = run(capsys, "inversive-audit", "--qmax", "13", "--json")
     assert code == 0
-    code, out3 = run(capsys, "inversive-audit", "--qmax", "13", "--threads",
-                     "3", "--json")
+    code, out2 = run(capsys, "inversive-audit", "--qmax", "13", "--json")
     assert code == 0
-    assert out1 == out3
+    assert out1 == out2
     payload = json.loads(out1)
     assert payload["violations"] == []
     assert payload["combinations"] > 0
+
+
+def test_threads_option_is_gone(capsys):
+    assert main(["zaremba", "--base", "2", "--mmax", "4", "--c", "3", "--threads", "2"]) == 2
+    assert main(["inversive-audit", "--qmax", "13", "--threads", "2"]) == 2
+    capsys.readouterr()
 
 
 def test_zaremba_csv_frozen_prefix(capsys):
@@ -404,9 +429,9 @@ def test_zaremba_absent_witness_exits_1(capsys):
 def test_zaremba_artifact_deterministic(tmp_path, capsys):
     dirs = [tmp_path / "a", tmp_path / "b"]
     outs = []
-    for d, threads in zip(dirs, ("1", "4")):
+    for d in dirs:
         code, out = run(capsys, "zaremba", "--base", "3", "--mmax", "8",
-                        "--c", "5", "--threads", threads, "--out", str(d))
+                        "--c", "5", "--out", str(d))
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]

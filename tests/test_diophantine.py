@@ -182,10 +182,6 @@ def test_zaremba_table_bases_3_and_5():
         assert math.gcd(r.witness, r.n) == 1
 
 
-def test_zaremba_table_worker_count_is_invisible():
-    assert zaremba_table(2, 10, 3) == zaremba_table(2, 10, 3, workers=4)
-
-
 def test_zaremba_table_validation():
     with pytest.raises(ValueError):
         zaremba_table(4, 5, 3)
