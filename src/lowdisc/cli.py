@@ -171,12 +171,20 @@ def _fraction_payload(value) -> dict:
 # gen
 # ---------------------------------------------------------------------------
 
-def _matrices_from_file(path: str) -> GeneratingMatrixSet:
-    """Accepts {"b":..,"matrices":..} directly or wrapped in "provenance"."""
+def _provenance_file(path: str) -> dict:
+    """The JSON object in path, or the one under its "provenance" key."""
     with open(path) as fh:
         meta = json.load(fh)
-    if "provenance" in meta:
-        meta = meta["provenance"]
+    if isinstance(meta, dict):
+        meta = meta.get("provenance", meta)
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: provenance is not a JSON object")
+    return meta
+
+
+def _matrices_from_file(path: str) -> GeneratingMatrixSet:
+    """Accepts {"b":..,"matrices":..} directly or wrapped in "provenance"."""
+    meta = _provenance_file(path)
     if "b" not in meta or "matrices" not in meta:
         raise ValueError(f"{path} holds no generating matrices")
     return GeneratingMatrixSet.from_lists(meta["b"], meta["matrices"])
@@ -260,11 +268,7 @@ def _sidecar_provenance(args) -> Optional[dict]:
     if path is None:
         guess = os.path.splitext(args.points)[0] + ".json"
         path = guess if os.path.exists(guess) else None
-    if path is None:
-        return None
-    with open(path) as fh:
-        meta = json.load(fh)
-    return meta.get("provenance", meta)
+    return None if path is None else _provenance_file(path)
 
 
 def _matrices_from_provenance(prov: Optional[dict]) -> Optional[GeneratingMatrixSet]:

@@ -173,7 +173,7 @@ class AuditResult:
     violations: tuple   # (q, a, b, s, N, count, bound) for each failure
 
 
-def _audit_prime(q: int, b_values: Sequence[int], u0: int):
+def _audit_prime(q: int):
     """All bound checks for one modulus; returns (combos, checks, violations)."""
     divisors = [s for s in range(2, q) if (q - 1) % s == 0]
     masks = {}
@@ -186,8 +186,8 @@ def _audit_prime(q: int, b_values: Sequence[int], u0: int):
     checks = 0
     violations = []
     for a in range(1, q):
-        for b in b_values:
-            params = InversiveParams(q=q, a=a, b=b % q, u0=u0 % q)
+        for b in (0, 1):
+            params = InversiveParams(q=q, a=a, b=b, u0=1)
             period = least_period(params).period
             orbit = np.array(inversive_sequence(params, period), dtype=np.int64)
             ns = np.arange(1, period + 1, dtype=np.float64)
@@ -205,25 +205,20 @@ def _audit_prime(q: int, b_values: Sequence[int], u0: int):
     return combos, checks, violations
 
 
-def audit_bound(
-    q_max: int,
-    b_values: Sequence[int] = (0, 1),
-    u0: int = 1,
-    min_q: int = 3,
-) -> AuditResult:
+def audit_bound(q_max: int) -> AuditResult:
     """Exhaustive audit of the residue bound for all odd primes q <= q_max.
 
-    Sweeps every a in [1, q), the given b values, every divisor s >= 2 of
-    q-1, and every prefix length N up to the orbit period.  Degenerate short
-    orbits are included on purpose; no parameter combination is excluded.
-    Results are merged in prime order.
+    Sweeps every a in [1, q), b in {0, 1} (orbits from u0 = 1), every
+    divisor s >= 2 of q-1, and every prefix length N up to the orbit period.
+    Degenerate short orbits are included on purpose; no parameter
+    combination is excluded.  Results are merged in prime order.
     """
     combos = 0
     checks = 0
     violations = []
-    for q in range(max(3, min_q), q_max + 1):
+    for q in range(3, q_max + 1):
         if is_prime(q):
-            c, k, v = _audit_prime(q, b_values, u0)
+            c, k, v = _audit_prime(q)
             combos += c
             checks += k
             violations.extend(v)

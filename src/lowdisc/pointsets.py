@@ -27,7 +27,6 @@ __all__ = [
     "lattice_points",
     "alpha_fixed_point",
     "kronecker",
-    "radical_inverse",
     "halton",
     "hybrid",
     "GeneratingMatrixSet",
@@ -49,22 +48,48 @@ class Representation(Enum):
     FLOAT = "float"
 
 
+def _int_dtype(bound: int):
+    """int64 when `bound` fits in it, else Python ints (dtype object)."""
+    return np.int64 if bound < 1 << 63 else object
+
+
+def _frozen_rows(rows, dtype, width: Optional[int], ragged: str) -> np.ndarray:
+    """A fresh read-only (N, width) array of the rows; width None accepts
+    the rows' own.  Rows that do not convert to dtype are kept as Python
+    objects, so that ragged rows fail on their shape and a value beyond
+    int64 fails the caller's range check with its own message."""
+    try:
+        arr = np.array(rows, dtype=dtype)
+    except (OverflowError, ValueError):
+        arr = np.array(rows, dtype=object)
+    if arr.shape == (0,):
+        arr = arr.reshape(0, width or 0)
+    if arr.ndim != 2 or width is not None and arr.shape[1] != width:
+        raise ValueError(ragged)
+    arr.flags.writeable = False
+    return arr
+
+
 class PointSet:
     """Immutable container for N points in [0,1)^s.
 
-    EXACT_RATIONAL sets store integer numerators with one denominator per
-    coordinate (point i, coordinate j is numerators[i][j]/denominators[j]);
-    FLOAT sets store float rows.  Provenance is a small JSON-ready dict
-    recording how the set was built.
+    EXACT_RATIONAL sets store an (N, s) array of integer numerators with one
+    denominator per coordinate: point i, coordinate j is
+    numerators[i, j] / denominators[j].  The array is int64 when every
+    denominator is below 2^63 and holds Python ints (dtype object)
+    otherwise.  FLOAT sets store an (N, s) float64 array, float_rows.  Both
+    arrays are read-only copies of what the caller passed, validated as
+    whole arrays.  Provenance is a small JSON-ready dict recording how the
+    set was built.
     """
 
     def __init__(
         self,
         *,
         representation: Representation,
-        numerators: Optional[Sequence[Sequence[int]]] = None,
+        numerators: Optional[np.typing.ArrayLike] = None,
         denominators: Optional[Sequence[int]] = None,
-        float_rows: Optional[Sequence[Sequence[float]]] = None,
+        float_rows: Optional[np.typing.ArrayLike] = None,
         provenance: Optional[dict] = None,
     ):
         self.representation = representation
@@ -75,34 +100,32 @@ class PointSet:
             dens = tuple(int(d) for d in denominators)
             if any(d < 1 for d in dens):
                 raise ValueError("denominators must be >= 1")
-            rows = tuple(tuple(int(v) for v in row) for row in numerators)
-            for row in rows:
-                if len(row) != len(dens):
-                    raise ValueError("row width != number of denominators")
-                for v, d in zip(row, dens):
-                    if not 0 <= v < d:
-                        raise ValueError(f"numerator {v} outside [0, {d})")
-            self.numerators = rows
+            nums = _frozen_rows(
+                numerators,
+                _int_dtype(max(dens, default=1)),
+                len(dens),
+                "row width != number of denominators",
+            )
+            inside = (nums >= 0) & (nums < np.array(dens, dtype=nums.dtype))
+            if not inside.all():
+                i, j = np.argwhere(~inside)[0]
+                raise ValueError(f"numerator {nums[i, j]} outside [0, {dens[j]})")
+            self.numerators = nums
             self.denominators = dens
             self.float_rows = None
-            self.dim = len(dens)
-            self.count = len(rows)
+            self.count, self.dim = nums.shape
         elif representation is Representation.FLOAT:
             if float_rows is None:
                 raise ValueError("float point sets need float_rows")
-            rows = tuple(tuple(float(v) for v in row) for row in float_rows)
-            widths = {len(r) for r in rows}
-            if len(widths) > 1:
-                raise ValueError("ragged rows")
-            for row in rows:
-                for v in row:
-                    if not 0.0 <= v < 1.0:
-                        raise ValueError(f"coordinate {v} outside [0, 1)")
+            rows = _frozen_rows(float_rows, np.float64, None, "ragged rows")
+            inside = (rows >= 0.0) & (rows < 1.0)  # False at NaN too
+            if not inside.all():
+                i, j = np.argwhere(~inside)[0]
+                raise ValueError(f"coordinate {rows[i, j]} outside [0, 1)")
             self.float_rows = rows
             self.numerators = None
             self.denominators = None
-            self.dim = len(rows[0]) if rows else 0
-            self.count = len(rows)
+            self.count, self.dim = rows.shape
         else:  # pragma: no cover
             raise ValueError(f"unknown representation {representation!r}")
 
@@ -131,10 +154,15 @@ class PointSet:
         return self.count
 
     def as_floats(self) -> list[tuple[float, ...]]:
+        # Python's int / int rounds correctly; numpy's division would not
+        # for numerators above 2^53
         if self.is_exact:
             dens = self.denominators
-            return [tuple(v / d for v, d in zip(row, dens)) for row in self.numerators]
-        return list(self.float_rows)
+            return [
+                tuple(v / d for v, d in zip(row, dens))
+                for row in self.numerators.tolist()
+            ]
+        return [tuple(row) for row in self.float_rows.tolist()]
 
     def as_fractions(self) -> list[tuple[Fraction, ...]]:
         if not self.is_exact:
@@ -142,7 +170,7 @@ class PointSet:
         dens = self.denominators
         return [
             tuple(Fraction(v, d) for v, d in zip(row, dens))
-            for row in self.numerators
+            for row in self.numerators.tolist()
         ]
 
     def __repr__(self):
@@ -163,9 +191,9 @@ def lattice_points(a: Sequence[int], n: int) -> PointSet:
     if not a:
         raise ValueError("empty generating vector")
     avec = [int(v) % n for v in a]
-    rows = [[k * aj % n for aj in avec] for k in range(n)]
+    k = _index_range(0, n, n * n)  # k * a_j stays below n^2
     return PointSet.exact(
-        rows,
+        k[:, None] * np.array(avec, dtype=k.dtype) % n,
         [n] * len(avec),
         provenance={"kind": "lattice", "n": n, "a": list(avec)},
     )
@@ -238,25 +266,6 @@ def kronecker(alphas: Sequence, n: int, start: int = 0) -> PointSet:
 # Halton sequences
 # ---------------------------------------------------------------------------
 
-def radical_inverse(k: int, b: int) -> tuple[int, int]:
-    """Exact radical inverse of k in base b as (numerator, denominator).
-
-    Digit reversal: k = sum d_r b^r maps to sum d_r b^(-r-1).  The
-    denominator is b^(number of digits); k = 0 gives (0, 1).
-    """
-    if k < 0:
-        raise ValueError("index must be >= 0")
-    if b < 2:
-        raise ValueError("base must be >= 2")
-    num = 0
-    den = 1
-    while k:
-        k, d = divmod(k, b)
-        num = num * b + d
-        den *= b
-    return num, den
-
-
 def halton(
     bases: Sequence[int],
     n: int,
@@ -287,25 +296,24 @@ def halton(
                     )
     last = start + n - 1
     dens = []
-    columns = []
     for b in blist:
-        length = 1
-        while b ** length <= last:
-            length += 1
-        den = b ** length
+        den = b
+        while den <= last:
+            den *= b
         dens.append(den)
-        # reversing all `length` digits of k gives its radical inverse
-        # already scaled to den; numerators stay below den
-        k = _index_range(start, n, den)
-        num = np.zeros_like(k)
-        for _ in range(length):
-            num *= b
-            num += k % b
+    top = max(dens, default=1)
+    columns = np.zeros((len(blist), n), dtype=_int_dtype(top))
+    for column, b, den in zip(columns, blist, dens):
+        # reversing the digits of k, as many as den has, gives its radical
+        # inverse already scaled to den; numerators stay below den
+        k = _index_range(start, n, top)
+        while den > 1:
+            column *= b
+            column += k % b
             k //= b
-        columns.append(num.tolist())
-        del num, k  # before the rows are built, where memory peaks
+            den //= b
     return PointSet.exact(
-        zip(*columns) if columns else [()] * n,
+        columns.T,
         dens,
         provenance={
             "kind": "halton",
@@ -337,18 +345,14 @@ def hybrid(first: PointSet, second: PointSet) -> PointSet:
         "second": second.provenance,
     }
     if first.is_exact and second.is_exact:
-        rows = [
-            tuple(r1) + tuple(r2)
-            for r1, r2 in zip(first.numerators, second.numerators)
-        ]
         return PointSet.exact(
-            rows, first.denominators + second.denominators, provenance=prov
+            np.hstack([first.numerators, second.numerators]),
+            first.denominators + second.denominators,
+            provenance=prov,
         )
-    f1 = first.as_floats()
-    f2 = second.as_floats()
-    return PointSet.floating(
-        [tuple(r1) + tuple(r2) for r1, r2 in zip(f1, f2)], provenance=prov
-    )
+    # as_floats renders an exact half with correctly rounded divisions
+    halves = [np.reshape(ps.as_floats(), (ps.count, ps.dim)) for ps in (first, second)]
+    return PointSet.floating(np.hstack(halves), provenance=prov)
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +415,7 @@ class GeneratingMatrixSet:
 def _index_range(start: int, count: int, bound: int) -> np.ndarray:
     """Indices start..start+count-1 as an int64 array, or as Python ints
     (dtype object) when they or a result below `bound` could reach 2^63."""
-    dtype = np.int64 if bound < 1 << 63 and start + count <= 1 << 63 else object
-    return np.arange(count, dtype=dtype) + start
+    return np.arange(count, dtype=_int_dtype(max(bound, start + count - 1))) + start
 
 
 def digital_points(G: GeneratingMatrixSet, start: int, count: int) -> PointSet:
@@ -439,17 +442,14 @@ def digital_points(G: GeneratingMatrixSet, start: int, count: int) -> PointSet:
     for r in range(cols):
         digits[r] = k % b
         k //= b
-    columns = []
-    for mat in G.matrices:
+    columns = np.zeros((G.s, count), dtype=k.dtype)
+    for column, mat in zip(columns, G.matrices):
         # Horner over the matrix rows, most significant digit first
-        num = np.zeros_like(k)
         for mrow in np.array(mat, dtype=k.dtype):
-            num *= b
-            num += mrow @ digits % b
-        columns.append(num.tolist())
-    del digits, num, k  # before the rows are built, where memory peaks
+            column *= b
+            column += mrow @ digits % b
     return PointSet.exact(
-        zip(*columns),
+        columns.T,
         [den] * G.s,
         provenance={
             "kind": "digital",
@@ -528,29 +528,26 @@ def niederreiter_net(b: int, s: int, m: int) -> PointSet:
 # Polynomial lattice point sets
 # ---------------------------------------------------------------------------
 
-def polynomial_lattice_matrices(
-    f: Poly, g: Sequence[Poly], rows: Optional[int] = None
-) -> GeneratingMatrixSet:
+def polynomial_lattice_matrices(f: Poly, g: Sequence[Poly]) -> GeneratingMatrixSet:
     """The digital-net matrices of a polynomial lattice:
-    C_j[i][r] = coefficient of x^(-i) in x^r * g_j(x) / f(x)."""
+    C_j[i][r] = coefficient of x^(-i) in x^r * g_j(x) / f(x), which is the
+    coefficient of x^(-(i + r)) in g_j / f.  So each C_j is a Hankel matrix
+    read off one Laurent expansion of g_j / f."""
     m = f.degree
     if m is None or f.is_zero or m < 1:
         raise ValueError("modulus f must have degree >= 1")
-    rows = m if rows is None else rows
+    if not g:
+        raise ValueError("empty generating vector")
     b = f.p
     mats = []
     for gj in g:
         if gj.p != b:
             raise ValueError("g_j modulus differs from f")
-        mat = []
-        for i in range(1, rows + 1):
-            row = []
-            for r in range(m):
-                series = laurent_expand(Poly.monomial(b, r) * gj, f, order=-i)
-                row.append(series.coeff(-i))
-            mat.append(tuple(row))
-        mats.append(tuple(mat))
-    return GeneratingMatrixSet(b=b, matrices=tuple(mats))
+        if not gj.is_zero and gj.degree >= m:
+            raise ValueError("deg g_j must be < deg f")
+        series = laurent_expand(gj, f, order=1 - 2 * m)
+        mats.append([[series.coeff(-(i + r)) for r in range(m)] for i in range(1, m + 1)])
+    return GeneratingMatrixSet.from_lists(b, mats)
 
 
 def polynomial_lattice(f: Poly, g: Sequence[Poly]) -> PointSet:
@@ -558,18 +555,9 @@ def polynomial_lattice(f: Poly, g: Sequence[Poly]) -> PointSet:
     over F_b, coordinate j is v_m(n(x) g_j(x) / f(x)) where v_m keeps the
     x^-1..x^-m coefficients as base-b digits.  Exact, b^m points, built as
     the digital net of polynomial_lattice_matrices(f, g)."""
-    m = f.degree
-    if m is None or f.is_zero or m < 1:
-        raise ValueError("modulus f must have degree >= 1")
-    b = f.p
-    if not g:
-        raise ValueError("empty generating vector")
-    for gj in g:
-        if gj.p != b:
-            raise ValueError("g_j modulus differs from f")
-        if not gj.is_zero and gj.degree >= m:
-            raise ValueError("deg g_j must be < deg f")
-    ps = digital_points(polynomial_lattice_matrices(f, g), 0, b ** m)
+    G = polynomial_lattice_matrices(f, g)
+    b, m = G.b, G.cols
+    ps = digital_points(G, 0, b ** m)
     ps.provenance = {
         "kind": "polylattice",
         "b": b,
@@ -590,16 +578,12 @@ def pointset_to_csv(ps: PointSet, force_float: bool = False) -> str:
     Exact sets write num/den tokens unless force_float; float sets write
     repr() so the round trip is bit-exact.
     """
-    header = ",".join(f"x{j + 1}" for j in range(ps.dim))
-    lines = [header]
+    lines = [",".join(f"x{j + 1}" for j in range(ps.dim))]
     if ps.is_exact and not force_float:
-        for row in ps.numerators:
-            lines.append(
-                ",".join(f"{v}/{d}" for v, d in zip(row, ps.denominators))
-            )
+        row_format = ",".join(f"{{}}/{d}" for d in ps.denominators)
+        lines += [row_format.format(*row) for row in ps.numerators.tolist()]
     else:
-        for row in ps.as_floats():
-            lines.append(",".join(repr(v) for v in row))
+        lines += [",".join(map(repr, row)) for row in ps.as_floats()]
     lines.append("")  # the final newline, without copying the whole text again
     return "\n".join(lines)
 
@@ -633,19 +617,11 @@ def pointset_from_csv(text: str, provenance: Optional[dict] = None) -> PointSet:
     dim = len(nums[0])
     if any(len(key) != dim for key in keys):
         raise ValueError("ragged rows")
-    dens = []
-    scales = []
-    for j in range(dim):
-        written = {w: int(w) for w in {key[j] for key in keys}}
-        if min(written.values()) < 1:
-            raise ValueError("denominators must be >= 1")
-        den = math.lcm(*written.values())
-        dens.append(den)
-        scales.append({w: den // d for w, d in written.items()})
-    factors = {
-        key: [scale[w] for w, scale in zip(key, scales)] for key in keys
-    }
+    written = {key: [int(w) for w in key] for key in keys}
+    if any(d < 1 for ints in written.values() for d in ints):
+        raise ValueError("denominators must be >= 1")
+    dens = [math.lcm(*column) for column in zip(*written.values())]
     for row, key in zip(nums, row_keys):
-        if any(f != 1 for f in factors[key]):
-            row[:] = [v * f for v, f in zip(row, factors[key])]
+        if written[key] != dens:
+            row[:] = [v * (den // d) for v, den, d in zip(row, dens, written[key])]
     return PointSet.exact(nums, dens, provenance=provenance)

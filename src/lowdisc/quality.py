@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .algebra import nullspace_mod_p
-from .pointsets import GeneratingMatrixSet, PointSet
+from .pointsets import GeneratingMatrixSet, PointSet, digital_net, lattice_points
 
 __all__ = [
     "BudgetError",
@@ -79,6 +79,7 @@ def _compositions(total: int, parts: int):
 def _check_net_input(
     ps: PointSet, b: int, m: int, s: Optional[int] = None
 ) -> None:
+    """A set that passes has b^m = N points with int64 numerators below N."""
     if not ps.is_exact:
         raise ValueError("net verification needs an exact point set")
     if s is not None and ps.dim != s:
@@ -88,12 +89,6 @@ def _check_net_input(
     den = b ** m
     if any(d != den for d in ps.denominators):
         raise ValueError(f"expected all denominators {den}, got {ps.denominators}")
-
-
-def _numerator_columns(ps: PointSet) -> np.ndarray:
-    """(s, N) int64 numerators of a set that passed _check_net_input, whose
-    numerators are all below b^m = N."""
-    return np.array(ps.numerators, dtype=np.int64).T
 
 
 def _cells_balanced(cols: np.ndarray, b: int, m: int, t: int) -> bool:
@@ -127,7 +122,7 @@ def net_property(
     _check_net_input(ps, b, m, s)
     if not 0 <= t <= m:
         raise ValueError(f"need 0 <= t <= m, got t={t}")
-    return _cells_balanced(_numerator_columns(ps), b, m, t)
+    return _cells_balanced(ps.numerators.T, b, m, t)
 
 
 def minimal_t_geometric(
@@ -138,9 +133,8 @@ def minimal_t_geometric(
     Always terminates: t = m trivially holds (the single cell [0,1)^s).
     """
     _check_net_input(ps, b, m, s)
-    cols = _numerator_columns(ps)
     for t in range(m + 1):
-        if _cells_balanced(cols, b, m, t):
+        if _cells_balanced(ps.numerators.T, b, m, t):
             return t
     raise AssertionError("unreachable: t = m always satisfies the net property")
 
@@ -322,17 +316,16 @@ def star_discrepancy(ps: PointSet, n_limit: Optional[int] = None):
             "pass n_limit to override or use sampled_deviation_lower_bound"
         )
     if not ps.is_exact:
-        rows = np.array(ps.float_rows, dtype=np.float64)
-        return float(_star_sweep(rows, [1.0] * s, exact=False))
+        return float(_star_sweep(ps.float_rows, [1.0] * s, exact=False))
     full = math.prod(ps.denominators)
-    # int64 overflow guard: objectives are bounded by n * prod(dens)
+    # int64 overflow guard: objectives are bounded by n * prod(dens); it
+    # also keeps every denominator, so the numerators, in int64
     if n * full >= 1 << 62:
         raise BudgetError(
             "denominator product too large for the exact sweep; "
             "reduce precision or use sampled_deviation_lower_bound"
         )
-    nums = np.array(ps.numerators, dtype=np.int64)
-    result = Fraction(int(_star_sweep(nums, ps.denominators, exact=True)), n * full)
+    result = Fraction(int(_star_sweep(ps.numerators, ps.denominators, exact=True)), n * full)
     if s == 1:
         # the 1D closed form is independent of the sweep; a mismatch
         # means one of them is broken, which must never pass silently
@@ -351,7 +344,7 @@ def star_discrepancy_1d_closed_form(ps: PointSet) -> Fraction:
     if not ps.is_exact:
         raise ValueError("closed form needs an exact point set")
     n = ps.count
-    xs = sorted(Fraction(row[0], ps.denominators[0]) for row in ps.numerators)
+    xs = sorted(Fraction(v, ps.denominators[0]) for v in ps.numerators[:, 0].tolist())
     half = Fraction(1, 2 * n)
     dev = max(abs(x - Fraction(2 * i - 1, 2 * n)) for i, x in enumerate(xs, start=1))
     return half + dev
@@ -380,7 +373,7 @@ def sampled_deviation_lower_bound(
     # ceil(x 2^30) <= k; both are taken in Python ints and lie in [0, 2^30]
     cells = [
         divmod(v << bits, d)
-        for row in ps.numerators
+        for row in ps.numerators.tolist()
         for v, d in zip(row, ps.denominators)
     ]
     floors = np.array([q for q, _ in cells], dtype=np.int64).reshape(n, s)
@@ -494,10 +487,23 @@ def net_discrepancy_diagnostic(
     if m < 2:
         raise ValueError("diagnostic needs m >= 2")
     t = minimal_t_geometric(ps, b, m, s)
-    d_star = star_discrepancy(ps)
+    return _diagnostic_ratio(ps, star_discrepancy(ps), b, t)
+
+
+def _diagnostic_ratio(ps: PointSet, d_star, b: int, t: int) -> float:
     n = ps.count
-    dim = ps.dim
-    return float(d_star) * n / (b ** t * math.log(n) ** (dim - 1))
+    return float(d_star) * n / (b ** t * math.log(n) ** (ps.dim - 1))
+
+
+def _holds(ps: PointSet, count: int, build: Callable[[], PointSet]) -> bool:
+    """Does ps hold, in order, the `count` points that build() makes?  A set
+    of another size builds nothing."""
+    if ps.count != count:
+        return False
+    ref = build()
+    if not ps.is_exact:
+        return ps.as_floats() == ref.as_floats()
+    return ps.denominators == ref.denominators and np.array_equal(ps.numerators, ref.numerators)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +525,7 @@ class QualityReport:
     diagnostic_ratio: Optional[float] = None
 
     def as_json_dict(self) -> dict:
-        d = {
+        return {
             "n": self.n,
             "s": self.s,
             "representation": self.representation,
@@ -541,7 +547,6 @@ class QualityReport:
             "p2": self.p2,
             "diagnostic_ratio": self.diagnostic_ratio,
         }
-        return d
 
 
 def assess(
@@ -552,7 +557,11 @@ def assess(
     n_limit: Optional[int] = None,
 ) -> QualityReport:
     """Best-effort quality report: each measure is filled in when its
-    preconditions hold and left None otherwise (budget misses included)."""
+    preconditions hold and left None otherwise (budget misses included).
+
+    t_dual describes the digital net of G and p2 the lattice named in the
+    provenance; each is reported only when ps holds exactly those points.
+    """
     t_geo = None
     if b is not None and m is not None and ps.is_exact:
         try:
@@ -565,23 +574,23 @@ def assess(
             t_dual = minimal_t_dual(G)
         except BudgetError:
             t_dual = None
+        if t_dual is not None and not _holds(ps, G.b ** G.rows, lambda: digital_net(G)):
+            t_dual = None
     d_star = None
     try:
         d_star = star_discrepancy(ps, n_limit=n_limit)
     except BudgetError:
         d_star = None
     p2 = None
-    if ps.provenance.get("kind") == "lattice":
-        p2 = p_alpha(ps.provenance["a"], ps.provenance["n"])
-    diag = None
-    if (
-        t_geo is not None
-        and d_star is not None
-        and m is not None
-        and b is not None
-        and m >= 2
+    prov = ps.provenance
+    if prov.get("kind") == "lattice" and _holds(
+        ps, prov["n"], lambda: lattice_points(prov["a"], prov["n"])
     ):
-        diag = float(d_star) * ps.count / (b ** t_geo * math.log(ps.count) ** (ps.dim - 1))
+        p2 = p_alpha(prov["a"], prov["n"])
+    diag = None
+    # a geometric t implies b and m were given
+    if t_geo is not None and d_star is not None and m >= 2:
+        diag = _diagnostic_ratio(ps, d_star, b, t_geo)
     return QualityReport(
         n=ps.count,
         s=ps.dim,

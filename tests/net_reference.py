@@ -1,5 +1,5 @@
-"""The per-point loops that the digital-net constructions and the
-geometric net check used before the numpy kernels, kept verbatim as
+"""The per-point loops that the digital-net and Halton constructions and
+the geometric net check used before the numpy kernels, kept verbatim as
 reference implementations.
 
 Each builds or counts one point at a time in Python ints, so these are slow
@@ -12,6 +12,25 @@ from typing import Optional, Sequence
 from lowdisc.algebra import Poly, laurent_expand
 from lowdisc.pointsets import GeneratingMatrixSet, PointSet
 from lowdisc.quality import _check_net_input, _compositions
+
+
+def radical_inverse(k: int, b: int) -> tuple[int, int]:
+    """Exact radical inverse of k in base b as (numerator, denominator).
+
+    Digit reversal: k = sum d_r b^r maps to sum d_r b^(-r-1).  The
+    denominator is b^(number of digits); k = 0 gives (0, 1).
+    """
+    if k < 0:
+        raise ValueError("index must be >= 0")
+    if b < 2:
+        raise ValueError("base must be >= 2")
+    num = 0
+    den = 1
+    while k:
+        k, d = divmod(k, b)
+        num = num * b + d
+        den *= b
+    return num, den
 
 
 def _index_digits(k: int, b: int, width: int) -> list[int]:

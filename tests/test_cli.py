@@ -233,6 +233,88 @@ def test_verify_reports_p2_of_a_lattice(tmp_path, capsys):
     assert json.loads(out)["p2"] == p_alpha([1, 34], 55)
 
 
+@pytest.mark.parametrize("sidecar", [[1, 2], "text", {"provenance": [1, 2]}])
+def test_verify_sidecar_that_is_not_an_object_is_an_error(tmp_path, capsys, sidecar):
+    run(capsys, "gen", "--kind", "lattice", "--a", "1,3", "--n", "4", "--out", str(tmp_path))
+    side = tmp_path / "side.json"
+    side.write_text(json.dumps(sidecar))
+    code, out = run(capsys, "verify", "--points", str(tmp_path / "points.csv"),
+                    "--sidecar", str(side))
+    assert code == 1
+    assert "error" in json.loads(out)
+
+
+def test_verify_ignores_a_lattice_sidecar_of_other_points(tmp_path, capsys):
+    # 55 Halton points with the sidecar of the 55-point Fibonacci lattice
+    run(capsys, "gen", "--kind", "halton", "--bases", "2,3", "--n", "55",
+        "--out", str(tmp_path / "halton"))
+    run(capsys, "gen", "--kind", "lattice", "--a", "1,34", "--n", "55",
+        "--out", str(tmp_path / "fib"))
+    code, out = run(capsys, "verify", "--points", str(tmp_path / "halton" / "points.csv"),
+                    "--sidecar", str(tmp_path / "fib" / "points.json"), "--json")
+    assert code == 0
+    assert json.loads(out)["p2"] is None
+    # the same sidecar next to its own points still gives P_2
+    code, out = run(capsys, "verify", "--points", str(tmp_path / "fib" / "points.csv"), "--json")
+    assert json.loads(out)["p2"] == p_alpha([1, 34], 55)
+
+
+def test_verify_ignores_matrices_of_other_points(tmp_path, capsys):
+    # a Niederreiter net with the matrices of another net of the same size
+    run(capsys, "gen", "--kind", "niederreiter", "--b", "2", "--s", "2", "--m", "4",
+        "--out", str(tmp_path / "net"))
+    run(capsys, "gen", "--kind", "polylattice", "--b", "2", "--f", "1,1,0,0,1",
+        "--g", "1;1,0,1", "--out", str(tmp_path / "pl"))
+    for sidecar, t_dual in (("pl", None), ("net", 0)):
+        code, out = run(capsys, "verify", "--points", str(tmp_path / "net" / "points.csv"),
+                        "--sidecar", str(tmp_path / sidecar / "points.json"),
+                        "--b", "2", "--m", "4", "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["t_geometric"] == 0
+        assert report["t_dual"] == t_dual
+
+
+@pytest.mark.parametrize("start,n", [(0, 8), (3, 5), (8, 8)])
+def test_verify_block_of_a_net_reports_no_dual_t(tmp_path, capsys, start, n):
+    # digital_points(G, start, n) with square G but fewer than b^m points:
+    # the dual t describes the whole net, not the block
+    mats = tmp_path / "mats.json"
+    mats.write_text(json.dumps({"b": 2, "matrices": [
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],
+    ]}))
+    out_dir = tmp_path / "block"
+    run(capsys, "gen", "--kind", "digital", "--matrices", str(mats),
+        "--start", str(start), "--n", str(n), "--out", str(out_dir))
+    code, out = run(capsys, "verify", "--points", str(out_dir / "points.csv"), "--json")
+    assert code == 0
+    assert json.loads(out)["t_dual"] is None
+    run(capsys, "gen", "--kind", "digital", "--matrices", str(mats), "--out", str(out_dir))
+    code, out = run(capsys, "verify", "--points", str(out_dir / "points.csv"), "--json")
+    assert json.loads(out)["t_dual"] == 0
+
+
+def test_verify_float_csv_of_a_net_keeps_dual_t(tmp_path, capsys):
+    out_dir = tmp_path / "net"
+    run(capsys, "gen", "--kind", "niederreiter", "--b", "3", "--s", "2", "--m", "3",
+        "--float", "--out", str(out_dir))
+    code, out = run(capsys, "verify", "--points", str(out_dir / "points.csv"), "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["representation"] == "float"
+    assert report["t_dual"] == 0
+
+
+def test_numerator_beyond_int64_is_a_domain_error(tmp_path, capsys):
+    path = tmp_path / "big.csv"
+    path.write_text("x1\n9223372036854775808/3\n")
+    for command in ("verify", "discrepancy", "integrate"):
+        code, out = run(capsys, command, "--points", str(path))
+        assert code == 1
+        assert "outside [0, 3)" in json.loads(out)["error"]
+
+
 def test_verify_dimension_mismatch(tmp_path, capsys):
     path = tmp_path / "p.csv"
     path.write_text("x1,x2\n0/2,1/2\n")

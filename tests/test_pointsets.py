@@ -6,9 +6,11 @@ import random
 from fractions import Fraction
 
 import net_reference
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from net_reference import radical_inverse
 
 from lowdisc.algebra import Poly
 from lowdisc.pointsets import (
@@ -28,7 +30,6 @@ from lowdisc.pointsets import (
     pointset_to_csv,
     polynomial_lattice,
     polynomial_lattice_matrices,
-    radical_inverse,
 )
 
 
@@ -76,18 +77,118 @@ def test_float_pointset_has_no_fractions():
 
 
 # ---------------------------------------------------------------------------
+# PointSet storage: one read-only (N, s) array
+# ---------------------------------------------------------------------------
+
+def test_lists_and_arrays_build_equal_sets():
+    rows = [[0, 5], [3, 1], [2, 6]]
+    from_lists = PointSet.exact(rows, [4, 7])
+    for nums in (np.array(rows), np.array(rows, dtype=object), [tuple(r) for r in rows]):
+        ps = PointSet.exact(nums, (4, 7))
+        assert ps.numerators.dtype == np.int64 and ps.numerators.shape == (3, 2)
+        assert ps.numerators.tolist() == from_lists.numerators.tolist() == rows
+        assert ps.denominators == from_lists.denominators == (4, 7)
+    floats = [[0.5, 0.25], [0.0, 0.75]]
+    for rows_in in (floats, np.array(floats), [tuple(r) for r in floats]):
+        ps = PointSet.floating(rows_in)
+        assert ps.float_rows.dtype == np.float64
+        assert ps.float_rows.tolist() == floats
+        assert ps.as_floats() == [(0.5, 0.25), (0.0, 0.75)]
+
+
+@pytest.mark.parametrize(
+    "den,dtype",
+    [(2 ** 63 - 1, np.int64), (2 ** 63, object), (2 ** 63 + 1, object)],
+)
+def test_storage_dtype_around_2_63(den, dtype):
+    ps = PointSet.exact([[0, 1], [den - 1, 2]], [den, 3])
+    assert ps.numerators.dtype == dtype
+    assert ps.numerators.tolist() == [[0, 1], [den - 1, 2]]
+    assert all(type(v) is int for row in ps.numerators.tolist() for v in row)
+    text = pointset_to_csv(ps)
+    assert text.splitlines()[2] == f"{den - 1}/{den},2/3"
+    back = pointset_from_csv(text)
+    assert back.numerators.dtype == dtype
+    assert back.numerators.tolist() == ps.numerators.tolist()
+    assert back.denominators == ps.denominators
+    assert back.as_fractions() == ps.as_fractions()
+
+
+def test_storage_is_a_read_only_copy():
+    nums = np.array([[0, 1], [1, 0]])
+    floats = np.array([[0.5], [0.25]])
+    ps = PointSet.exact(nums, [2, 2])
+    fs = PointSet.floating(floats)
+    nums[0, 0] = 1
+    floats[0, 0] = 0.75
+    assert ps.numerators.tolist() == [[0, 1], [1, 0]]
+    assert fs.float_rows.tolist() == [[0.5], [0.25]]
+    for arr in (ps.numerators, fs.float_rows):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0
+    assert PointSet.exact([], [2]).numerators.shape == (0, 1)
+    assert PointSet.floating([]).float_rows.shape == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "nums,dens,message",
+    [
+        ([[0, 1], [1]], [2, 2], "row width != number of denominators"),
+        ([[0, 0]], [4], "row width != number of denominators"),
+        ([[0], [2]], [2], r"numerator 2 outside \[0, 2\)"),
+        ([[0, -1]], [2, 3], r"numerator -1 outside \[0, 3\)"),
+        # beyond int64 under a small denominator: a ValueError, not an OverflowError
+        ([[2 ** 64]], [3], r"numerator 18446744073709551616 outside \[0, 3\)"),
+        ([[-(2 ** 64)]], [3], r"numerator -18446744073709551616 outside \[0, 3\)"),
+        ([[2 ** 64, 0]], [2 ** 64, 2], r"numerator 18446744073709551616 outside \[0, 18446744073709551616\)"),
+        ([[0]], [0], "denominators must be >= 1"),
+    ],
+)
+def test_exact_validation_messages(nums, dens, message):
+    with pytest.raises(ValueError, match=message):
+        PointSet.exact(nums, dens)
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        ([[0.5], [0.25, 0.75]], "ragged rows"),
+        ([[0.5], [1.0]], r"coordinate 1.0 outside \[0, 1\)"),
+        ([[0.5, -0.25]], r"coordinate -0.25 outside \[0, 1\)"),
+        ([[0.5], [float("nan")]], r"coordinate nan outside \[0, 1\)"),
+    ],
+)
+def test_float_validation_messages(rows, message):
+    with pytest.raises(ValueError, match=message):
+        PointSet.floating(rows)
+
+
+# ---------------------------------------------------------------------------
 # Rank-1 lattices
 # ---------------------------------------------------------------------------
 
 def test_fibonacci_lattice_frozen():
     ps = lattice_points([1, 3], 4)
-    assert ps.numerators == ((0, 0), (1, 3), (2, 2), (3, 1))
+    assert ps.numerators.tolist() == [[0, 0], [1, 3], [2, 2], [3, 1]]
     assert ps.denominators == (4, 4)
     assert ps.provenance["kind"] == "lattice"
 
 
 def test_lattice_reduces_generator_mod_n():
-    assert lattice_points([5], 4).numerators == lattice_points([1], 4).numerators
+    assert lattice_points([5], 4).numerators.tolist() == lattice_points([1], 4).numerators.tolist()
+
+
+@settings(max_examples=40)
+@given(
+    a=st.lists(st.integers(-(2 ** 70), 2 ** 70), min_size=1, max_size=4),
+    n=st.integers(1, 300),
+)
+def test_lattice_matches_pointwise_formula(a, n):
+    ps = lattice_points(a, n)
+    assert ps.numerators.dtype == np.int64
+    assert ps.numerators.tolist() == [[k * aj % n for aj in a] for k in range(n)]
+    assert ps.denominators == (n,) * len(a)
 
 
 def test_lattice_validation():
@@ -164,7 +265,7 @@ def test_kronecker_accuracy_at_large_index():
 def test_kronecker_start_offset():
     tail = kronecker(["sqrt(3)", "sqrt(5)"], 3, start=7)
     full = kronecker(["sqrt(3)", "sqrt(5)"], 10)
-    assert tail.float_rows == full.float_rows[7:]
+    assert tail.float_rows.tolist() == full.float_rows.tolist()[7:]
 
 
 def test_kronecker_validation():
@@ -214,7 +315,7 @@ def test_halton_first_points():
 def test_halton_base2_equals_van_der_corput_net():
     h = halton([2], 16)
     v = niederreiter_net(2, 1, 4)
-    assert h.numerators == v.numerators
+    assert h.numerators.tolist() == v.numerators.tolist()
     assert h.denominators == v.denominators
 
 
@@ -235,7 +336,8 @@ def _assert_halton_is_radical_inverse(ps, bases, start):
     for b, den in zip(bases, ps.denominators):
         # the smallest power of b above the last index
         assert den > last and den // b <= max(last, 1)
-    for k, row in enumerate(ps.numerators, start):
+    assert ps.numerators.dtype == (np.int64 if max(ps.denominators) < 2 ** 63 else object)
+    for k, row in enumerate(ps.numerators.tolist(), start):
         for b, v, den in zip(bases, row, ps.denominators):
             num, kden = radical_inverse(k, b)
             assert type(v) is int and v == num * (den // kden)
@@ -284,7 +386,7 @@ def test_hybrid_with_float_side_drops_to_floats():
     k = kronecker(["sqrt(2)"], 5)
     h = hybrid(a, k)
     assert not h.is_exact
-    assert h.float_rows[2] == a.as_floats()[2] + k.float_rows[2]
+    assert h.float_rows[2].tolist() == list(a.as_floats()[2]) + k.float_rows[2].tolist()
     assert h.provenance["first"]["kind"] == "halton"
     assert h.provenance["second"]["kind"] == "kronecker"
 
@@ -299,7 +401,7 @@ def test_hybrid_with_zero_dimensional_set_is_identity():
     empty = PointSet.exact([[]] * 4, [])
     h = hybrid(a, empty)
     assert h.dim == 2
-    assert h.numerators == a.numerators
+    assert h.numerators.tolist() == a.numerators.tolist()
     assert h.denominators == a.denominators
 
 
@@ -340,8 +442,9 @@ def test_digital_points_index_must_fit():
 
 
 def _assert_same_points(ps, ref):
-    assert ps.numerators == ref.numerators
-    assert all(type(v) is int for row in ps.numerators for v in row)
+    assert ps.numerators.tolist() == ref.numerators.tolist()
+    assert ps.numerators.dtype == (np.int64 if max(ps.denominators) < 2 ** 63 else object)
+    assert all(type(v) is int for row in ps.numerators.tolist() for v in row)
     assert ps.denominators == ref.denominators
     assert ps.provenance == ref.provenance
 
@@ -391,7 +494,7 @@ def test_digital_points_large_base_dot_products():
     G = GeneratingMatrixSet.from_lists(b, [[[b - 1, b - 1]]])
     ps = digital_points(G, b - 2, 2)
     _assert_same_points(ps, net_reference.digital_points(G, b - 2, 2))
-    assert ps.numerators == ((2,), (1,))
+    assert ps.numerators.tolist() == [[2], [1]]
 
 
 def test_identity_matrix_gives_van_der_corput():
@@ -427,7 +530,7 @@ def test_niederreiter_base2_s2_second_matrix_is_pascal():
 
 def test_niederreiter_van_der_corput_m2_frozen():
     ps = niederreiter_net(2, 1, 2)
-    assert ps.numerators == ((0,), (2,), (1,), (3,))
+    assert ps.numerators.tolist() == [[0], [2], [1], [3]]
     assert ps.denominators == (4,)
 
 
@@ -451,7 +554,7 @@ def test_niederreiter_prime_base_only():
 def test_niederreiter_points_are_distinct_for_small_nets():
     for b, s, m in [(2, 2, 4), (3, 2, 3), (5, 3, 2)]:
         ps = niederreiter_net(b, s, m)
-        assert len(set(ps.numerators)) == b ** m
+        assert len(set(map(tuple, ps.numerators.tolist()))) == b ** m
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +565,9 @@ def test_polynomial_lattice_x3_is_van_der_corput_as_multiset():
     f = Poly.monomial(2, 3)
     ps = polynomial_lattice(f, [Poly.one(2)])
     vdc = niederreiter_net(2, 1, 3)
-    assert sorted(ps.numerators) == sorted(vdc.numerators)
+    assert sorted(ps.numerators.tolist()) == sorted(vdc.numerators.tolist())
     # but not pointwise: the index enters through its digit polynomial
-    assert ps.numerators != vdc.numerators
+    assert ps.numerators.tolist() != vdc.numerators.tolist()
 
 
 def test_polynomial_lattice_agrees_with_its_net_matrices():
@@ -483,7 +586,7 @@ def test_polynomial_lattice_agrees_with_its_net_matrices():
             g = [gj + Poly.one(b) if gj.is_zero else gj for gj in g]
         ps = polynomial_lattice(f, g)
         net = digital_net(polynomial_lattice_matrices(f, g))
-        assert ps.numerators == net.numerators
+        assert ps.numerators.tolist() == net.numerators.tolist()
         assert ps.denominators == net.denominators
 
 
@@ -533,7 +636,7 @@ def test_csv_roundtrip_float_is_bit_exact():
     ps = kronecker(["sqrt(2)", "sqrt(3)"], 9)
     back = pointset_from_csv(pointset_to_csv(ps))
     assert not back.is_exact
-    assert back.float_rows == ps.float_rows
+    assert back.float_rows.tolist() == ps.float_rows.tolist()
 
 
 def test_csv_force_float():
@@ -559,7 +662,7 @@ def test_csv_without_header_and_empty():
 def test_csv_keeps_written_denominators():
     back = pointset_from_csv("1/2,2/4\n1/4,0/4\n")
     assert back.denominators == (4, 4)
-    assert back.numerators == ((2, 2), (1, 0))
+    assert back.numerators.tolist() == [[2, 2], [1, 0]]
     for bad in ("1/4,1/2\n3/4\n", "1/0\n"):
         with pytest.raises(ValueError):
             pointset_from_csv(bad)
@@ -572,7 +675,7 @@ def test_csv_roundtrip_keeps_net_denominators(b, s, m):
     ps = niederreiter_net(b, s, m)
     back = pointset_from_csv(pointset_to_csv(ps))
     assert back.denominators == ps.denominators == (b ** m,) * s
-    assert back.numerators == ps.numerators
+    assert back.numerators.tolist() == ps.numerators.tolist()
 
 
 def test_csv_provenance_passthrough():

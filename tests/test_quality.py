@@ -570,3 +570,27 @@ def test_assess_fills_p2_for_lattices_and_skips_over_budget():
     big = assess(lattice_points([1, 89], 10000))
     assert big.star_disc is None  # over budget, skipped rather than raised
     assert big.p2 is not None
+
+
+def test_assess_reports_p2_and_t_dual_only_for_their_points():
+    G = niederreiter_matrices(2, 2, 4)
+    swapped = GeneratingMatrixSet(b=2, matrices=G.matrices[::-1])
+    rep = assess(digital_net(G), b=2, m=4, G=swapped)
+    assert rep.t_geometric == 0 and rep.t_dual is None
+    assert assess(digital_net(swapped), G=swapped).t_dual == 0
+    fib = lattice_points([1, 34], 55)
+    other = PointSet.exact(halton([2, 3], 55).numerators, [64, 81], provenance=fib.provenance)
+    assert assess(other).p2 is None
+    assert assess(fib).p2 == p_alpha([1, 34], 55)
+
+
+def test_assess_builds_no_reference_for_a_refused_dual(monkeypatch):
+    import lowdisc.quality as quality
+
+    def must_not_build(*args):
+        raise AssertionError("a refused dual needs no reference net")
+
+    monkeypatch.setattr(quality, "digital_net", must_not_build)
+    G = niederreiter_matrices(2, 3, 12)  # dual of dimension 24: over the limit
+    rep = assess(niederreiter_net(2, 3, 12), b=2, m=12, G=G)
+    assert rep.t_dual is None and rep.t_geometric is not None
