@@ -262,13 +262,25 @@ def cmd_gen(args) -> int:
 # verify / discrepancy / p2 / integrate
 # ---------------------------------------------------------------------------
 
+# provenance fields that verify reads, by the matrices or the kind of set
+# they describe
+_PROVENANCE_FIELDS = {"matrices": ("b",), "lattice": ("a", "n"), "polylattice": ("b", "f", "g")}
+
+
 def _sidecar_provenance(args) -> Optional[dict]:
     """The provenance recorded next to --points (or in --sidecar), if any."""
     path = args.sidecar
     if path is None:
         guess = os.path.splitext(args.points)[0] + ".json"
         path = guess if os.path.exists(guess) else None
-    return None if path is None else _provenance_file(path)
+    if path is None:
+        return None
+    prov = _provenance_file(path)
+    what = "matrices" if "matrices" in prov else prov.get("kind")
+    missing = [f'"{name}"' for name in _PROVENANCE_FIELDS.get(what, ()) if name not in prov]
+    if missing:
+        raise ValueError(f"{path}: provenance lacks {', '.join(missing)} for its {what}")
+    return prov
 
 
 def _matrices_from_provenance(prov: Optional[dict]) -> Optional[GeneratingMatrixSet]:

@@ -55,19 +55,40 @@ def _int_dtype(bound: int):
 
 def _frozen_rows(rows, dtype, width: Optional[int], ragged: str) -> np.ndarray:
     """A fresh read-only (N, width) array of the rows; width None accepts
-    the rows' own.  Rows that do not convert to dtype are kept as Python
-    objects, so that ragged rows fail on their shape and a value beyond
-    int64 fails the caller's range check with its own message."""
+    the rows' own, and ragged rows fail on their shape.  Integer rows
+    (dtype int64 or object) that numpy does not read as integers are read
+    again one Python value at a time: a value that is not an integer raises
+    ValueError naming it, and one beyond int64 stays a Python int that fails
+    the caller's range check with its own message."""
+    exact = dtype is not np.float64
     try:
-        arr = np.array(rows, dtype=dtype)
+        arr = np.array(rows, dtype=None if exact else dtype)
     except (OverflowError, ValueError):
         arr = np.array(rows, dtype=object)
     if arr.shape == (0,):
         arr = arr.reshape(0, width or 0)
     if arr.ndim != 2 or width is not None and arr.shape[1] != width:
         raise ValueError(ragged)
+    if exact:
+        if not np.can_cast(arr.dtype, np.int64):
+            values = np.array(rows, dtype=object).ravel().tolist()
+            arr = np.array([_integer(v) for v in values], dtype=object).reshape(arr.shape)
+        try:
+            arr = arr.astype(dtype, copy=False)
+        except OverflowError:
+            pass
     arr.flags.writeable = False
     return arr
+
+
+def _integer(v) -> int:
+    """v as a Python int when its value is an integer (2, 2.0, Fraction(4, 2))."""
+    try:
+        if v == int(v):
+            return int(v)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"numerator {v!r} is not an integer")
 
 
 class PointSet:

@@ -4,10 +4,14 @@ discrepancy (s <= 3), and the P_2 worst-case integration error of lattices.
 Conventions shared with the constructions: a (t, m, s)-net in base b puts
 exactly b^t points in every elementary interval prod [a_j b^-d_j, (a_j+1)
 b^-d_j) of volume b^(t-m); digit index 1 is the most significant (b^-1).
-The dual-space route stacks the generating matrices into T : F_b^m ->
-F_b^(sm) and reads t off the minimum Niederreiter-Rosenbloom-Tsfasman
-weight delta of the nonzero vectors orthogonal to the image:
-t = clamp(m + 1 - delta, 0, m), with delta = m + 1 on a trivial dual.
+Both t routes walk the compositions (d_1, ..., d_s) of m - t for t = 0, 1,
+... and stop at the first level where every composition passes: the points
+route counts the points in each cell of that shape, the matrix route asks
+whether the first d_j rows of the C_j are linearly independent over F_b.
+A nonzero vector orthogonal to the image of T = (C_1, ..., C_s) : F_b^m ->
+F_b^(sm) is such a dependency, its Niederreiter-Rosenbloom-Tsfasman weight
+the sum of the d_j it uses, so the minimum weight of the dual space is
+delta = m + 1 - t (m + 1 on a trivial dual).
 
 Star discrepancy is computed exactly: the supremum over boxes [0, y) is
 attained in the limit at corners y built from coordinate values and 1,
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +39,6 @@ __all__ = [
     "BudgetError",
     "net_property",
     "minimal_t_geometric",
-    "nrt_weight",
     "DualSpace",
     "dual_space",
     "minimal_t_dual",
@@ -55,7 +59,9 @@ __all__ = [
 # evaluations for s = 2, 3; these caps keep the default call interactive,
 # and n_limit= overrides them deliberately
 STAR_DISCREPANCY_BUDGET = {1: 200_000, 2: 8192, 3: 512}
-DUAL_ENUMERATION_LIMIT = 1 << 22
+# one walk over the compositions of m - t, on either route, checks at most
+# this many; level 0 of b = 17, s = 17, m = 10 alone has 5.3 million
+COMPOSITION_BUDGET = 1 << 16
 
 
 class BudgetError(Exception):
@@ -67,13 +73,29 @@ class BudgetError(Exception):
 # ---------------------------------------------------------------------------
 
 def _compositions(total: int, parts: int):
-    """All tuples of `parts` non-negative ints summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+    """All tuples of `parts` non-negative ints summing to `total`, in
+    lexicographic order: stars and bars, one bar position set per tuple."""
+    end = total + parts - 1
+    for bars in itertools.combinations(range(end), parts - 1):
+        yield tuple(hi - lo - 1 for lo, hi in zip((-1, *bars), (*bars, end)))
+
+
+def _first_level(levels, m: int, parts: int, holds: Callable) -> Optional[int]:
+    """The first t in levels at which holds(shape) is true for every
+    composition shape of m - t into `parts` parts, or None.  A level is left
+    at its first failing shape; past COMPOSITION_BUDGET checks in all, the
+    walk raises BudgetError."""
+    checks = 0
+    for t in levels:
+        for shape in _compositions(m - t, parts):
+            checks += 1
+            if checks > COMPOSITION_BUDGET:
+                raise BudgetError(f"t needs more than {COMPOSITION_BUDGET} compositions checked")
+            if not holds(shape):
+                break
+        else:
+            return t
+    return None
 
 
 def _check_net_input(
@@ -91,23 +113,18 @@ def _check_net_input(
         raise ValueError(f"expected all denominators {den}, got {ps.denominators}")
 
 
-def _cells_balanced(cols: np.ndarray, b: int, m: int, t: int) -> bool:
-    """The net property at level t, counting points per elementary interval.
+def _cells_balanced(cols: np.ndarray, b: int, m: int, shape: tuple) -> bool:
+    """Does every cell of shape (d_1, ..., d_s) hold b^(m - sum d_j) points?
 
-    For each shape (d_1, ..., d_s) with sum m - t, a point's cell is its
-    leading d_j digits per coordinate, numerator // b^(m - d_j), read as one
-    mixed-radix key below b^(m - t); np.bincount counts the cells.
+    A point's cell is its leading d_j digits per coordinate, numerator //
+    b^(m - d_j), read as one mixed-radix key; np.bincount counts the cells.
     """
-    target = b ** t
-    cells = b ** (m - t)
-    for shape in _compositions(m - t, len(cols)):
-        key = np.zeros(cols.shape[1], dtype=np.int64)
-        for v, d in zip(cols, shape):
-            key *= b ** d
-            key += v // b ** (m - d)
-        if not (np.bincount(key, minlength=cells) == target).all():
-            return False
-    return True
+    w = sum(shape)
+    key = np.zeros(cols.shape[1], dtype=np.int64)
+    for v, d in zip(cols, shape):
+        if d:
+            key = key * b ** d + v // b ** (m - d)
+    return bool((np.bincount(key, minlength=b ** w) == b ** (m - w)).all())
 
 
 def net_property(
@@ -115,14 +132,13 @@ def net_property(
 ) -> bool:
     """Does every elementary interval of volume b^(t-m) hold exactly b^t points?
 
-    Checks all digit-resolution shapes (d_1, ..., d_s) with sum = m - t; a
-    point falls in cell a iff its truncated base-b digits match, i.e.
-    numerator // b^(m - d_j) agrees per coordinate.
+    Checks all digit-resolution shapes (d_1, ..., d_s) with sum = m - t.
     """
     _check_net_input(ps, b, m, s)
     if not 0 <= t <= m:
         raise ValueError(f"need 0 <= t <= m, got t={t}")
-    return _cells_balanced(ps.numerators.T, b, m, t)
+    holds = functools.partial(_cells_balanced, ps.numerators.T, b, m)
+    return _first_level([t], m, ps.dim, holds) == t
 
 
 def minimal_t_geometric(
@@ -133,34 +149,13 @@ def minimal_t_geometric(
     Always terminates: t = m trivially holds (the single cell [0,1)^s).
     """
     _check_net_input(ps, b, m, s)
-    for t in range(m + 1):
-        if _cells_balanced(ps.numerators.T, b, m, t):
-            return t
-    raise AssertionError("unreachable: t = m always satisfies the net property")
+    holds = functools.partial(_cells_balanced, ps.numerators.T, b, m)
+    return _first_level(range(m + 1), m, ps.dim, holds)
 
 
 # ---------------------------------------------------------------------------
 # Dual-space route
 # ---------------------------------------------------------------------------
-
-def nrt_weight(vec: Sequence[int], m: int, s: int) -> int:
-    """Sum over coordinate blocks of the largest 1-based nonzero index.
-
-    Index 1 is the most significant digit row, matching the matrix
-    convention; an all-zero block contributes 0.
-    """
-    if len(vec) != s * m:
-        raise ValueError(f"vector length {len(vec)} != s*m = {s * m}")
-    total = 0
-    for j in range(s):
-        block = vec[j * m : (j + 1) * m]
-        last = 0
-        for i, v in enumerate(block):
-            if v:
-                last = i + 1
-        total += last
-    return total
-
 
 @dataclass(frozen=True)
 class DualSpace:
@@ -182,8 +177,10 @@ def dual_space(G: GeneratingMatrixSet) -> DualSpace:
     """Dual of the image {(C_1 u, ..., C_s u) : u in F_b^m} with its minimum
     NRT weight delta (m + 1 when the dual is trivial).
 
-    The whole dual space is enumerated for the weight minimum, guarded by a
-    size budget.
+    A dual vector of weight w is a dependency among the first d_j rows of
+    the C_j for a composition (d_1, ..., d_s) of w, so delta = m + 1 - t
+    for the first level t at which every composition of m - t has
+    independent rows.
     """
     if G.rows != G.cols:
         raise ValueError("dual space needs square generating matrices")
@@ -194,31 +191,19 @@ def dual_space(G: GeneratingMatrixSet) -> DualSpace:
         for k in range(m)
     ]
     basis = nullspace_mod_p(tt_rows, s * m, b)
-    k = len(basis)
-    if b ** k > DUAL_ENUMERATION_LIMIT:
-        raise BudgetError(
-            f"dual space has b^{k} = {b ** k} vectors, over the enumeration limit"
-        )
-    if k == 0:
-        delta = m + 1
-    else:
-        span = np.zeros((1, s * m), dtype=np.int64)
-        for vec in basis:
-            v = np.array(vec, dtype=np.int64)
-            span = np.concatenate([(span + c * v) % b for c in range(b)])
-        nonzero = span != 0
-        sig = np.arange(1, m + 1, dtype=np.int64)
-        blocks = nonzero.reshape(len(span), s, m)
-        weights = (blocks * sig).max(axis=2).sum(axis=1)
-        positive = weights[weights > 0]
-        delta = int(positive.min()) if positive.size else m + 1
-    return DualSpace(b=b, m=m, s=s, basis=tuple(tuple(v) for v in basis), delta=delta)
+
+    def independent(shape):  # the first d_j rows of the C_j, taken together
+        rows = [row for mat, d in zip(G.matrices, shape) if d for row in mat[:d]]
+        return len(nullspace_mod_p(rows, m, b)) == m - len(rows)
+
+    t = _first_level(range(m + 1), m, s, independent)
+    return DualSpace(b=b, m=m, s=s, basis=tuple(map(tuple, basis)), delta=m + 1 - t)
 
 
 def minimal_t_dual(G: GeneratingMatrixSet) -> int:
-    """t of the digital net from the dual space: t = clamp(m+1-delta, 0, m)."""
+    """t of the digital net from the dual space: t = m + 1 - delta."""
     d = dual_space(G)
-    return max(0, min(d.m, d.m + 1 - d.delta))
+    return d.m + 1 - d.delta
 
 
 # ---------------------------------------------------------------------------
@@ -402,14 +387,10 @@ def _bernoulli2(x: np.ndarray) -> np.ndarray:
     return x * x - x + 1.0 / 6.0
 
 
-def p_alpha(a: Sequence[int], n: int, alpha: int = 2) -> float:
-    """P_alpha of the rank-1 lattice with generator a mod n.
-
-    Only alpha = 2 is implemented, via the Bernoulli closed form
-    P_2 = -1 + (1/N) sum_k prod_j (1 + 2 pi^2 B_2({k a_j / N})).
+def p_alpha(a: Sequence[int], n: int) -> float:
+    """P_2 of the rank-1 lattice with generator a mod n, by the Bernoulli
+    closed form P_2 = -1 + (1/N) sum_k prod_j (1 + 2 pi^2 B_2({k a_j / N})).
     """
-    if alpha != 2:
-        raise ValueError("only alpha = 2 has a closed form here")
     if n < 1:
         raise ValueError("need n >= 1")
     avec = np.array([v % n for v in a], dtype=np.int64)
@@ -566,7 +547,7 @@ def assess(
     if b is not None and m is not None and ps.is_exact:
         try:
             t_geo = minimal_t_geometric(ps, b, m)
-        except ValueError:
+        except (ValueError, BudgetError):
             t_geo = None
     t_dual = None
     if G is not None and G.rows == G.cols:

@@ -1,17 +1,22 @@
 """The per-point loops that the digital-net and Halton constructions and
-the geometric net check used before the numpy kernels, kept verbatim as
-reference implementations.
+the geometric net check used before the numpy kernels, and the dual-space
+enumeration that the matrix t route used before the rank walk, kept
+verbatim as reference implementations.
 
-Each builds or counts one point at a time in Python ints, so these are slow
-but straightforward; the tests compare the production kernels against them
-value for value.
+Each builds or counts one point (or one dual vector) at a time, so these
+are slow but straightforward; the tests compare the production routes
+against them value for value.
 """
 
 from typing import Optional, Sequence
 
-from lowdisc.algebra import Poly, laurent_expand
+import numpy as np
+
+from lowdisc.algebra import Poly, laurent_expand, nullspace_mod_p
 from lowdisc.pointsets import GeneratingMatrixSet, PointSet
-from lowdisc.quality import _check_net_input, _compositions
+from lowdisc.quality import BudgetError, DualSpace, _check_net_input, _compositions
+
+DUAL_ENUMERATION_LIMIT = 1 << 22
 
 
 def radical_inverse(k: int, b: int) -> tuple[int, int]:
@@ -165,3 +170,65 @@ def t_monotonicity_check(
     if not net_property(ps, b, m, t, s):
         return True  # nothing to propagate
     return all(net_property(ps, b, m, t2, s) for t2 in range(t, m + 1))
+
+
+def nrt_weight(vec: Sequence[int], m: int, s: int) -> int:
+    """Sum over coordinate blocks of the largest 1-based nonzero index.
+
+    Index 1 is the most significant digit row, matching the matrix
+    convention; an all-zero block contributes 0.
+    """
+    if len(vec) != s * m:
+        raise ValueError(f"vector length {len(vec)} != s*m = {s * m}")
+    total = 0
+    for j in range(s):
+        block = vec[j * m : (j + 1) * m]
+        last = 0
+        for i, v in enumerate(block):
+            if v:
+                last = i + 1
+        total += last
+    return total
+
+
+def dual_space(G: GeneratingMatrixSet) -> DualSpace:
+    """Dual of the image {(C_1 u, ..., C_s u) : u in F_b^m} with its minimum
+    NRT weight delta (m + 1 when the dual is trivial).
+
+    The whole dual space is enumerated for the weight minimum, guarded by a
+    size budget.
+    """
+    if G.rows != G.cols:
+        raise ValueError("dual space needs square generating matrices")
+    b, m, s = G.b, G.rows, G.s
+    # T^T has the stacked matrix columns as rows: entry (k, j*m+i) = C_j[i][k]
+    tt_rows = [
+        [G.matrices[j][i][k] for j in range(s) for i in range(m)]
+        for k in range(m)
+    ]
+    basis = nullspace_mod_p(tt_rows, s * m, b)
+    k = len(basis)
+    if b ** k > DUAL_ENUMERATION_LIMIT:
+        raise BudgetError(
+            f"dual space has b^{k} = {b ** k} vectors, over the enumeration limit"
+        )
+    if k == 0:
+        delta = m + 1
+    else:
+        span = np.zeros((1, s * m), dtype=np.int64)
+        for vec in basis:
+            v = np.array(vec, dtype=np.int64)
+            span = np.concatenate([(span + c * v) % b for c in range(b)])
+        nonzero = span != 0
+        sig = np.arange(1, m + 1, dtype=np.int64)
+        blocks = nonzero.reshape(len(span), s, m)
+        weights = (blocks * sig).max(axis=2).sum(axis=1)
+        positive = weights[weights > 0]
+        delta = int(positive.min()) if positive.size else m + 1
+    return DualSpace(b=b, m=m, s=s, basis=tuple(tuple(v) for v in basis), delta=delta)
+
+
+def minimal_t_dual(G: GeneratingMatrixSet) -> int:
+    """t of the digital net from the dual space: t = clamp(m+1-delta, 0, m)."""
+    d = dual_space(G)
+    return max(0, min(d.m, d.m + 1 - d.delta))

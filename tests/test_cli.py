@@ -244,6 +244,26 @@ def test_verify_sidecar_that_is_not_an_object_is_an_error(tmp_path, capsys, side
     assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize(
+    "sidecar,missing",
+    [
+        ({"matrices": [[[1]]]}, '"b" for its matrices'),
+        ({"provenance": {"kind": "lattice", "n": 4}}, '"a" for its lattice'),
+        ({"kind": "lattice", "a": [1, 3]}, '"n" for its lattice'),
+        ({"kind": "polylattice", "b": 2, "g": [[1]]}, '"f" for its polylattice'),
+        ({"kind": "polylattice", "b": 2, "f": [1, 1, 0, 1]}, '"g" for its polylattice'),
+    ],
+)
+def test_verify_sidecar_missing_a_field_names_it(tmp_path, capsys, sidecar, missing):
+    run(capsys, "gen", "--kind", "lattice", "--a", "1,3", "--n", "4", "--out", str(tmp_path))
+    side = tmp_path / "side.json"
+    side.write_text(json.dumps(sidecar))
+    code, out = run(capsys, "verify", "--points", str(tmp_path / "points.csv"),
+                    "--sidecar", str(side))
+    assert code == 1
+    assert json.loads(out) == {"error": f"{side}: provenance lacks {missing}"}
+
+
 def test_verify_ignores_a_lattice_sidecar_of_other_points(tmp_path, capsys):
     # 55 Halton points with the sidecar of the 55-point Fibonacci lattice
     run(capsys, "gen", "--kind", "halton", "--bases", "2,3", "--n", "55",

@@ -1,13 +1,22 @@
 """No module of the package imports a name at module level that it never
 uses.  Stands in for a linter's unused-import rule, since the test
-environment has none."""
+environment has none.
+
+Also: every function that the benchmark's tracer (perfbench/tracing.py)
+wraps still exists under its name and still has the parameters the
+tracer's hooks read, since the tracer finds both by name and a rename
+would break a traced run without failing anything else."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "lowdisc"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "lowdisc"
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -52,3 +61,41 @@ def test_checker_finds_unused_and_respects_exports():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _tracer_names() -> tuple[list[str], dict[str, set[str]]]:
+    """TIMED's "module.function" keys, and per hook method of Tracer (its
+    aliases resolved) the argument names it reads through _arg."""
+    tree = ast.parse(TRACING.read_text())
+    timed = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TIMED" for t in node.targets)
+    )
+    tracer = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Tracer")
+    methods = {n.name: n for n in tracer.body if isinstance(n, ast.FunctionDef)}
+    for node in tracer.body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name):
+            methods.update((t.id, methods[node.value.id]) for t in node.targets)
+    reads = {
+        name: {
+            call.args[3].value
+            for call in ast.walk(method)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_arg"
+        }
+        for name, method in methods.items()
+        if name.startswith("_on_")
+    }
+    return list(timed), reads
+
+
+def test_tracer_names_resolve_in_the_package():
+    timed, reads = _tracer_names()
+    hooks = {"_on_" + qualname.replace(".", "_"): qualname for qualname in timed}
+    assert set(reads) <= set(hooks)  # no hook for a function it does not wrap
+    for qualname in timed:
+        module, name = qualname.split(".")
+        fn = getattr(importlib.import_module(f"lowdisc.{module}"), name)
+        params = inspect.signature(fn).parameters
+        hook = "_on_" + qualname.replace(".", "_")
+        assert reads.get(hook, set()) <= set(params), qualname

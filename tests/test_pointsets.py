@@ -143,11 +143,35 @@ def test_storage_is_a_read_only_copy():
         ([[-(2 ** 64)]], [3], r"numerator -18446744073709551616 outside \[0, 3\)"),
         ([[2 ** 64, 0]], [2 ** 64, 2], r"numerator 18446744073709551616 outside \[0, 18446744073709551616\)"),
         ([[0]], [0], "denominators must be >= 1"),
+        # a value that is not an integer is named, never truncated
+        ([[0.5, 2.9]], [2, 3], r"numerator 0\.5 is not an integer"),
+        ([[1, 2.9]], [2, 3], r"numerator 2\.9 is not an integer"),
+        ([[Fraction(1, 2)]], [2], r"numerator Fraction\(1, 2\) is not an integer"),
+        (np.array([[0.0, 1.5]]), [2, 2], r"numerator 1\.5 is not an integer"),
+        ([[float("nan")]], [2], "numerator nan is not an integer"),
+        ([[2 ** 64, 0.5]], [2 ** 65, 2], r"numerator 0\.5 is not an integer"),
     ],
 )
 def test_exact_validation_messages(nums, dens, message):
     with pytest.raises(ValueError, match=message):
         PointSet.exact(nums, dens)
+
+
+@pytest.mark.parametrize(
+    "nums,dens",
+    [
+        ([[2.0, 1]], [4, 2]),
+        ([[Fraction(4, 2), True]], [4, 2]),
+        (np.array([[2.0, 1.0]]), [4, 2]),
+        (np.array([[2, 1]], dtype=np.uint8), [4, 2]),
+        ([[2.0, 1]], [2 ** 64, 2]),
+    ],
+)
+def test_integral_numerators_of_any_type_are_ints(nums, dens):
+    ps = PointSet.exact(nums, dens)
+    assert ps.numerators.tolist() == [[2, 1]]
+    assert all(type(v) is int for v in ps.numerators.ravel().tolist())
+    assert ps.as_fractions() == [(Fraction(2, dens[0]), Fraction(1, 2))]
 
 
 @pytest.mark.parametrize(

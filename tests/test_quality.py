@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 import net_reference
+from net_reference import nrt_weight
 from star_reference import star_exact, star_float
 
 from lowdisc.algebra import monic_irreducibles
@@ -34,7 +35,6 @@ from lowdisc.quality import (
     minimal_t_geometric,
     net_discrepancy_diagnostic,
     net_property,
-    nrt_weight,
     p2_dual_sum,
     p2_tail_bound,
     p_alpha,
@@ -268,6 +268,102 @@ def test_dual_needs_square_matrices():
         minimal_t_dual(G)
 
 
+@st.composite
+def square_matrix_sets(draw):
+    """Square generating matrices over F_b, b in {2, 3, 5}, s in 1..4, m in
+    1..5: random entries, all zeros (t = m), or one unitriangular matrix
+    (invertible, t = 0).  The retired enumeration visits b^(dual dimension)
+    vectors, which is at most b^(sm) and b^((s-1)m) for random matrices of
+    full rank; both are kept to 2^14 here."""
+    b = draw(st.sampled_from([2, 3, 5]))
+    kind = draw(st.sampled_from(["random", "zero", "unitriangular"]))
+    s = 1 if kind == "unitriangular" else draw(st.integers(1, 4))
+    m = draw(st.integers(1, 5))
+    assume(b ** ((s - (kind == "random")) * m) <= 1 << 14)
+    if kind == "unitriangular":
+        above = draw(st.lists(st.integers(0, b - 1), min_size=m * m, max_size=m * m))
+        mats = [[[1 if i == r else above[i * m + r] if r > i else 0 for r in range(m)] for i in range(m)]]
+    else:
+        entry = st.integers(0, b - 1) if kind == "random" else st.just(0)
+        matrix = st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m)
+        mats = draw(st.lists(matrix, min_size=s, max_size=s))
+    return GeneratingMatrixSet.from_lists(b, mats)
+
+
+@settings(max_examples=150)
+@given(square_matrix_sets())
+@example(niederreiter_matrices(5, 4, 2))  # t = 0
+@example(niederreiter_matrices(2, 3, 5))  # t = 1
+@example(GeneratingMatrixSet.from_lists(3, [[[0] * 4] * 4] * 2))  # t = m
+@example(GeneratingMatrixSet.from_lists(2, [[[1, 1, 0], [1, 1, 0], [0, 0, 1]]]))  # singular, s = 1
+@example(GeneratingMatrixSet.from_lists(5, [[[0, 0], [0, 3]]]))  # first row zero, s = 1
+def test_dual_routes_match_retired_enumeration(G):
+    b, m = G.b, G.rows
+    d = dual_space(G)
+    assert d == net_reference.dual_space(G)
+    assert minimal_t_dual(G) == net_reference.minimal_t_dual(G)
+    assert minimal_t_dual(G) == minimal_t_geometric(digital_net(G), b, m)
+    assert d.delta == m + 1 - minimal_t_dual(G)
+
+
+def _level_five_matrices():
+    """73 matrices of 8 x 8 over F_2 with t = 5 whose level 5 alone has
+    C(75, 3) = 67,525 compositions, all passing.
+
+    Rows 1-3 of C_i are 128 + i, i ^ 100 and i ^ 101 read as 8 bits: first
+    rows share the leading bit, so no three of them are dependent, and i ^
+    100 differs from every first-row sum (128 + i) ^ (128 + j) for j < 73.
+    Row 4 is zero, so every level below 5 fails at its first composition.
+    """
+    def bits(v):
+        return [(v >> (7 - k)) & 1 for k in range(8)]
+
+    return GeneratingMatrixSet.from_lists(2, [
+        [bits(128 + i), bits(i ^ 100), bits(i ^ 101)] + [[0] * 8] * 5 for i in range(73)
+    ])
+
+
+def test_walk_over_the_composition_budget_is_refused_on_both_routes():
+    G = _level_five_matrices()
+    with pytest.raises(BudgetError):
+        minimal_t_dual(G)
+    with pytest.raises(BudgetError):
+        minimal_t_geometric(digital_net(G), 2, 8)
+    # the first 20 of the matrices: level 5 has C(22, 3) = 1,540 compositions
+    G = GeneratingMatrixSet(b=2, matrices=G.matrices[:20])
+    assert minimal_t_dual(G) == minimal_t_geometric(digital_net(G), 2, 8) == 5
+
+
+def test_one_composition_budget_covers_every_walk(monkeypatch):
+    import lowdisc.quality as quality
+
+    # t = 0: the walk checks the 5 compositions of 4 into 2 parts
+    G = niederreiter_matrices(2, 2, 4)
+    ps = digital_net(G)
+    monkeypatch.setattr(quality, "COMPOSITION_BUDGET", 5)
+    assert net_property(ps, 2, 4, 0)
+    assert minimal_t_geometric(ps, 2, 4) == minimal_t_dual(G) == 0
+    monkeypatch.setattr(quality, "COMPOSITION_BUDGET", 4)
+    for walk in (
+        lambda: net_property(ps, 2, 4, 0),
+        lambda: minimal_t_geometric(ps, 2, 4),
+        lambda: dual_space(G),
+        lambda: minimal_t_dual(G),
+    ):
+        with pytest.raises(BudgetError):
+            walk()
+    rep = assess(ps, b=2, m=4, G=G)
+    assert rep.t_geometric is None and rep.t_dual is None
+    assert rep.star_disc == Fraction(11, 64)
+
+
+def test_walk_counts_checks_not_level_sizes():
+    # level 0 of b=2 s=9 m=12 has 125,970 compositions, but each level below
+    # t = 8 stops at its first failing one
+    assert minimal_t_geometric(niederreiter_net(2, 9, 12), 2, 12) == 8
+    assert minimal_t_dual(niederreiter_matrices(2, 9, 12)) == 8
+
+
 # ---------------------------------------------------------------------------
 # Star discrepancy
 # ---------------------------------------------------------------------------
@@ -452,8 +548,6 @@ def test_p2_single_point_closed_form():
 
 def test_p2_requires_alpha_2():
     with pytest.raises(ValueError):
-        p_alpha([1, 2], 5, alpha=4)
-    with pytest.raises(ValueError):
         p_alpha([1], 0)
 
 
@@ -590,7 +684,8 @@ def test_assess_builds_no_reference_for_a_refused_dual(monkeypatch):
     def must_not_build(*args):
         raise AssertionError("a refused dual needs no reference net")
 
+    G = _level_five_matrices()  # 256 points, but a walk over the budget
+    ps = niederreiter_net(2, 2, 8)  # 256 points too, so a dual t would be checked
     monkeypatch.setattr(quality, "digital_net", must_not_build)
-    G = niederreiter_matrices(2, 3, 12)  # dual of dimension 24: over the limit
-    rep = assess(niederreiter_net(2, 3, 12), b=2, m=12, G=G)
+    rep = assess(ps, b=2, m=8, G=G)
     assert rep.t_dual is None and rep.t_geometric is not None
