@@ -205,13 +205,18 @@ class PointSet:
 # Rank-1 lattice rules
 # ---------------------------------------------------------------------------
 
-def lattice_points(a: Sequence[int], n: int) -> PointSet:
-    """Rank-1 lattice {({k a_1/n}, ..., {k a_s/n}) : k = 0..n-1}, exact."""
+def _lattice_generator(a: Sequence[int], n: int) -> list[int]:
+    """The generating vector a reduced mod n, for n >= 1 and a nonempty."""
     if n < 1:
         raise ValueError("need n >= 1")
     if not a:
         raise ValueError("empty generating vector")
-    avec = [int(v) % n for v in a]
+    return [int(v) % n for v in a]
+
+
+def lattice_points(a: Sequence[int], n: int) -> PointSet:
+    """Rank-1 lattice {({k a_1/n}, ..., {k a_s/n}) : k = 0..n-1}, exact."""
+    avec = _lattice_generator(a, n)
     k = _index_range(0, n, n * n)  # k * a_j stays below n^2
     return PointSet.exact(
         k[:, None] * np.array(avec, dtype=k.dtype) % n,

@@ -22,7 +22,6 @@ comparisons are integer arithmetic on numerators; the result is a Fraction.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 import math
@@ -34,6 +33,7 @@ import numpy as np
 
 from .algebra import nullspace_mod_p
 from .pointsets import GeneratingMatrixSet, PointSet, digital_net, lattice_points
+from .pointsets import _index_range, _lattice_generator
 
 __all__ = [
     "BudgetError",
@@ -48,9 +48,7 @@ __all__ = [
     "p_alpha",
     "p2_dual_sum",
     "p2_tail_bound",
-    "character_orthogonality",
     "qmc_integrate",
-    "net_discrepancy_diagnostic",
     "QualityReport",
     "assess",
 ]
@@ -62,6 +60,11 @@ STAR_DISCREPANCY_BUDGET = {1: 200_000, 2: 8192, 3: 512}
 # one walk over the compositions of m - t, on either route, checks at most
 # this many; level 0 of b = 17, s = 17, m = 10 alone has 5.3 million
 COMPOSITION_BUDGET = 1 << 16
+# p_alpha takes about this many products k * a_j at a time
+P_ALPHA_CHUNK = 1 << 16
+# p2_dual_sum folds at most this many terms, which caps its arrays at a few
+# tens of MB; criterion 10 (s = 2, H = 1000, N <= 144) needs about 45,000
+P2_FOLD_BUDGET = 1 << 22
 
 
 class BudgetError(Exception):
@@ -383,69 +386,51 @@ def sampled_deviation_lower_bound(
 # Lattice-rule figures of merit
 # ---------------------------------------------------------------------------
 
-def _bernoulli2(x: np.ndarray) -> np.ndarray:
-    return x * x - x + 1.0 / 6.0
-
-
 def p_alpha(a: Sequence[int], n: int) -> float:
     """P_2 of the rank-1 lattice with generator a mod n, by the Bernoulli
-    closed form P_2 = -1 + (1/N) sum_k prod_j (1 + 2 pi^2 B_2({k a_j / N})).
+    closed form P_2 = -1 + (1/N) sum_k prod_j (1 + 2 pi^2 B_2({k a_j / N})),
+    B_2(x) = x^2 - x + 1/6, taking about P_ALPHA_CHUNK products k a_j at a time.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    avec = np.array([v % n for v in a], dtype=np.int64)
-    k = np.arange(n, dtype=np.int64)
-    frac = (k[:, None] * avec[None, :] % n) / n
-    terms = (1.0 + 2.0 * math.pi ** 2 * _bernoulli2(frac)).prod(axis=1)
-    return float(terms.mean() - 1.0)
+    avec = _lattice_generator(a, n)
+    step = max(1, P_ALPHA_CHUNK // len(avec))
+    total = 0.0  # a single chunk sums its terms exactly as their mean does
+    for lo in range(0, n, step):
+        k = _index_range(lo, min(step, n - lo), n * n)  # k * a_j stays below n^2
+        x = np.asarray(k[:, None] * np.array(avec, dtype=k.dtype) % n / n, dtype=np.float64)
+        total += (1.0 + 2.0 * math.pi ** 2 * (x * x - x + 1.0 / 6.0)).prod(axis=1).sum()
+    return float(total / n - 1.0)
 
 
 def p2_dual_sum(a: Sequence[int], n: int, h_bound: int) -> float:
     """Truncated dual-lattice sum: sum over 0 < |h|_inf <= h_bound with
     a . h = 0 mod n of prod_j max(1, |h_j|)^(-2).  Independent oracle for
-    p_alpha; the truncation error is bounded by p2_tail_bound."""
-    s = len(a)
-    if s not in (1, 2, 3):
-        raise ValueError("dual sum implemented for s <= 3")
-    if (2 * h_bound + 1) ** s > 1 << 26:
-        raise BudgetError("dual sum grid too large")
-    axes = [np.arange(-h_bound, h_bound + 1, dtype=np.int64)] * s
-    grids = np.meshgrid(*axes, indexing="ij")
-    dot = sum(g * (ai % n) for g, ai in zip(grids, a)) % n
-    mask = dot == 0
-    weight = np.ones_like(grids[0], dtype=np.float64)
-    for g in grids:
-        weight = weight / np.maximum(1, np.abs(g)).astype(np.float64) ** 2
-    origin = tuple([h_bound] * s)
-    mask[origin] = False
-    return float(weight[mask].sum())
+    p_alpha; the truncation error is bounded by p2_tail_bound.
+
+    The box is a product of axes, so the sum is residue 0 of the cyclic
+    convolution of one residue histogram per axis, less the origin's 1.
+    Work over P2_FOLD_BUDGET raises BudgetError before any allocation.
+    """
+    avec = _lattice_generator(a, n)
+    if h_bound < 0:
+        raise ValueError("need h_bound >= 0")
+    width = 2 * h_bound + 1
+    # the budget also keeps every h * a_j below 2^63
+    if len(avec) * (width + n * min(n, width)) > P2_FOLD_BUDGET:
+        raise BudgetError(f"dual sum needs more than {P2_FOLD_BUDGET} terms folded")
+    h = np.arange(-h_bound, h_bound + 1, dtype=np.int64)
+    weight = 1.0 / np.maximum(1, np.abs(h)).astype(np.float64) ** 2
+    fold = np.zeros(n)
+    fold[0] = 1.0
+    for aj in avec:  # fold[r]: the weight of the h so far with a . h = r mod n
+        hist = np.bincount(h * aj % n, weights=weight, minlength=n)
+        fold = sum(hist[r] * np.roll(fold, r) for r in np.flatnonzero(hist))
+    return float(fold[0] - 1.0)
 
 
 def p2_tail_bound(s: int, h_bound: int) -> float:
     """Upper bound on the dual-sum truncation error: the h with some
     |h_j| > H contribute at most s * (2/H) * (1 + pi^2/3)^(s-1)."""
     return 2.0 * s * (1.0 + math.pi ** 2 / 3.0) ** (s - 1) / h_bound
-
-
-def character_orthogonality(a: Sequence[int], n: int, h: Sequence[int]) -> int:
-    """(1/N) sum_k e^(2 pi i k (a.h) / N) as an exact 0/1 indicator.
-
-    The exact integer test a.h = 0 mod n decides the value; a floating
-    summation cross-checks it to 1e-10 and a disagreement raises, since it
-    would mean the arithmetic itself is broken.
-    """
-    if len(h) != len(a):
-        raise ValueError("h and a must have equal length")
-    dot = sum(ai * hi for ai, hi in zip(a, h)) % n
-    exact = 1 if dot == 0 else 0
-    acc = 0j
-    for k in range(n):
-        acc += cmath.exp(2j * math.pi * k * dot / n)
-    if abs(acc / n - exact) >= 1e-10:
-        raise RuntimeError(
-            f"character sum {acc / n} disagrees with exact test {exact}"
-        )
-    return exact
 
 
 def qmc_integrate(f: Callable[[tuple[float, ...]], float], ps: PointSet) -> float:
@@ -457,23 +442,6 @@ def qmc_integrate(f: Callable[[tuple[float, ...]], float], ps: PointSet) -> floa
             raise ValueError(f"integrand returned {val} at node index {idx}")
         total.append(val)
     return math.fsum(total) / ps.count
-
-
-def net_discrepancy_diagnostic(
-    ps: PointSet, b: int, m: int, s: Optional[int] = None
-) -> float:
-    """N D*_N / (b^t (log N)^(s-1)): the constant in front of the classical
-    digital-net discrepancy estimate.  Needs m >= 2 so log N > 0 ... and the
-    normalization is only meaningful with at least two digits anyway."""
-    if m < 2:
-        raise ValueError("diagnostic needs m >= 2")
-    t = minimal_t_geometric(ps, b, m, s)
-    return _diagnostic_ratio(ps, star_discrepancy(ps), b, t)
-
-
-def _diagnostic_ratio(ps: PointSet, d_star, b: int, t: int) -> float:
-    n = ps.count
-    return float(d_star) * n / (b ** t * math.log(n) ** (ps.dim - 1))
 
 
 def _holds(ps: PointSet, count: int, build: Callable[[], PointSet]) -> bool:
@@ -571,7 +539,9 @@ def assess(
     diag = None
     # a geometric t implies b and m were given
     if t_geo is not None and d_star is not None and m >= 2:
-        diag = _diagnostic_ratio(ps, d_star, b, t_geo)
+        # N D*_N / (b^t (log N)^(s-1)), the digital-net estimate's constant
+        n = ps.count
+        diag = float(d_star) * n / (b ** t_geo * math.log(n) ** (ps.dim - 1))
     return QualityReport(
         n=ps.count,
         s=ps.dim,

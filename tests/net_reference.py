@@ -1,13 +1,16 @@
 """The per-point loops that the digital-net and Halton constructions and
-the geometric net check used before the numpy kernels, and the dual-space
-enumeration that the matrix t route used before the rank walk, kept
-verbatim as reference implementations.
+the geometric net check used before the numpy kernels, the dual-space
+enumeration that the matrix t route used before the rank walk, and the
+dense dual-lattice grid that P_2's dual sum used before the residue fold,
+kept verbatim as reference implementations.
 
-Each builds or counts one point (or one dual vector) at a time, so these
-are slow but straightforward; the tests compare the production routes
-against them value for value.
+Each builds or counts one point (or one dual vector) at a time, or
+materialises the whole box, so these are slow but straightforward; the
+tests compare the production routes against them value for value.
 """
 
+import cmath
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -232,3 +235,45 @@ def minimal_t_dual(G: GeneratingMatrixSet) -> int:
     """t of the digital net from the dual space: t = clamp(m+1-delta, 0, m)."""
     d = dual_space(G)
     return max(0, min(d.m, d.m + 1 - d.delta))
+
+
+def p2_dual_sum(a: Sequence[int], n: int, h_bound: int) -> float:
+    """Truncated dual-lattice sum: sum over 0 < |h|_inf <= h_bound with
+    a . h = 0 mod n of prod_j max(1, |h_j|)^(-2).  Independent oracle for
+    p_alpha; the truncation error is bounded by p2_tail_bound."""
+    s = len(a)
+    if s not in (1, 2, 3):
+        raise ValueError("dual sum implemented for s <= 3")
+    if (2 * h_bound + 1) ** s > 1 << 26:
+        raise BudgetError("dual sum grid too large")
+    axes = [np.arange(-h_bound, h_bound + 1, dtype=np.int64)] * s
+    grids = np.meshgrid(*axes, indexing="ij")
+    dot = sum(g * (ai % n) for g, ai in zip(grids, a)) % n
+    mask = dot == 0
+    weight = np.ones_like(grids[0], dtype=np.float64)
+    for g in grids:
+        weight = weight / np.maximum(1, np.abs(g)).astype(np.float64) ** 2
+    origin = tuple([h_bound] * s)
+    mask[origin] = False
+    return float(weight[mask].sum())
+
+
+def character_orthogonality(a: Sequence[int], n: int, h: Sequence[int]) -> int:
+    """(1/N) sum_k e^(2 pi i k (a.h) / N) as an exact 0/1 indicator.
+
+    The exact integer test a.h = 0 mod n decides the value; a floating
+    summation cross-checks it to 1e-10 and a disagreement raises, since it
+    would mean the arithmetic itself is broken.
+    """
+    if len(h) != len(a):
+        raise ValueError("h and a must have equal length")
+    dot = sum(ai * hi for ai, hi in zip(a, h)) % n
+    exact = 1 if dot == 0 else 0
+    acc = 0j
+    for k in range(n):
+        acc += cmath.exp(2j * math.pi * k * dot / n)
+    if abs(acc / n - exact) >= 1e-10:
+        raise RuntimeError(
+            f"character sum {acc / n} disagrees with exact test {exact}"
+        )
+    return exact

@@ -377,6 +377,12 @@ def test_p2_single_point(capsys):
     assert abs(json.loads(out)["p2"] - math.pi ** 2 / 3) < 1e-12
 
 
+def test_p2_of_an_empty_vector_is_an_error(capsys):
+    code, out = run(capsys, "p2", "--a", "", "--n", "5")
+    assert code == 1
+    assert json.loads(out) == {"error": "empty generating vector"}
+
+
 def test_integrate_constant_and_box(tmp_path, capsys):
     run(capsys, "gen", "--kind", "halton", "--bases", "2,3", "--n", "32",
         "--out", str(tmp_path))

@@ -1,6 +1,8 @@
 """No module of the package imports a name at module level that it never
 uses.  Stands in for a linter's unused-import rule, since the test
-environment has none.
+environment has none.  The check trusts `__all__`, so every name listed
+there must also be defined in its module: a stale entry would hide an
+unused import and break `import *`.
 
 Also: every function that the benchmark's tracer (perfbench/tracing.py)
 wraps still exists under its name and still has the parameters the
@@ -61,6 +63,36 @@ def test_checker_finds_unused_and_respects_exports():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def undefined_exports(source: str) -> list[str]:
+    """Names in `__all__` that no module-level def, class or assignment
+    binds; an imported name does not count."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return sorted(_exported(tree) - defined)
+
+
+def test_export_checker_finds_stale_and_imported_names():
+    source = (
+        "import cmath\n"
+        "__all__ = ['LIMIT', 'f', 'C', 'cmath', 'gone']\n"
+        "LIMIT = 3\n"
+        "def f(): pass\n"
+        "class C: pass\n"
+    )
+    assert undefined_exports(source) == ["cmath", "gone"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_export_is_defined(path):
+    assert undefined_exports(path.read_text()) == []
 
 
 def _tracer_names() -> tuple[list[str], dict[str, set[str]]]:

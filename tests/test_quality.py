@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 import net_reference
-from net_reference import nrt_weight
+from net_reference import character_orthogonality, nrt_weight
 from star_reference import star_exact, star_float
 
 from lowdisc.algebra import monic_irreducibles
@@ -29,11 +29,9 @@ from lowdisc.quality import (
     BudgetError,
     QualityReport,
     assess,
-    character_orthogonality,
     dual_space,
     minimal_t_dual,
     minimal_t_geometric,
-    net_discrepancy_diagnostic,
     net_property,
     p2_dual_sum,
     p2_tail_bound,
@@ -546,9 +544,38 @@ def test_p2_single_point_closed_form():
     assert abs(p_alpha([1], 1) - math.pi ** 2 / 3) < 1e-12
 
 
-def test_p2_requires_alpha_2():
+def test_p_alpha_rejects_n_below_1_and_empty_vector():
     with pytest.raises(ValueError):
         p_alpha([1], 0)
+    with pytest.raises(ValueError, match="empty generating vector"):
+        p_alpha([], 5)
+
+
+def _p_alpha_unchunked(a, n):
+    """p_alpha as one (n, s) array, its terms averaged by mean()."""
+    avec = np.array([v % n for v in a], dtype=np.int64)
+    k = np.arange(n, dtype=np.int64)
+    frac = (k[:, None] * avec[None, :] % n) / n
+    terms = (1.0 + 2.0 * math.pi ** 2 * (frac * frac - frac + 1.0 / 6.0)).prod(axis=1)
+    return float(terms.mean() - 1.0)
+
+
+def test_p_alpha_in_chunks(monkeypatch):
+    import lowdisc.quality as quality
+
+    cases = [([1, 34], 55), ([1, 89], 10000), ([1, 3, 5], 997), ([7], 1), ([0, 0], 4)]
+    for a, n in cases:  # one chunk each: bit-identical to the mean
+        assert p_alpha(a, n) == _p_alpha_unchunked(a, n)
+    monkeypatch.setattr(quality, "P_ALPHA_CHUNK", 7)
+    for a, n in cases:
+        assert abs(p_alpha(a, n) - _p_alpha_unchunked(a, n)) < 1e-12
+    # the Python-int products that n >= 3.04e9 needs give the same terms
+    def wide(start, count, bound):
+        return np.arange(start, start + count, dtype=object)
+
+    monkeypatch.setattr(quality, "_index_range", wide)
+    for a, n in cases:
+        assert abs(p_alpha(a, n) - _p_alpha_unchunked(a, n)) < 1e-12
 
 
 def test_p2_matches_dual_sum_oracle():
@@ -587,6 +614,70 @@ def test_character_orthogonality_cases():
     assert character_orthogonality([1, 8], 13, [5, 1]) == 1
     with pytest.raises(ValueError):
         character_orthogonality([1, 3], 4, [1])
+
+
+def _dual_terms(a, n, h_bound, keep):
+    """The box's terms prod_j max(1, |h_j|)^-2 over the h != 0 that keep."""
+    box = itertools.product(range(-h_bound, h_bound + 1), repeat=len(a))
+    return [
+        math.prod(1.0 / max(1, abs(v)) ** 2 for v in h)
+        for h in box
+        if any(h) and keep(h)
+    ]
+
+
+def test_dense_oracle_keeps_exactly_the_h_whose_character_sum_is_1():
+    rng = random.Random(7)
+    for _ in range(12):
+        n = rng.randint(1, 20)
+        a = [rng.randrange(0, 2 * n) for _ in range(rng.randint(1, 2))]
+        h = rng.randint(0, 4)
+        kept = _dual_terms(a, n, h, lambda v: character_orthogonality(a, n, v) == 1)
+        assert abs(net_reference.p2_dual_sum(a, n, h) - math.fsum(kept)) < 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    h_bound=st.integers(0, 30),
+    a=st.lists(st.integers(0, 200), min_size=1, max_size=3),
+)
+@example(n=12, h_bound=30, a=[0, 12, 8])  # a_j = 0, a_j = n, gcd(a_j, n) = 4
+@example(n=1, h_bound=5, a=[3, 7])
+@example(n=60, h_bound=0, a=[1, 2, 3])
+@example(n=55, h_bound=30, a=[1, 34])
+def test_p2_fold_matches_dense_oracle(n, h_bound, a):
+    assert abs(p2_dual_sum(a, n, h_bound) - net_reference.p2_dual_sum(a, n, h_bound)) < 1e-12
+
+
+def test_p2_fold_in_four_and_five_dimensions():
+    rng = random.Random(11)
+    for _ in range(10):
+        s = rng.choice([4, 5])
+        n = rng.randint(1, 30)
+        a = [rng.choice([0, n, 2, rng.randrange(0, 3 * n)]) for _ in range(s)]
+        h = rng.randint(0, 3)
+        kept = _dual_terms(a, n, h, lambda v: sum(x * y for x, y in zip(a, v)) % n == 0)
+        assert abs(p2_dual_sum(a, n, h) - math.fsum(kept)) < 1e-12
+
+
+def test_p2_dual_sum_rejects_bad_input_and_over_budget(monkeypatch):
+    import lowdisc.quality as quality
+
+    for a, n, h in (([1, 2], 0, 3), ([1, 2], -4, 3), ([1, 2], 5, -1), ([], 5, 3)):
+        with pytest.raises(ValueError):
+            p2_dual_sum(a, n, h)
+    assert p2_dual_sum([1, 2], 5, 0) == 0.0  # the origin alone, which is left out
+    with pytest.raises(BudgetError):
+        p2_dual_sum([1, 2], 10 ** 12, 1)  # refused before an array of length n
+    with pytest.raises(BudgetError):
+        p2_dual_sum([1], 7, 10 ** 12)  # refused before an array of length 2H + 1
+    # the work is s * (2H + 1 + n * min(n, 2H + 1)): 2 * (7 + 10 * 7) = 154
+    monkeypatch.setattr(quality, "P2_FOLD_BUDGET", 154)
+    assert abs(p2_dual_sum([1, 3], 10, 3) - net_reference.p2_dual_sum([1, 3], 10, 3)) < 1e-12
+    monkeypatch.setattr(quality, "P2_FOLD_BUDGET", 153)
+    with pytest.raises(BudgetError):
+        p2_dual_sum([1, 3], 10, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -632,16 +723,15 @@ def test_product_integrand_error_stays_bounded_along_net_family():
 # ---------------------------------------------------------------------------
 
 def test_diagnostic_guards_and_degenerate_case():
-    with pytest.raises(ValueError):
-        net_discrepancy_diagnostic(niederreiter_net(2, 2, 1), 2, 1)
+    assert assess(niederreiter_net(2, 2, 1), b=2, m=1).diagnostic_ratio is None
     zero = PointSet.exact([[0, 0]] * 4, [4, 4])
-    val = net_discrepancy_diagnostic(zero, 2, 2)
+    val = assess(zero, b=2, m=2).diagnostic_ratio
     assert math.isfinite(val) and val > 0
 
 
 def test_diagnostic_stays_bounded_for_niederreiter_family():
     vals = [
-        net_discrepancy_diagnostic(niederreiter_net(2, 2, m), 2, m)
+        assess(niederreiter_net(2, 2, m), b=2, m=m).diagnostic_ratio
         for m in range(4, 10)
     ]
     assert max(vals) <= 1.5 * vals[0]
