@@ -429,7 +429,12 @@ def p2_dual_sum(a: Sequence[int], n: int, h_bound: int) -> float:
 
 def p2_tail_bound(s: int, h_bound: int) -> float:
     """Upper bound on the dual-sum truncation error: the h with some
-    |h_j| > H contribute at most s * (2/H) * (1 + pi^2/3)^(s-1)."""
+    |h_j| > H contribute at most s * (2/H) * (1 + pi^2/3)^(s-1).  Needs
+    s >= 1 and H >= 1; below them the formula bounds nothing."""
+    if s < 1:
+        raise ValueError("need s >= 1")
+    if h_bound < 1:
+        raise ValueError("need h_bound >= 1")
     return 2.0 * s * (1.0 + math.pi ** 2 / 3.0) ** (s - 1) / h_bound
 
 

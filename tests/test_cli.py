@@ -8,6 +8,7 @@ import re
 
 import pytest
 
+from lowdisc import pointsets
 from lowdisc.cli import main
 from lowdisc.quality import p_alpha
 
@@ -231,6 +232,40 @@ def test_verify_reports_p2_of_a_lattice(tmp_path, capsys):
     code, out = run(capsys, "verify", "--points", str(out_dir / "points.csv"), "--json")
     assert code == 0
     assert json.loads(out)["p2"] == p_alpha([1, 34], 55)
+
+
+@pytest.mark.parametrize(
+    "gen_args,net",
+    [
+        (["--kind", "niederreiter", "--b", "3", "--s", "3", "--m", "4"], (3, 4)),
+        (["--kind", "polylattice", "--b", "2", "--f", "1,1,0,1,1", "--g", "1;1,1,1"], (2, 4)),
+        (["--kind", "halton", "--bases", "2,3,5", "--n", "300", "--start", "7"], None),
+        (["--kind", "lattice", "--a", "1,34", "--n", "55"], None),
+        (["--kind", "digital", "--matrices", "MATS"], (3, 2)),
+    ],
+)
+def test_gen_output_reads_through_the_array_route(tmp_path, capsys, monkeypatch, gen_args, net):
+    # gen's own CSVs must never need the general line parser: a change that
+    # sends them there would only show as a slower benchmark
+    def general_parser_called(text, provenance):
+        raise AssertionError("gen output went through the general CSV parser")
+
+    monkeypatch.setattr(pointsets, "_general_csv", general_parser_called)
+    mats = tmp_path / "mats.json"
+    mats.write_text(json.dumps({"b": 3, "matrices": [[[1, 0], [0, 1]], [[0, 1], [1, 2]]]}))
+    gen_args = [str(mats) if arg == "MATS" else arg for arg in gen_args]
+    out_dir = tmp_path / "set"
+    code, _ = run(capsys, "gen", *gen_args, "--out", str(out_dir))
+    assert code == 0
+    argv = ["verify", "--points", str(out_dir / "points.csv"), "--json"]
+    if net:
+        argv += ["--b", str(net[0]), "--m", str(net[1])]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    report = json.loads(out)
+    assert report["representation"] == "exact_rational"
+    if net:
+        assert report["t_geometric"] is not None
 
 
 @pytest.mark.parametrize("sidecar", [[1, 2], "text", {"provenance": [1, 2]}])

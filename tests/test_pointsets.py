@@ -31,6 +31,7 @@ from lowdisc.pointsets import (
     polynomial_lattice,
     polynomial_lattice_matrices,
 )
+from lowdisc.pointsets import _canonical_exact_csv, _general_csv
 
 
 # ---------------------------------------------------------------------------
@@ -705,3 +706,140 @@ def test_csv_roundtrip_keeps_net_denominators(b, s, m):
 def test_csv_provenance_passthrough():
     ps = pointset_from_csv("0.25\n", provenance={"kind": "imported"})
     assert ps.provenance["kind"] == "imported"
+
+
+# ---------------------------------------------------------------------------
+# CSV parse: the array route against the general line parser
+# ---------------------------------------------------------------------------
+
+def _outcome(parse, text):
+    """What parse(text) gives: the set's representation, denominators,
+    dtype and values, or the type and message of the error it raises."""
+    try:
+        ps = parse(text, None)
+    except Exception as exc:  # the error is the outcome being compared
+        return type(exc), str(exc)
+    if ps.is_exact:
+        return "exact", ps.denominators, ps.numerators.dtype, ps.numerators.tolist()
+    return "float", ps.float_rows.tolist()
+
+
+_DENOMINATORS = st.one_of(
+    st.integers(1, 64),
+    st.integers(1, 10 ** 18 - 1),  # at most 18 digits: the array route's range
+    st.sampled_from([10 ** 18 - 1, 10 ** 18, 2 ** 63 - 1, 2 ** 63, 2 ** 64 + 1]),
+)
+
+
+@st.composite
+def _exact_sets(draw):
+    dens = draw(st.lists(_DENOMINATORS, min_size=1, max_size=4))
+    rows = draw(st.lists(
+        st.tuples(*[st.integers(0, d - 1) for d in dens]), min_size=1, max_size=12,
+    ))
+    return PointSet.exact(rows, dens)
+
+
+@settings(max_examples=300)
+@given(ps=_exact_sets())
+def test_csv_array_route_matches_general_parser(ps):
+    text = pointset_to_csv(ps)
+    fast = _canonical_exact_csv(text, None)
+    # every token of at most 18 digits, which needs every denominator below 10^18
+    assert (fast is not None) == (max(ps.denominators) < 10 ** 18)
+    oracle = _outcome(_general_csv, text)
+    assert _outcome(pointset_from_csv, text) == oracle
+    assert oracle[:3] == ("exact", ps.denominators, ps.numerators.dtype)
+    assert oracle[3] == ps.numerators.tolist()
+    if fast is not None:
+        assert _outcome(lambda t, p: fast, text) == oracle
+
+
+@settings(max_examples=400)
+@given(
+    ps=_exact_sets(),
+    edits=st.lists(
+        st.tuples(
+            st.integers(0, 10 ** 6),
+            st.sampled_from("idr"),  # insert, delete, replace
+            st.sampled_from("0123456789/,\n\r\t +-_.x\u00a0\uff11"),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_mutated_csvs_read_alike_through_both_routes(ps, edits):
+    text = pointset_to_csv(ps)
+    for pos, kind, char in edits:
+        i = pos % (len(text) + 1)
+        text = text[:i] + ("" if kind == "d" else char) + text[i + (kind != "i"):]
+    assert _outcome(pointset_from_csv, text) == _outcome(_general_csv, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x1\n1000000000000000000/1000000000000000001\n",  # 19 digits, int64 values
+        "x1\n99999999999999999999/4\n",  # 20 digits: a numpy read saturates it
+        "x1\n9223372036854775807/4\n",  # exactly 2^63 - 1
+        "x1\n9223372036854775807/9223372036854775808\n",  # denominator 2^63: objects
+        "x1\n1/18446744073709551616\n",
+        "x1,x2\n1,4,3/4\n",
+        "x1,x2\n1/2/3,4\n",
+        "x1\n1/2/3,4\n",
+        "x1\n+1/4\n",
+        "x1\n1_0/16\n",
+        "x1\n\uff11/4\n",  # fullwidth digit one
+        "x1\n 1/4\n",
+        "x1\n1/4 \n",
+        "x1\n1 /4\n",
+        "x1,x2\n1/4, 3/4\n",
+        "x1\r\n1/4\r\n",
+        "x1\n1/4\r\n3/4\n",
+        "x1\n\n1/4\n",
+        "x1\n1/4\n\n3/4\n",
+        "x1\n1/4",
+        "1/4\n3/4\n",
+        "X1\n1/4\n",
+        "x1,x2\n1/4\n",  # header wider than the rows
+        "x1\n1/4\n3/8\n",  # hybrid-style mixed denominators: lcm 8
+        "x1,x2\n1/2,1/3\n1/4,2/3\n",
+        "x1\n1/0\n",
+        "x1\n0/0\n",
+        "x1\n4/4\n",
+        "x1\n5/4\n",
+        "x1\n/4\n",
+        "x1\n1/\n",
+        "x1\n1//4\n",
+        "x1\n,1/4\n",
+        "x1\n1/4,\n",
+        "x1,x2\n1/4,3/4\n1/4\n",  # ragged
+        "x1\n1/4\n3/4,1/4\n",
+        "x1\n1011\n",  # one separator a row
+        "x1,x2\n1/4/3\n",
+        "x1\n1/4,3\n",
+        "x1\n",
+        "",
+        "x1\n0.25\n",
+        "x1\n1.0/4\n",
+        "x1\n-1/4\n",
+    ],
+)
+def test_csv_edge_texts_read_alike_through_both_routes(text):
+    assert _outcome(pointset_from_csv, text) == _outcome(_general_csv, text)
+
+
+def test_csv_array_route_reads_no_saturated_integer():
+    for digits in (19, 20, 30):
+        text = f"x1\n{'9' * digits}/4\n"
+        assert _canonical_exact_csv(text, None) is None
+        with pytest.raises(ValueError, match=f"numerator {'9' * digits} outside"):
+            pointset_from_csv(text)
+    big = pointset_from_csv("x1\n9223372036854775807/9223372036854775808\n")
+    assert big.numerators.dtype == object
+    assert big.numerators.tolist() == [[2 ** 63 - 1]]
+    assert big.denominators == (2 ** 63,)
+    # 18 digits is the largest token the array route reads
+    top = 10 ** 18 - 1
+    ps = _canonical_exact_csv(f"x1\n{top - 1}/{top}\n", None)
+    assert ps.numerators.tolist() == [[top - 1]] and ps.denominators == (top,)

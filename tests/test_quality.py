@@ -590,6 +590,21 @@ def test_p2_matches_dual_sum_oracle():
         assert abs(closed - truncated) <= p2_tail_bound(2, h)
 
 
+@pytest.mark.parametrize(
+    "s,h_bound,message",
+    [
+        (2, 0, "need h_bound >= 1"),   # the formula divides by H
+        (2, -5, "need h_bound >= 1"),  # the formula gives a negative "bound"
+        (0, 10, "need s >= 1"),
+        (-1, 10, "need s >= 1"),
+    ],
+)
+def test_p2_tail_bound_rejects_what_it_cannot_bound(s, h_bound, message):
+    with pytest.raises(ValueError, match=message):
+        p2_tail_bound(s, h_bound)
+    assert p2_tail_bound(1, 1) == 2.0
+
+
 def test_p2_is_nonnegative():
     rng = random.Random(5)
     for _ in range(20):
