@@ -15,10 +15,7 @@ from typing import Optional, Sequence
 
 __all__ = [
     "continued_fraction",
-    "cf_to_fraction",
     "convergents",
-    "max_partial_quotient",
-    "noncanonical_variant",
     "zaremba_search",
     "ZarembaRow",
     "zaremba_table",
@@ -55,43 +52,6 @@ def convergents(quotients: Sequence[int]) -> list[tuple[int, int]]:
         k, k_prev = a * k + k_prev, k
         hs.append((h, k))
     return hs
-
-
-def cf_to_fraction(quotients: Sequence[int]) -> tuple[int, int]:
-    """(a, n) with a/n = [0; quotients] in lowest terms."""
-    if not quotients:
-        raise ValueError("empty quotient list")
-    if any(q < 1 for q in quotients):
-        raise ValueError("partial quotients must be >= 1")
-    return convergents(quotients)[-1]
-
-
-def max_partial_quotient(quotients: Sequence[int]) -> int:
-    if not quotients:
-        raise ValueError("empty quotient list")
-    return max(quotients)
-
-
-def noncanonical_variant(quotients: Sequence[int]) -> tuple[int, ...]:
-    """The other expansion of the same fraction: [..., m] <-> [..., m-1, 1].
-
-    Every rational has exactly two expansions; this maps the canonical one
-    (last quotient >= 2) to its twin ending in 1, and back.
-    """
-    qs = list(quotients)
-    if not qs:
-        raise ValueError("empty quotient list")
-    if qs[-1] == 1:
-        if len(qs) == 1:
-            raise ValueError("[1] has no canonical twin with the same value")
-        qs.pop()
-        qs[-1] += 1
-    else:
-        qs[-1] -= 1
-        qs.append(1)
-        if qs[0] == 0:
-            raise ValueError("variant would need a zero quotient")
-    return tuple(qs)
 
 
 def zaremba_search(n: int, c: int) -> Optional[int]:

@@ -690,7 +690,7 @@ def _general_csv(text: str, provenance: Optional[dict]) -> PointSet:
         raise ValueError("CSV has no data rows")
     exact = "/" in body[0]
     if not exact:
-        rows = [[float(tok) for tok in ln.split(",")] for ln in body]
+        rows = [[_csv_token(tok, float) for tok in ln.split(",")] for ln in body]
         return PointSet.floating(rows, provenance=provenance)
     # written, not reduced, denominators: a column whose numerators all
     # share a factor with the denominator keeps its grid.  Rows with the
@@ -701,13 +701,13 @@ def _general_csv(text: str, provenance: Optional[dict]) -> PointSet:
     keys: dict[tuple, tuple] = {}
     for ln in body:
         toks = [tok.partition("/") for tok in ln.split(",")]
-        nums.append([int(num) for num, _, _ in toks])
+        nums.append([_csv_token(num, int) for num, _, _ in toks])
         key = tuple(den for _, _, den in toks)
         row_keys.append(keys.setdefault(key, key))
     dim = len(nums[0])
     if any(len(key) != dim for key in keys):
         raise ValueError("ragged rows")
-    written = {key: [int(w) for w in key] for key in keys}
+    written = {key: [_csv_token(w, int) for w in key] for key in keys}
     if any(d < 1 for ints in written.values() for d in ints):
         raise ValueError("denominators must be >= 1")
     dens = [math.lcm(*column) for column in zip(*written.values())]
@@ -715,3 +715,13 @@ def _general_csv(text: str, provenance: Optional[dict]) -> PointSet:
         if written[key] != dens:
             row[:] = [v * (den // d) for v, den, d in zip(row, dens, written[key])]
     return PointSet.exact(nums, dens, provenance=provenance)
+
+
+
+def _csv_token(tok: str, kind: type):
+    """An ASCII token with whitespace around it, an exact one digits only;
+    int() and float() alone also read signs, underscores and other digits."""
+    bare = tok.strip()
+    if not bare.isascii() or "_" in bare or kind is int and not bare.isdigit():
+        raise ValueError(f"CSV token {tok!r} is not an ASCII {kind.__name__}")
+    return kind(bare)

@@ -14,8 +14,8 @@ the sum of the d_j it uses, so the minimum weight of the dual space is
 delta = m + 1 - t (m + 1 on a trivial dual).
 
 Star discrepancy is computed exactly: the supremum over boxes [0, y) is
-attained in the limit at corners y built from coordinate values and 1,
-counting points strictly (< on every axis) against the closed volume for
+attained in the limit at critical corners y built from coordinate values and
+1, counting points strictly (< on every axis) against the closed volume for
 the volume-excess side and weakly (<=) for the point-excess side.  All
 comparisons are integer arithmetic on numerators; the result is a Fraction.
 """
@@ -53,10 +53,12 @@ __all__ = [
     "assess",
 ]
 
-# the quadrant-restricted sweep costs about N * (N/2)^(s-1) corner
-# evaluations for s = 2, 3; these caps keep the default call interactive,
-# and n_limit= overrides them deliberately
+# the star sweep evaluates about N^2 / 4 corners for s = 2 and N^3 / 11 for
+# s = 3; these caps keep the default call interactive, and n_limit=
+# overrides them deliberately
 STAR_DISCREPANCY_BUDGET = {1: 200_000, 2: 8192, 3: 512}
+# the star sweep runs its x-steps in this many ranges of equal length
+STAR_SWEEP_CHUNKS = 16
 # one walk over the compositions of m - t, on either route, checks at most
 # this many; level 0 of b = 17, s = 17, m = 10 alone has 5.3 million
 COMPOSITION_BUDGET = 1 << 16
@@ -230,49 +232,71 @@ def _star_sweep(pts: np.ndarray, tops: Sequence, exact: bool):
     the volume-excess side only over the open quadrant its points are about
     to enter (everywhere at the last step), and the point-excess side only
     over their closed quadrant once they are counted.
+
+    Both sides of a step are also maximal at critical corners, whose every
+    coordinate is a value of a point counted so far or the axis end: moving
+    a coordinate up to the next such value keeps the open count and does not
+    lower x * vol, moving it down to the largest such value in the box keeps
+    the closed count.  So the steps run in STAR_SWEEP_CHUNKS equal ranges,
+    each on the corner grid of the points counted by its last step, and the
+    full grid is built only for the last range.
     """
     n, s = pts.shape
-    grids = [np.unique(np.append(pts[:, j], top)) for j, top in enumerate(tops)]
+    grid = np.unique(np.append(pts[:, 0], tops[0]))
     unit = math.prod(int(t) for t in tops) if exact else 1
-    xs = n * grids[0] if exact else grids[0]
-    to_number = int if exact else float
+    xs = n * grid if exact else grid
 
     def share(counts):
         return counts if exact else counts / n
 
     if s == 1:
         u = np.sort(pts[:, 0])
-        strict = np.searchsorted(u, grids[0], side="left") * unit
-        weak = np.searchsorted(u, grids[0], side="right") * unit
+        strict = np.searchsorted(u, grid, side="left") * unit
+        weak = np.searchsorted(u, grid, side="right") * unit
         return max((xs - share(strict)).max(), (share(weak) - xs).max())
 
-    order = np.argsort(pts[:, 0], kind="stable")
-    bounds = np.searchsorted(pts[order, 0], grids[0], side="right")
-    ranks = np.stack(
-        [np.searchsorted(g, pts[order, j]) for j, g in enumerate(grids[1:], 1)],
-        axis=1,
-    )
-    vol = functools.reduce(np.multiply.outer, grids[1:])
-    # closed[i + 1] counts the points <= corner i on every axis, so closed[i]
-    # is the open count at corner i: one array serves both sides, and before
-    # a step's points are added it holds the open counts of that step
-    closed = np.zeros([len(g) + 1 for g in grids[1:]], dtype=vol.dtype)
-    best = to_number(0)
-    # every coordinate is below its axis end, so each x-step but the last
-    # (the end itself) adds at least one point
-    for k, x in enumerate(xs[:-1]):
-        batch = ranks[bounds[k - 1] if k else 0 : bounds[k]]
-        corner = batch.min(axis=0)
-        scaled = x * vol[tuple(slice(i, None) for i in corner)]
-        counts = closed[tuple(slice(i + 1, -1) for i in corner)]
-        inner = scaled[(slice(1, None),) * (s - 1)]
-        best = max(best, to_number((inner - share(counts)).max()))
-        for r in batch:
-            closed[tuple(slice(i + 1, None) for i in r)] += unit
-        counts = closed[tuple(slice(i + 1, None) for i in corner)]
-        best = max(best, to_number((share(counts) - scaled).max()))
-    counts = closed[(slice(None, -1),) * (s - 1)]
-    return max(best, to_number((xs[-1] * vol - share(counts)).max()))
+    pts = pts[np.argsort(pts[:, 0], kind="stable")]
+    # step k adds the points cuts[k]:cuts[k + 1]; every coordinate is below
+    # its axis end, so each step but the last (the end itself) adds one or more
+    cuts = np.searchsorted(pts[:, 0], grid, side="left")
+    edges = [(len(xs) - 1) * c // STAR_SWEEP_CHUNKS for c in range(STAR_SWEEP_CHUNKS + 1)]
+    inner, trim = (slice(1, None),) * (s - 1), (slice(None, -1),) * (s - 1)
+    best = 0
+    for lo, hi in zip(edges, edges[1:]):
+        if lo == hi:
+            continue
+        vol = closed = counts = scaled = None  # free the last range's arrays first
+        head, tail = cuts[lo], cuts[hi]
+        grids = [np.unique(np.append(pts[:tail, j], top)) for j, top in enumerate(tops[1:], 1)]
+        ranks = np.stack(
+            [np.searchsorted(g, pts[:tail, j]) for j, g in enumerate(grids, 1)], axis=1
+        )
+        vol = functools.reduce(np.multiply.outer, grids)
+        # closed[i + 1] counts the points <= corner i on every axis, so
+        # closed[i] is the open count at corner i: one array serves both
+        # sides, and before a step's points are added it holds the open
+        # counts of that step
+        shape = tuple(len(g) + 1 for g in grids)
+        cells = np.ravel_multi_index(tuple(ranks[:head].T + 1), shape)
+        closed = np.bincount(cells, minlength=math.prod(shape)) * unit
+        closed = closed.astype(vol.dtype).reshape(shape)
+        for axis in range(s - 1):
+            np.cumsum(closed, axis=axis, out=closed)
+        corners = np.minimum.reduceat(ranks[head:], cuts[lo:hi] - head, axis=0)
+        steps = zip(xs[lo:hi], corners.tolist(), cuts[lo:hi], cuts[lo + 1 : hi + 1])
+        for x, corner, a, b in steps:
+            scaled = x * vol[tuple(slice(i, None) for i in corner)]
+            # a view: it holds the open counts now, the closed ones after the add
+            counts = closed[tuple(slice(i + 1, None) for i in corner)]
+            best = max(best, np.maximum.reduce(scaled[inner] - share(counts[trim]), axis=None))
+            if b - a == 1:  # one point, at the corner
+                counts += unit
+            else:
+                for r in ranks[a:b].tolist():
+                    closed[tuple(slice(i + 1, None) for i in r)] += unit
+            best = max(best, np.maximum.reduce(share(counts) - scaled, axis=None))
+    # the last range's grid holds every point
+    return max(best, (xs[-1] * vol - share(closed[trim])).max())
 
 
 def star_discrepancy(ps: PointSet, n_limit: Optional[int] = None):
@@ -281,8 +305,8 @@ def star_discrepancy(ps: PointSet, n_limit: Optional[int] = None):
     s = 1 is vectorised and cross-checked against the closed form.  For
     s = 2, 3 one sweep runs over the first axis and keeps closed-box counts
     on the corner grid of the others up to date with one slice add per
-    point; each step evaluates only the quadrant its points enter, about a
-    quarter of the grid for s = 3.  Point counts above the per-dimension
+    point; each step evaluates only the quadrant its points enter, on the
+    grid of the points counted so far.  Point counts above the per-dimension
     default budget (200000 / 8192 / 512 for s = 1 / 2 / 3) raise
     BudgetError unless n_limit raises the cap explicitly.
     """

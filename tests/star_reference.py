@@ -1,12 +1,16 @@
-"""The corner sweeps that star_discrepancy used before the
-quadrant-restricted sweep, kept verbatim as reference implementations.
+"""The corner sweeps that star_discrepancy used before the critical-corner
+sweep, kept verbatim as reference implementations.
 
-Each x-step rebuilds the full cumulative-count tables and evaluates every
-corner, so these are slow but straightforward; the tests compare the
-production sweep against them value for value (Fractions) and bit for bit
-(floats).
+star_exact and star_float rebuild the full cumulative-count tables at each
+x-step and evaluate every corner, so they are slow but straightforward.
+quadrant_sweep keeps the full corner grid of the other axes for the whole
+sweep and evaluates, at each step, the quadrant its points enter.  The
+tests compare the production sweep against them value for value (Fractions)
+and bit for bit (floats).
 """
 
+import functools
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -181,3 +185,65 @@ def star_float(rows: np.ndarray, n: int) -> float:
             float((inc_plus / n - volume).max()),
         )
     return best
+
+
+def quadrant_sweep(pts: np.ndarray, tops: Sequence, exact: bool):
+    """Largest corner objective of the (n, s) points, s <= 3.
+
+    Axis j sweeps the grid of its distinct values plus tops[j], the end of
+    the axis (the denominator, or 1.0 on the float path).  Exact objectives
+    are integers over n * prod(tops): counts are carried in units of
+    prod(tops) and the x-step value as n * x.  Float objectives are
+    x * vol - count / n, evaluated elementwise as written.
+
+    For s >= 2 the first axis is swept in steps while the other s - 1 axes
+    form a corner array.  At a fixed corner, x * vol - open count never
+    decreases in x until that corner's open count changes, and closed count
+    - x * vol never increases after a change to its closed count (rounding
+    is monotone, so this holds in float64 too).  So each step evaluates
+    the volume-excess side only over the open quadrant its points are about
+    to enter (everywhere at the last step), and the point-excess side only
+    over their closed quadrant once they are counted.
+    """
+    n, s = pts.shape
+    grids = [np.unique(np.append(pts[:, j], top)) for j, top in enumerate(tops)]
+    unit = math.prod(int(t) for t in tops) if exact else 1
+    xs = n * grids[0] if exact else grids[0]
+    to_number = int if exact else float
+
+    def share(counts):
+        return counts if exact else counts / n
+
+    if s == 1:
+        u = np.sort(pts[:, 0])
+        strict = np.searchsorted(u, grids[0], side="left") * unit
+        weak = np.searchsorted(u, grids[0], side="right") * unit
+        return max((xs - share(strict)).max(), (share(weak) - xs).max())
+
+    order = np.argsort(pts[:, 0], kind="stable")
+    bounds = np.searchsorted(pts[order, 0], grids[0], side="right")
+    ranks = np.stack(
+        [np.searchsorted(g, pts[order, j]) for j, g in enumerate(grids[1:], 1)],
+        axis=1,
+    )
+    vol = functools.reduce(np.multiply.outer, grids[1:])
+    # closed[i + 1] counts the points <= corner i on every axis, so closed[i]
+    # is the open count at corner i: one array serves both sides, and before
+    # a step's points are added it holds the open counts of that step
+    closed = np.zeros([len(g) + 1 for g in grids[1:]], dtype=vol.dtype)
+    best = to_number(0)
+    # every coordinate is below its axis end, so each x-step but the last
+    # (the end itself) adds at least one point
+    for k, x in enumerate(xs[:-1]):
+        batch = ranks[bounds[k - 1] if k else 0 : bounds[k]]
+        corner = batch.min(axis=0)
+        scaled = x * vol[tuple(slice(i, None) for i in corner)]
+        counts = closed[tuple(slice(i + 1, -1) for i in corner)]
+        inner = scaled[(slice(1, None),) * (s - 1)]
+        best = max(best, to_number((inner - share(counts)).max()))
+        for r in batch:
+            closed[tuple(slice(i + 1, None) for i in r)] += unit
+        counts = closed[tuple(slice(i + 1, None) for i in corner)]
+        best = max(best, to_number((share(counts) - scaled).max()))
+    counts = closed[(slice(None, -1),) * (s - 1)]
+    return max(best, to_number((xs[-1] * vol - share(counts)).max()))

@@ -7,7 +7,6 @@ import pytest
 
 from lowdisc.algebra import (
     NEG_INF,
-    LaurentSeries,
     Poly,
     PrecisionError,
     binom_mod,

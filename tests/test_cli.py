@@ -370,6 +370,16 @@ def test_numerator_beyond_int64_is_a_domain_error(tmp_path, capsys):
         assert "outside [0, 3)" in json.loads(out)["error"]
 
 
+def test_csv_tokens_int_would_misread_exit_1(tmp_path, capsys):
+    path = tmp_path / "p.csv"
+    for text, token in (("x1\n1_0/16\n", "'1_0'"), ("x1\n0.1_5\n", "'0.1_5'")):
+        path.write_text(text)
+        for command in ("verify", "discrepancy", "integrate"):
+            code, out = run(capsys, command, "--points", str(path))
+            assert code == 1
+            assert token in json.loads(out)["error"]
+
+
 def test_verify_dimension_mismatch(tmp_path, capsys):
     path = tmp_path / "p.csv"
     path.write_text("x1,x2\n0/2,1/2\n")

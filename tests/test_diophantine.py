@@ -3,19 +3,53 @@
 import math
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
 from lowdisc.diophantine import (
-    ZarembaRow,
-    cf_to_fraction,
     continued_fraction,
     convergents,
-    max_partial_quotient,
-    noncanonical_variant,
     zaremba_search,
     zaremba_table,
 )
+
+
+def cf_to_fraction(quotients: Sequence[int]) -> tuple[int, int]:
+    """(a, n) with a/n = [0; quotients] in lowest terms."""
+    if not quotients:
+        raise ValueError("empty quotient list")
+    if any(q < 1 for q in quotients):
+        raise ValueError("partial quotients must be >= 1")
+    return convergents(quotients)[-1]
+
+
+def max_partial_quotient(quotients: Sequence[int]) -> int:
+    if not quotients:
+        raise ValueError("empty quotient list")
+    return max(quotients)
+
+
+def noncanonical_variant(quotients: Sequence[int]) -> tuple[int, ...]:
+    """The other expansion of the same fraction: [..., m] <-> [..., m-1, 1].
+
+    Every rational has exactly two expansions; this maps the canonical one
+    (last quotient >= 2) to its twin ending in 1, and back.
+    """
+    qs = list(quotients)
+    if not qs:
+        raise ValueError("empty quotient list")
+    if qs[-1] == 1:
+        if len(qs) == 1:
+            raise ValueError("[1] has no canonical twin with the same value")
+        qs.pop()
+        qs[-1] += 1
+    else:
+        qs[-1] -= 1
+        qs.append(1)
+        if qs[0] == 0:
+            raise ValueError("variant would need a zero quotient")
+    return tuple(qs)
 
 
 def cf_by_fractions(a, n):

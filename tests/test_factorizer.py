@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from lowdisc.algebra import NEG_INF, Poly, is_irreducible, poly_gcd
+from lowdisc.algebra import NEG_INF, Poly, poly_gcd
 from lowdisc.factorizer import (
     FactorizationResult,
     factor,

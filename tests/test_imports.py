@@ -1,6 +1,6 @@
-"""No module of the package imports a name at module level that it never
-uses.  Stands in for a linter's unused-import rule, since the test
-environment has none.  The check trusts `__all__`, so every name listed
+"""No module of the package or of its tests imports a name at module level
+that it never uses.  Stands in for a linter's unused-import rule, since the
+test environment has none.  The check trusts `__all__`, so every name listed
 there must also be defined in its module: a stale entry would hide an
 unused import and break `import *`.
 
@@ -18,6 +18,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "lowdisc"
+TESTS = ROOT / "tests"
 TRACING = ROOT / "perfbench" / "tracing.py"
 
 
@@ -62,6 +63,11 @@ def test_checker_finds_unused_and_respects_exports():
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_test_imports(path):
     assert unused_imports(path.read_text()) == []
 
 

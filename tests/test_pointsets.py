@@ -3,6 +3,7 @@ digital nets, Niederreiter matrices, polynomial lattices, CSV round trips."""
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import net_reference
@@ -827,6 +828,34 @@ def test_mutated_csvs_read_alike_through_both_routes(ps, edits):
 )
 def test_csv_edge_texts_read_alike_through_both_routes(text):
     assert _outcome(pointset_from_csv, text) == _outcome(_general_csv, text)
+
+
+@pytest.mark.parametrize(
+    "text, token",
+    [
+        ("x1\n1_0/16\n", "1_0"),
+        ("x1\n1/1_6\n", "1_6"),
+        ("x1\n+1/4\n", "+1"),
+        ("x1\n-1/4\n", "-1"),
+        ("x1\n\uff11/4\n", "\uff11"),  # fullwidth digit one
+        ("x1\n1/\u0664\n", "\u0664"),  # Arabic-Indic digit four
+        ("x1,x2\n1/4,1_0/16\n", "1_0"),
+        ("x1\n0.1_5\n", "0.1_5"),
+        ("x1\n0.\uff15\n", "0.\uff15"),
+        ("x1,x2\n0.25,1_0.5\n", "1_0.5"),
+    ],
+)
+def test_csv_tokens_int_or_float_would_misread_are_errors(text, token):
+    # int() and float() read these as other numbers; both routes refuse them
+    for parse in (pointset_from_csv, _general_csv):
+        with pytest.raises(ValueError, match=re.escape(repr(token))):
+            parse(text, None)
+
+
+def test_csv_tokens_keep_their_surrounding_whitespace():
+    for text in ("x1\n 1 /4\n", "x1\n1/ 4\t\n", "x1,x2\n1/4, 3/4\n"):
+        assert pointset_from_csv(text).numerators.tolist()[0][0] == 1
+    assert pointset_from_csv("x1\n 0.25 \n").as_floats() == [(0.25,)]
 
 
 def test_csv_array_route_reads_no_saturated_integer():

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 import net_reference
 from net_reference import character_orthogonality, nrt_weight
-from star_reference import star_exact, star_float
+from star_reference import quadrant_sweep, star_exact, star_float
 
 from lowdisc.algebra import monic_irreducibles
 from lowdisc.pointsets import (
@@ -26,6 +26,8 @@ from lowdisc.pointsets import (
     niederreiter_net,
 )
 from lowdisc.quality import (
+    STAR_DISCREPANCY_BUDGET,
+    STAR_SWEEP_CHUNKS,
     BudgetError,
     QualityReport,
     assess,
@@ -493,6 +495,80 @@ def test_star_float_kronecker_bit_identical_to_retired_sweep():
     ps = kronecker(["sqrt(2)", "sqrt(3)", "sqrt(5)"], 200)
     want = star_float(np.array(ps.float_rows), ps.count)
     assert star_discrepancy(ps).hex() == want.hex()
+
+
+def _by_quadrant_sweep(ps):
+    """D* of ps by the quadrant sweep: a Fraction for exact sets, a float
+    otherwise."""
+    if not ps.is_exact:
+        return float(quadrant_sweep(np.array(ps.float_rows), [1.0] * ps.dim, exact=False))
+    nums = np.array(ps.numerators, dtype=np.int64)
+    value = quadrant_sweep(nums, ps.denominators, exact=True)
+    return Fraction(int(value), ps.count * math.prod(ps.denominators))
+
+
+def _identical(*values):
+    """Equal Fractions, or floats with the same bits."""
+    return len({v.hex() if isinstance(v, float) else v for v in values}) == 1
+
+
+@st.composite
+def chunked_sweep_sets(draw):
+    """s = 2, 3 sets from one point up to several points per x-step over more
+    x-steps than the sweep has ranges.  Coarse axes (denominator 1, 2, 3) tie
+    every coordinate and leave later ranges with no new grid values; float
+    sets take the same grid values k / d as floats."""
+    s = draw(st.sampled_from([2, 3]))
+    dens = draw(st.lists(st.sampled_from([1, 2, 3, 5, 16, 64, 1000]), min_size=s, max_size=s))
+    n = draw(st.integers(1, 4 * STAR_SWEEP_CHUNKS))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = random.Random(seed)
+    rows = [[rng.randrange(d) for d in dens] for _ in range(n)]
+    if draw(st.booleans()):
+        return PointSet.exact(rows, dens)
+    return PointSet.floating([[v / d for v, d in zip(row, dens)] for row in rows])
+
+
+@settings(max_examples=200, deadline=None)
+@given(chunked_sweep_sets())
+@example(PointSet.exact([[1, 2]], [3, 5]))
+@example(PointSet.exact([[0, 0, 0]], [2, 2, 2]))
+@example(PointSet.floating([[0.5, 0.25, 0.75]]))
+@example(PointSet.exact([[k % 3, k % 2, k % 3] for k in range(60)], [3, 2, 3]))
+@example(PointSet.exact([[k, k % 2] for k in range(64)], [64, 2]))
+@example(PointSet.exact([[k // 4, (7 * k) % 16] for k in range(64)], [16, 16]))
+@example(PointSet.floating([[k / 64, (k % 3) / 3, (k % 2) / 2] for k in range(64)]))
+def test_star_sweep_equals_quadrant_and_full_table_sweeps(ps):
+    if ps.is_exact:
+        nums = np.array(ps.numerators, dtype=np.int64)
+        full_table = star_exact(nums, ps.denominators, ps.count)
+    else:
+        full_table = star_float(np.array(ps.float_rows), ps.count)
+    assert _identical(star_discrepancy(ps), _by_quadrant_sweep(ps), full_table)
+
+
+# the star-discrepancy inputs of the exact pipeline: two nets at the s = 2
+# and s = 3 budgets and a float Kronecker set
+PIPELINE_STAR_SETS = {
+    "nied-s2-m13": lambda: niederreiter_net(2, 2, 13),
+    "nied-s3-m9": lambda: niederreiter_net(2, 3, 9),
+    "kron-s3-512": lambda: kronecker(["sqrt(7)", "sqrt(11)", "sqrt(13)"], 512, start=4321),
+}
+
+
+@pytest.mark.parametrize("label", PIPELINE_STAR_SETS)
+def test_star_sweep_equals_quadrant_sweep_at_pipeline_shapes(label):
+    ps = PIPELINE_STAR_SETS[label]()
+    assert _identical(star_discrepancy(ps), _by_quadrant_sweep(ps))
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_star_budget_edges_without_n_limit(s):
+    cap = STAR_DISCREPANCY_BUDGET[s]
+    assert cap == {2: 8192, 3: 512}[s]
+    with pytest.raises(BudgetError, match=f"N={cap + 1} exceeds"):
+        star_discrepancy(halton([2, 3, 5][:s], cap + 1))
+    assert 0 < star_discrepancy(halton([2, 3, 5][:s], cap)) < 1
 
 
 def test_sampled_lower_bound_never_exceeds_exact():
