@@ -53,25 +53,6 @@ def inv_mod(a: int, p: int) -> int:
     return pow(a, -1, p)
 
 
-def binom_mod(n: int, k: int, p: int) -> int:
-    """Binomial coefficient C(n, k) mod p via Lucas' theorem (n, k >= 0)."""
-    if k < 0 or n < 0:
-        raise ValueError("binom_mod needs n, k >= 0")
-    r = 1
-    while k:
-        np_, kp = n % p, k % p
-        if kp > np_:
-            return 0
-        num = den = 1
-        for t in range(kp):
-            num = num * (np_ - t) % p
-            den = den * (t + 1) % p
-        r = r * num * pow(den, -1, p) % p
-        n //= p
-        k //= p
-    return r
-
-
 class Poly:
     """Univariate polynomial over F_p in canonical form.
 
@@ -84,7 +65,17 @@ class Poly:
 
     def __init__(self, coeffs: Iterable[int], p: int):
         check_prime(p)
-        c = [int(x) % p for x in coeffs]
+        self._fill([int(x) % p for x in coeffs], p)
+
+    @classmethod
+    def _reduced(cls, c: list[int], p: int) -> "Poly":
+        """Trusted constructor: c already holds ints in [0, p) and p is a
+        checked prime, so only the trailing zeros are trimmed (in place)."""
+        self = object.__new__(cls)
+        self._fill(c, p)
+        return self
+
+    def _fill(self, c: list[int], p: int) -> None:
         while c and c[-1] == 0:
             c.pop()
         object.__setattr__(self, "coeffs", tuple(c))
@@ -156,12 +147,12 @@ class Poly:
         out = list(a)
         for i, v in enumerate(b):
             out[i] = (out[i] + v) % self.p
-        return Poly(out, self.p)
+        return Poly._reduced(out, self.p)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-v for v in self.coeffs], self.p)
+        return Poly._reduced([-v % self.p for v in self.coeffs], self.p)
 
     def __sub__(self, other):
         o = self._lift(other)
@@ -187,7 +178,7 @@ class Poly:
             if ai:
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
-        return Poly([v % self.p for v in out], self.p)
+        return Poly._reduced([v % self.p for v in out], self.p)
 
     __rmul__ = __mul__
 
@@ -205,13 +196,13 @@ class Poly:
         inv_lead = inv_mod(o.coeffs[-1], p)
         quot = [0] * (len(rem) - dq)
         for i in range(len(rem) - 1, dq - 1, -1):
-            c = rem[i] % p
+            c = rem[i]
             if c:
                 q = c * inv_lead % p
                 quot[i - dq] = q
                 for j, bj in enumerate(o.coeffs):
                     rem[i - dq + j] = (rem[i - dq + j] - q * bj) % p
-        return Poly(quot, p), Poly(rem[:dq], p)
+        return Poly._reduced(quot, p), Poly._reduced(rem[:dq], p)
 
     def __floordiv__(self, other):
         r = divmod(self, other)
@@ -269,22 +260,6 @@ class Poly:
 
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:], self.p)
-
-    def hasse_derivative(self, k: int) -> "Poly":
-        """k-th Hasse (divided) derivative: sum C(i, k) a_i x^(i-k).
-
-        Unlike the iterated formal derivative this does not vanish for
-        k >= p; the binomial weights are taken mod p via Lucas.
-        """
-        if k < 0:
-            raise ValueError("Hasse derivative order must be >= 0")
-        if k == 0:
-            return self
-        out = [
-            binom_mod(i, k, self.p) * c % self.p
-            for i, c in enumerate(self.coeffs)
-        ][k:]
-        return Poly(out, self.p)
 
     def pth_power(self) -> "Poly":
         """self**p computed via Frobenius: (sum a_i x^i)^p = sum a_i x^(ip)."""

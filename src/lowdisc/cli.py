@@ -22,6 +22,7 @@ its point sets from a second table, kind -> (needed options, builder).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -624,7 +625,9 @@ SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="lowdisc",
         description="Construction and verification of low-discrepancy point sets",

@@ -57,15 +57,16 @@ def convergents(quotients: Sequence[int]) -> list[tuple[int, int]]:
 def zaremba_search(n: int, c: int) -> Optional[int]:
     """Smallest a coprime to n with all partial quotients of a/n at most c.
 
-    Returns None when no such a exists.  The scan embeds the quotient bound
-    in the Euclidean loop, so hopeless candidates abort on their first
-    quotient (every a < n/(c+1) dies immediately at n // a > c).
+    Returns None when no such a exists.  Every a <= n // (c+1) has first
+    quotient n // a >= c+1, so the scan starts just above; it embeds the
+    quotient bound in the Euclidean loop, so a candidate stops at its first
+    quotient above c.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     if c < 1:
         raise ValueError("need c >= 1")
-    for a in range(1, n):
+    for a in range(n // (c + 1) + 1, n):
         p, q = n, a
         ok = True
         while q:

@@ -2,94 +2,68 @@
 
 For monic f with f(0) != 0 and deg f = d, the operator
 
-    N_f(h) = f^q * H^(q-1)(h / f) - h^q        (q = p, deg h < d)
+    N_f(h) = f^p * H^(p-1)(h / f) - h^p        (deg h < d)
 
-with H^(q-1) the (q-1)-st Hasse derivative, is F_q-linear on the space of
+with H^(p-1) the (p-1)-st Hasse derivative, is F_p-linear on the space of
 polynomials of degree < d.  Writing squarefree f = g_1 ... g_r, its kernel is
 exactly the r-dimensional span of { g_i' * (f / g_i) }: a partial-fraction
-computation shows H^(q-1)((x-a)^(-1)) = (x-a)^(-q), so h/f with simple poles
-and residues in F_q solves the equation, and conversely.  Consequently
+computation shows H^(p-1)((x-a)^(-1)) = (x-a)^(-p), so h/f with simple poles
+and residues in F_p solves the equation, and conversely.  Consequently
 
   * dim ker N_f = number of distinct irreducible factors of squarefree f,
     so dimension 1 certifies irreducibility, and
-  * gcd(f, h - c*f') for kernel elements h and c in F_q separates factors
+  * gcd(f, h - c*f') for kernel elements h and c in F_p separates factors
     (f' is the kernel element with all residues 1).
 
-Everything is exact; the series h/f is expanded at 0, which is why the
-nonzero-constant-term normalization matters.  Powers of x and the leading
-coefficient are split off before the kernel machinery runs.
+The matrix of N_f comes from one series.  With 1/f = sum u_i x^i at 0 (a
+power series because f(0) != 0), x^k/f has u_(n-k) at x^n.  H^(p-1)
+weights x^n by C(n+p-1, p-1), which by Lucas is 1 mod p when n is a
+multiple of p and 0 otherwise, and f^p = sum f_j x^(jp) lives on multiples
+of p too.  So N_f(x^k) is supported on x^0, x^p, ..., and its coefficient
+at x^(mp) is
+
+    sum_j f_j u_((m-j+1)p-1-k) - [m == k]      (u_i = 0 for i < 0),
+
+the coefficient of x^((m+1)p-1-k) in f(x^p) * (1/f) = f^p / f = f^(p-1),
+less [m == k].  That series is a polynomial of degree d(p-1), so the rows
+m >= d vanish and the whole operator is the d x d matrix read off f^(p-1).
+Powers of x and the leading coefficient are split off before the kernel
+machinery runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (
-    NEG_INF,
-    Poly,
-    binom_mod,
-    inv_mod,
-    is_irreducible,
-    nullspace_mod_p,
-    poly_gcd,
-)
+from .algebra import NEG_INF, Poly, is_irreducible, nullspace_mod_p, poly_gcd
 
 SUPPORTED_PRIMES = (2, 3, 5)
 
 
-def _check_operator_input(f: Poly, h: Poly) -> None:
+def _check_modulus(f: Poly) -> None:
     if f.p not in SUPPORTED_PRIMES:
         raise ValueError(f"characteristic {f.p} unsupported (need one of {SUPPORTED_PRIMES})")
-    if f.p != h.p:
-        raise ValueError(f"mixed moduli: {f.p} vs {h.p}")
     if f.degree is NEG_INF or f.degree < 1:
         raise ValueError("f must have degree >= 1")
     if not f.is_monic:
         raise ValueError("f must be monic")
     if f.coeff(0) == 0:
         raise ValueError("f must have a nonzero constant term")
-    if not h.is_zero and h.degree >= f.degree:
-        raise ValueError("h must have degree < deg f")
 
 
-def niederreiter_operator(f: Poly, h: Poly) -> Poly:
-    """N_f(h) = f^q * H^(q-1)(h/f) - h^q, exact.
-
-    h/f is expanded as a power series at 0 far enough (q*d + q terms) that
-    every coefficient of the product up to degree q*d is exact; the true
-    result has degree <= q*(d-1), which is asserted.
-    """
-    _check_operator_input(f, h)
-    p = f.p
-    d = f.degree
-    K = p * d + p  # series terms needed
-    inv_f0 = inv_mod(f.coeff(0), p)
-    fc = f.coeffs
-    u = [0] * K
-    for i in range(K):
-        acc = h.coeff(i)
-        for j in range(1, min(i, d) + 1):
-            acc -= fc[j] * u[i - j]
-        u[i] = acc * inv_f0 % p
-    # termwise Hasse derivative of order q-1: coefficient of x^k becomes
-    # C(k+q-1, q-1) * u_{k+q-1}
-    w = [binom_mod(k + p - 1, p - 1, p) * u[k + p - 1] % p for k in range(p * d + 1)]
-    # multiply by f^q; Frobenius makes f^q supported on multiples of q only
-    prod = [0] * (p * d + 1)
-    for i in range(d + 1):
-        fi = fc[i]
-        if fi:
-            base = i * p
-            for k in range(base, p * d + 1):
-                prod[k] = (prod[k] + fi * w[k - base]) % p
-    hq = h.pth_power()
-    out = [(prod[k] - hq.coeff(k)) % p for k in range(p * d + 1)]
-    result = Poly(out, p)
-    if not result.is_zero and result.degree > p * (d - 1):
-        raise RuntimeError(
-            f"operator overflow: deg {result.degree} > {p * (d - 1)} for f={f!r}, h={h!r}"
-        )
-    return result
+def operator_matrix(f: Poly) -> list[list[int]]:
+    """The d x d matrix of N_f: entry (m, k) is the coefficient of x^(mp)
+    in N_f(x^k), i.e. that of x^((m+1)p-1-k) in f^(p-1), less [m == k]."""
+    _check_modulus(f)
+    p, d = f.p, f.degree
+    g = (f ** (p - 1)).coeffs
+    rows = []
+    for m in range(d):
+        top = (m + 1) * p - 1
+        row = [g[top - k] if 0 <= top - k < len(g) else 0 for k in range(d)]
+        row[m] = (row[m] - 1) % p
+        rows.append(row)
+    return rows
 
 
 def kernel_basis(f: Poly) -> list[Poly]:
@@ -98,18 +72,7 @@ def kernel_basis(f: Poly) -> list[Poly]:
     Requires monic f, f(0) != 0, deg f >= 1.  For squarefree f the dimension
     equals the number of distinct irreducible factors.
     """
-    _check_operator_input(f, Poly.zero(f.p))
-    p = f.p
-    d = f.degree
-    images = [niederreiter_operator(f, Poly.monomial(p, k)) for k in range(d)]
-    height = p * (d - 1) + 1
-    rows = [[img.coeff(i) for img in images] for i in range(height)]
-    basis = nullspace_mod_p(rows, d, p)
-    return [Poly(v, p) for v in basis]
-
-
-def kernel_dimension(f: Poly) -> int:
-    return len(kernel_basis(f))
+    return [Poly(v, f.p) for v in nullspace_mod_p(operator_matrix(f), f.degree, f.p)]
 
 
 def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:

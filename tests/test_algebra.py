@@ -4,12 +4,15 @@ import math
 import random
 
 import pytest
+from factorizer_reference import binom_mod, hasse_derivative
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from lowdisc import algebra
 from lowdisc.algebra import (
     NEG_INF,
     Poly,
     PrecisionError,
-    binom_mod,
     interpolate,
     inv_mod,
     is_irreducible,
@@ -99,6 +102,55 @@ def test_divmod_identity(p):
         assert f // g == q and f % g == r
 
 
+M61 = 2 ** 61 - 1
+
+
+@pytest.fixture(scope="module")
+def mersenne_61():
+    """2^61 - 1, certified prime by Lucas-Lehmer and registered with
+    check_prime, whose trial division would take about a minute."""
+    s = 4
+    for _ in range(61 - 2):
+        s = (s * s - 2) % M61
+    assert s == 0
+    algebra._KNOWN_PRIMES.add(M61)
+    yield M61
+    algebra._KNOWN_PRIMES.discard(M61)
+
+
+@st.composite
+def operands(draw):
+    """A prime and two coefficient lists, unreduced and possibly with
+    trailing zeros, so the checked constructor canonicalises them."""
+    p = draw(st.sampled_from([2, 3, 5, M61]))
+    coeffs = st.lists(st.integers(-2 * p, 2 * p), max_size=8)
+    return p, draw(coeffs), draw(coeffs)
+
+
+@settings(max_examples=300)
+@given(operands())
+@example((5, [1, 2, 3, 4], [1, 3]))            # divisor with leading coefficient 3
+@example((5, [1, 2, 3], [2]))                  # division by a constant
+@example((5, [1, 2], [1, 2, 4]))               # zero quotient
+@example((5, [2, 1, 1, 1], [4, 1]))            # (x^2 + 2x + 3)(x + 4): zero remainder
+@example((M61, [M61 - 1, 5, 7, 0], [3, M61 - 2]))
+@example((M61, [2, M61 + 3], [M61 - 3]))
+def test_ring_results_are_canonical(mersenne_61, case):
+    # + - * and divmod build their results through the trusted constructor;
+    # each must be what the checked constructor makes of its coefficients
+    p, a, b = case
+    f, g = Poly(a, p), Poly(b, p)
+    results = [f + g, f - g, f * g, -f]
+    if not g.is_zero:
+        q, r = divmod(f, g)
+        assert q * g + r == f
+        assert r.is_zero or r.degree < g.degree
+        results += [q, r]
+    for res in results:
+        assert res.coeffs == Poly(list(res.coeffs), p).coeffs
+        assert all(type(c) is int and 0 <= c < p for c in res.coeffs)
+
+
 def test_pow_matches_repeated_multiplication():
     f = Poly([1, 1, 2], 3)
     acc = Poly.one(3)
@@ -155,10 +207,10 @@ def test_hasse_product_rule(p):
         f = rand_poly(rng, p, 7)
         g = rand_poly(rng, p, 7)
         for k in range(0, 6):
-            lhs = (f * g).hasse_derivative(k)
+            lhs = hasse_derivative(f * g, k)
             rhs = Poly.zero(p)
             for i in range(k + 1):
-                rhs = rhs + f.hasse_derivative(i) * g.hasse_derivative(k - i)
+                rhs = rhs + hasse_derivative(f, i) * hasse_derivative(g, k - i)
             assert lhs == rhs
 
 
@@ -173,14 +225,14 @@ def test_hasse_matches_scaled_iterated_derivative_below_p():
         for k in range(1, p):
             d = d.derivative()
             fact = fact * k % p
-            assert f.hasse_derivative(k) == d * inv_mod(fact, p)
+            assert hasse_derivative(f, k) == d * inv_mod(fact, p)
 
 
 def test_hasse_survives_above_characteristic():
     # x^4 over F_2: H^3 gives C(4,3) x = 4x = 0, H^4 gives C(4,4) = 1
     f = Poly.monomial(2, 4)
-    assert f.hasse_derivative(4) == Poly.one(2)
-    assert f.hasse_derivative(3).is_zero
+    assert hasse_derivative(f, 4) == Poly.one(2)
+    assert hasse_derivative(f, 3).is_zero
     # but the iterated formal derivative of anything vanishes by order p
     assert f.derivative().derivative().is_zero
 

@@ -5,11 +5,14 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import lowdisc
 from lowdisc import pointsets
-from lowdisc.cli import main
+from lowdisc.cli import build_parser, main
 from lowdisc.quality import p_alpha
 
 
@@ -614,3 +617,34 @@ def test_reproduce_unknown_criterion(capsys):
     code, out = run(capsys, "reproduce", "99")
     assert code == 1
     assert "error" in json.loads(out)
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+def test_parser_is_built_once_and_survives_errors(tmp_path, capsys):
+    # a usage error, a domain failure and --version first, then a valid gen;
+    # its stdout and artifacts match those of a fresh interpreter's main
+    assert build_parser() is build_parser()
+    assert main([]) == 2
+    assert run(capsys, "isbn", "0-521-39231-5")[0] == 1
+    assert run(capsys, "--version")[0] == 0
+    argv = ["gen", "--kind", "niederreiter", "--b", "3", "--s", "2", "--m", "3"]
+    code, out = run(capsys, *argv, "--out", str(tmp_path / "reused"))
+    assert code == 0
+    assert build_parser() is build_parser()
+
+    src = os.path.dirname(os.path.dirname(lowdisc.__file__))
+    fresh = subprocess.run(
+        [sys.executable, "-c", "import sys; from lowdisc.cli import main; sys.exit(main(sys.argv[1:]))",
+         *argv, "--out", str(tmp_path / "fresh")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=False,
+    )
+    assert fresh.returncode == 0
+    assert fresh.stdout == out.replace("reused", "fresh")
+    names = sorted(os.listdir(tmp_path / "reused"))
+    assert names == sorted(os.listdir(tmp_path / "fresh"))
+    for name in names:
+        reused = (tmp_path / "reused" / name).read_text()
+        assert reused.replace("reused", "fresh") == (tmp_path / "fresh" / name).read_text()

@@ -6,6 +6,8 @@ from fractions import Fraction
 from typing import Sequence
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lowdisc.diophantine import (
     continued_fraction,
@@ -149,18 +151,43 @@ def test_zaremba_search_hand_value():
     assert zaremba_search(16, 3) == 7
 
 
-def test_zaremba_search_matches_brute_force():
-    def brute(n, c):
-        for a in range(1, n):
-            if math.gcd(a, n) != 1:
-                continue
-            if max(cf_by_fractions(a, n)) <= c:
-                return a
-        return None
+def zaremba_brute(n, c):
+    """Smallest coprime a with every quotient <= c, scanning from a = 1."""
+    for a in range(1, n):
+        if math.gcd(a, n) != 1:
+            continue
+        if max(cf_by_fractions(a, n)) <= c:
+            return a
+    return None
 
+
+def test_zaremba_search_matches_brute_force():
     for n in range(2, 80):
         for c in (1, 2, 3):
-            assert zaremba_search(n, c) == brute(n, c)
+            assert zaremba_search(n, c) == zaremba_brute(n, c)
+
+
+@settings(max_examples=60)
+@given(n=st.integers(2, 4000), c=st.integers(1, 6))
+@example(n=2, c=1)
+@example(n=17, c=17)
+@example(n=2048, c=3)
+@example(n=3125, c=5)
+def test_zaremba_search_from_its_scan_start_matches_brute_force(n, c):
+    assert zaremba_search(n, c) == zaremba_brute(n, c)
+
+
+@pytest.mark.parametrize("c", range(1, 7))
+def test_zaremba_search_at_multiples_of_c_plus_1(c):
+    # a = n/(c+1) has first quotient exactly c+1, the last candidate the
+    # scan skips; n//(c+1) + 1, its first candidate, is often the witness
+    starts = 0
+    for n in range(c + 1, 60 * (c + 1), c + 1):
+        a = zaremba_search(n, c)
+        assert a == zaremba_brute(n, c)
+        assert a != n // (c + 1)
+        starts += a == n // (c + 1) + 1
+    assert starts > 0 or c == 1
 
 
 def test_zaremba_search_trivial_and_impossible():

@@ -4,14 +4,21 @@ import itertools
 import random
 
 import pytest
+from factorizer_reference import (
+    kernel_dimension,
+    niederreiter_operator,
+    operator_rows,
+    reference_kernel_basis,
+)
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lowdisc.algebra import NEG_INF, Poly, poly_gcd
 from lowdisc.factorizer import (
     FactorizationResult,
     factor,
     kernel_basis,
-    kernel_dimension,
-    niederreiter_operator,
+    operator_matrix,
     squarefree_decomposition,
 )
 
@@ -138,6 +145,34 @@ def test_kernel_basis_elements_are_kernel_elements():
                 continue
             for h in kernel_basis(f):
                 assert niederreiter_operator(f, h).is_zero
+
+
+@st.composite
+def operator_moduli(draw):
+    """Monic f over F_p, p in {2, 3, 5}, deg 1..12, with f(0) != 0."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    d = draw(st.integers(1, 12))
+    tail = draw(st.lists(st.integers(0, p - 1), min_size=d - 1, max_size=d - 1))
+    return Poly([draw(st.integers(1, p - 1))] + tail + [1], p)
+
+
+@settings(max_examples=150)
+@given(operator_moduli())
+@example(Poly([1, 1], 2))                  # d = 1
+@example(Poly([4, 1], 5))                  # d = 1, p = 5
+@example(Poly([1, 1, 1], 2))               # p | d
+@example(Poly([2, 0, 1, 1, 0, 1, 1], 3))   # p | d, p = 3
+@example(Poly([1] * 10 + [1], 5))          # p | d, p = 5
+@example(Poly([3] + [0] * 11 + [1], 5))    # deg 12, p = 5
+def test_operator_matrix_and_kernel_match_the_per_monomial_operator(f):
+    p, d = f.p, f.degree
+    rows = operator_rows(f)
+    assert operator_matrix(f) == [rows[m * p] for m in range(d)]
+    assert all(not any(row) for i, row in enumerate(rows) if i % p)
+    basis = kernel_basis(f)
+    assert basis == reference_kernel_basis(f)
+    for h in basis:
+        assert niederreiter_operator(f, h).is_zero
 
 
 # --- squarefree decomposition ------------------------------------------------------
