@@ -18,18 +18,31 @@ class PrecisionError(Exception):
     """A Laurent coefficient below the computed truncation order was requested."""
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Miller-Rabin to the prime bases up to 41, which is deterministic below
+    _MR_BOUND (Sorenson and Webster, 2017); at or above it, ValueError."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"primality is decided only below {_MR_BOUND}, got {n}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    f = 5
-    while f * f <= n:
-        if n % f == 0 or n % (f + 2) == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # 2^r exactly divides n - 1
+    for a in _MR_BASES:
+        x = pow(a, (n - 1) >> r, n)
+        if x == 1:
+            continue
+        for _ in range(r):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        f += 6
     return True
 
 
@@ -261,15 +274,8 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:], self.p)
 
-    def pth_power(self) -> "Poly":
-        """self**p computed via Frobenius: (sum a_i x^i)^p = sum a_i x^(ip)."""
-        out = [0] * (len(self.coeffs) * self.p)
-        for i, c in enumerate(self.coeffs):
-            out[i * self.p] = c
-        return Poly(out, self.p)
-
     def pth_root(self) -> "Poly":
-        """Inverse of pth_power; requires support only on multiples of p."""
+        """Inverse of f -> f ** p; requires support only on multiples of p."""
         for i, c in enumerate(self.coeffs):
             if c and i % self.p:
                 raise ValueError("polynomial is not a p-th power")
@@ -455,14 +461,8 @@ def monic_irreducibles(p: int, count: int) -> list[Poly]:
 
 
 # ---------------------------------------------------------------------------
-# Serialization (CLI format: comma-separated coefficients, lowest degree first)
+# Parsing (CLI format: comma-separated coefficients, lowest degree first)
 # ---------------------------------------------------------------------------
-
-def poly_to_string(f: Poly) -> str:
-    if f.is_zero:
-        return "0"
-    return ",".join(str(c) for c in f.coeffs)
-
 
 def poly_from_string(s: str, p: int) -> Poly:
     try:
@@ -482,6 +482,3 @@ def parse_poly_file(text: str) -> Poly:
         raise ValueError("polynomial file has no coefficient line")
     return poly_from_string(lines[1], p)
 
-
-def poly_file_contents(f: Poly) -> str:
-    return f"p={f.p}\n{poly_to_string(f)}\n"

@@ -11,11 +11,10 @@ the power families n = base^m.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 __all__ = [
     "continued_fraction",
-    "convergents",
     "zaremba_search",
     "ZarembaRow",
     "zaremba_table",
@@ -40,18 +39,6 @@ def continued_fraction(a: int, n: int) -> tuple[int, ...]:
         raise ValueError(f"a and n must be coprime, gcd({a}, {n}) = {p}")
     assert quotients[-1] >= 2 or len(quotients) == 0
     return tuple(quotients)
-
-
-def convergents(quotients: Sequence[int]) -> list[tuple[int, int]]:
-    """Convergents (h_j, k_j) of [0; a_1, a_2, ...], starting from (0, 1)."""
-    hs = [(0, 1)]
-    h_prev, k_prev = 1, 0
-    h, k = 0, 1
-    for a in quotients:
-        h, h_prev = a * h + h_prev, h
-        k, k_prev = a * k + k_prev, k
-        hs.append((h, k))
-    return hs
 
 
 def zaremba_search(n: int, c: int) -> Optional[int]:

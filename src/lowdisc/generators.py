@@ -1,4 +1,4 @@
-"""Inversive congruential generators over F_q and their residue statistics.
+"""Inversive congruential generators over F_q and the audit of their residue bound.
 
 The recurrence u_{n+1} = a * u_n^(-1) + b (with 0 mapped to b) is a bijection
 of F_q, so every orbit is purely periodic: least_period always reports a
@@ -12,9 +12,8 @@ audit_bound sweeps that inequality exhaustively over parameter ranges.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -23,15 +22,12 @@ from .algebra import check_prime, is_prime
 __all__ = [
     "InversiveParams",
     "PeriodInfo",
-    "ResidueStat",
     "AuditResult",
     "inversive_step",
     "inversive_sequence",
     "least_period",
     "to_unit_interval",
     "s_power_residues",
-    "residue_count",
-    "residue_stats",
     "audit_bound",
 ]
 
@@ -108,61 +104,6 @@ def s_power_residues(q: int, s: int) -> frozenset[int]:
         raise ValueError(f"s must divide q-1 = {q - 1}, got s={s}")
     e = (q - 1) // s
     return frozenset({0} | {w for w in range(1, q) if pow(w, e, q) == 1})
-
-
-def residue_count(params: InversiveParams, s: int, n: int) -> int:
-    """R_s(N): how many of u_0..u_{N-1} are s-power residues."""
-    members = s_power_residues(params.q, s)
-    return sum(1 for u in inversive_sequence(params, n) if u in members)
-
-
-@dataclass(frozen=True)
-class ResidueStat:
-    s: int
-    n: int
-    count: int
-    expected: float     # N/s
-    bound: float        # 2.2 sqrt(N) q^(1/4)
-    satisfied: bool
-
-
-def residue_stats(
-    params: InversiveParams, s: int, n_values: Sequence[int]
-) -> list[ResidueStat]:
-    """Residue-count deviations |R_s(N) - N/s| against the orbit-sum bound.
-
-    Every N must lie within [1, least period]; the bound statement only
-    covers prefixes of a single period.
-    """
-    q = params.q
-    period = least_period(params).period
-    members = s_power_residues(q, s)
-    out = []
-    max_n = max(n_values, default=0)
-    for n in n_values:
-        if not 1 <= n <= period:
-            raise ValueError(f"N={n} outside [1, period={period}]")
-    seq = inversive_sequence(params, max_n)
-    hits = 0
-    counts = {}
-    for i, u in enumerate(seq, start=1):
-        hits += u in members
-        counts[i] = hits
-    bound_scale = 2.2 * q ** 0.25
-    for n in n_values:
-        count = counts[n]
-        bound = bound_scale * math.sqrt(n)
-        out.append(
-            ResidueStat(
-                s=s,
-                n=n,
-                count=count,
-                expected=n / s,
-                bound=bound,
-                satisfied=abs(count - n / s) < bound,
-            )
-        )
-    return out
 
 
 @dataclass(frozen=True)

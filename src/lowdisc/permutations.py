@@ -20,7 +20,6 @@ __all__ = [
     "is_permutation_poly",
     "value_table",
     "is_complete_mapping",
-    "fb_poly",
     "fb_criterion",
     "fb_sweep",
     "SweepResult",
@@ -29,8 +28,6 @@ __all__ = [
     "detection_report",
     "parse_isbn10",
     "isbn10_weighted_sum",
-    "isbn10_validate",
-    "isbn10_check_digit",
 ]
 
 
@@ -45,21 +42,14 @@ def is_permutation_poly(f: Poly) -> bool:
     return len(set(value_table(f))) == q
 
 
+def _is_complete_table(vals, q: int) -> bool:
+    """True iff the value table vals and vals + X both permute F_q."""
+    return len(set(vals)) == q and len({(v + a) % q for a, v in enumerate(vals)}) == q
+
+
 def is_complete_mapping(f: Poly) -> bool:
     """True iff both f and f + X permute F_q."""
-    q = f.p
-    vals = value_table(f)
-    if len(set(vals)) != q:
-        return False
-    return len({(v + a) % q for a, v in enumerate(vals)}) == q
-
-
-def fb_poly(q: int, b: int) -> Poly:
-    """f_b(X) = X^((q+1)/2) + bX over F_q, for odd prime q."""
-    check_prime(q)
-    if q == 2:
-        raise ValueError("f_b needs an odd prime q")
-    return Poly.monomial(q, (q + 1) // 2) + Poly((0, b), q)
+    return _is_complete_table(value_table(f), f.p)
 
 
 def _nonzero_squares(q: int) -> frozenset[int]:
@@ -102,9 +92,7 @@ def fb_sweep(q: int) -> SweepResult:
     mismatches = []
     for b in range(q):
         vals = [(powers[a] + b * a) % q for a in range(q)]
-        complete = len(set(vals)) == q and len(
-            {(v + a) % q for a, v in enumerate(vals)}
-        ) == q
+        complete = _is_complete_table(vals, q)
         if complete:
             witnesses.append(b)
         if complete != fb_criterion(q, b):
@@ -293,18 +281,3 @@ def isbn10_weighted_sum(code: str) -> int:
     """sum_{i=1..10} i * x_i (not reduced mod 11)."""
     digits = parse_isbn10(code)
     return sum(i * x for i, x in enumerate(digits, start=1))
-
-
-def isbn10_validate(code: str) -> bool:
-    return isbn10_weighted_sum(code) % 11 == 0
-
-
-def isbn10_check_digit(first9: str) -> str:
-    """Check digit for a 9-digit prefix; '10' is rendered as 'X'."""
-    cleaned = first9.replace("-", "").replace(" ", "")
-    if len(cleaned) != 9 or not cleaned.isdigit():
-        raise ValueError(f"need 9 digits, got {first9!r}")
-    # sum i*x_i + 10*x_10 = 0 mod 11 and -10 = 1 mod 11, so x_10 is the
-    # weighted prefix sum itself.
-    x10 = sum(i * int(ch) for i, ch in enumerate(cleaned, start=1)) % 11
-    return "X" if x10 == 10 else str(x10)

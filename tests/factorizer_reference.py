@@ -83,7 +83,7 @@ def niederreiter_operator(f: Poly, h: Poly) -> Poly:
             base = i * p
             for k in range(base, p * d + 1):
                 prod[k] = (prod[k] + fi * w[k - base]) % p
-    hq = h.pth_power()
+    hq = h ** p
     out = [(prod[k] - hq.coeff(k)) % p for k in range(p * d + 1)]
     result = Poly(out, p)
     if not result.is_zero and result.degree > p * (d - 1):

@@ -2,13 +2,13 @@
 
 import math
 import random
+import timeit
 
 import pytest
 from factorizer_reference import binom_mod, hasse_derivative
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lowdisc import algebra
 from lowdisc.algebra import (
     NEG_INF,
     Poly,
@@ -20,10 +20,8 @@ from lowdisc.algebra import (
     laurent_expand,
     monic_irreducibles,
     parse_poly_file,
-    poly_file_contents,
     poly_from_string,
     poly_gcd,
-    poly_to_string,
 )
 
 PRIMES = [2, 3, 5, 7]
@@ -60,6 +58,37 @@ def test_mixed_moduli_rejected():
 def test_is_prime_small():
     primes = [n for n in range(60) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+def test_is_prime_matches_a_sieve_below_10_5():
+    n = 10 ** 5
+    sieve = [False, False] + [True] * (n - 2)
+    for i in range(2, math.isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = [False] * len(range(i * i, n, i))
+    assert [k for k in range(n) if is_prime(k)] == [k for k in range(n) if sieve[k]]
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        561, 1105, 41041, 825265,     # Carmichael numbers
+        2047, 3215031751,             # strong pseudoprimes to bases 2 and 2..7
+        3825123056546413051,          # ... to every prime base below 37
+        318665857834031151167461,     # ... to every prime base below 41
+        (2 ** 31 - 1) ** 2,
+    ],
+)
+def test_is_prime_rejects_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_refuses_beyond_its_deterministic_range():
+    bound = 3_317_044_064_679_887_385_961_981
+    assert not is_prime(bound - 1)  # even
+    for n in (bound, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match=str(bound)):
+            is_prime(n)
 
 
 # --- arithmetic against the evaluation homomorphism -------------------------
@@ -107,15 +136,18 @@ M61 = 2 ** 61 - 1
 
 @pytest.fixture(scope="module")
 def mersenne_61():
-    """2^61 - 1, certified prime by Lucas-Lehmer and registered with
-    check_prime, whose trial division would take about a minute."""
+    """2^61 - 1, certified prime by Lucas-Lehmer."""
     s = 4
     for _ in range(61 - 2):
         s = (s * s - 2) % M61
     assert s == 0
-    algebra._KNOWN_PRIMES.add(M61)
-    yield M61
-    algebra._KNOWN_PRIMES.discard(M61)
+    return M61
+
+
+def test_is_prime_on_mersenne_primes(mersenne_61):
+    assert is_prime(2 ** 31 - 1)
+    assert is_prime(mersenne_61)
+    assert min(timeit.repeat(lambda: is_prime(mersenne_61), number=1, repeat=3)) < 0.01
 
 
 @st.composite
@@ -242,9 +274,7 @@ def test_pth_power_and_root(p):
     rng = random.Random(500 + p)
     for _ in range(20):
         f = rand_poly(rng, p, 6)
-        g = f.pth_power()
-        assert g == f ** p
-        assert g.pth_root() == f
+        assert (f ** p).pth_root() == f
     with pytest.raises(ValueError):
         Poly([0, 1], 2).pth_root()
 
@@ -400,18 +430,16 @@ def test_is_irreducible_agrees_with_naive():
 # --- serialization -------------------------------------------------------------
 
 def test_poly_string_roundtrip():
-    f = Poly([1, 0, 2, 1], 3)
-    assert poly_to_string(f) == "1,0,2,1"
-    assert poly_from_string("1,0,2,1", 3) == f
-    assert poly_from_string(poly_to_string(Poly.zero(5)), 5).is_zero
+    f = poly_from_string("1,0,2,1", 3)
+    assert f == Poly([1, 0, 2, 1], 3)
+    assert ",".join(map(str, f.coeffs)) == "1,0,2,1"
+    assert poly_from_string("1, 0, 5,", 3) == Poly([1, 0, 2], 3)
+    assert poly_from_string("0", 5).is_zero
 
 
 def test_poly_file_roundtrip():
-    f = Poly([1, 1, 0, 1], 2)
-    text = poly_file_contents(f)
-    assert text.splitlines()[0] == "p=2"
-    g = parse_poly_file(text)
-    assert g == f
+    assert parse_poly_file("p=3\n1,0,2,1\n") == Poly([1, 0, 2, 1], 3)
+    assert parse_poly_file("\nP=2\n\n1,1,0,1") == Poly([1, 1, 0, 1], 2)
     with pytest.raises(ValueError):
         parse_poly_file("1,1,0,1\n")
     with pytest.raises(ValueError):

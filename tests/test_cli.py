@@ -7,11 +7,12 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
 import lowdisc
-from lowdisc import pointsets
+from lowdisc import algebra, pointsets
 from lowdisc.cli import build_parser, main
 from lowdisc.quality import p_alpha
 
@@ -517,6 +518,15 @@ def test_factor_needs_input(capsys):
     code, out = run(capsys, "factor", "--p", "2")
     assert code == 1
     assert "error" in json.loads(out)
+
+
+def test_factor_refuses_a_large_prime_characteristic_at_once(capsys, monkeypatch):
+    monkeypatch.setattr(algebra, "_KNOWN_PRIMES", set())  # decide 2^61 - 1 afresh
+    start = time.perf_counter()
+    code, out = run(capsys, "factor", "--p", str(2 ** 61 - 1), "--coeffs", "1,1")
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert "unsupported" in json.loads(out)["error"]
 
 
 # ---------------------------------------------------------------------------

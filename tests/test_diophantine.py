@@ -11,10 +11,21 @@ from hypothesis import strategies as st
 
 from lowdisc.diophantine import (
     continued_fraction,
-    convergents,
     zaremba_search,
     zaremba_table,
 )
+
+
+def convergents(quotients: Sequence[int]) -> list[tuple[int, int]]:
+    """Convergents (h_j, k_j) of [0; a_1, a_2, ...], starting from (0, 1)."""
+    hs = [(0, 1)]
+    h_prev, k_prev = 1, 0
+    h, k = 0, 1
+    for a in quotients:
+        h, h_prev = a * h + h_prev, h
+        k, k_prev = a * k + k_prev, k
+        hs.append((h, k))
+    return hs
 
 
 def cf_to_fraction(quotients: Sequence[int]) -> tuple[int, int]:

@@ -1,5 +1,6 @@
 """Tests for inversive congruential generators and residue-count bounds."""
 
+import math
 import random
 
 import pytest
@@ -11,8 +12,6 @@ from lowdisc.generators import (
     inversive_sequence,
     inversive_step,
     least_period,
-    residue_count,
-    residue_stats,
     s_power_residues,
     to_unit_interval,
 )
@@ -109,39 +108,6 @@ def test_power_residues_validation():
         s_power_residues(9, 2)  # not prime
 
 
-# --- residue statistics -------------------------------------------------------
-
-def test_residue_stats_frozen_example():
-    p = InversiveParams(q=5, a=1, b=0, u0=2)
-    (stat,) = residue_stats(p, 2, [2])
-    assert stat.count == 0  # orbit {2, 3} avoids {0, 1, 4}
-    assert stat.expected == 1.0
-    assert stat.satisfied  # |0 - 1| = 1 < 2.2 sqrt(2) 5^(1/4)
-
-
-def test_residue_stats_match_direct_count():
-    rng = random.Random(808)
-    for _ in range(10):
-        q = rng.choice([7, 11, 13])
-        p = InversiveParams(q, rng.randrange(1, q), rng.randrange(q), rng.randrange(q))
-        t = least_period(p).period
-        s = 2 if (q - 1) % 2 == 0 else 3
-        ns = sorted(set(rng.randrange(1, t + 1) for _ in range(4)))
-        stats = residue_stats(p, s, ns)
-        for stat in stats:
-            assert stat.count == residue_count(p, s, stat.n)
-
-
-def test_residue_stats_validation():
-    p = InversiveParams(q=5, a=1, b=0, u0=2)  # period 2
-    with pytest.raises(ValueError):
-        residue_stats(p, 3, [2])   # 3 does not divide 4
-    with pytest.raises(ValueError):
-        residue_stats(p, 2, [3])   # N beyond the period
-    with pytest.raises(ValueError):
-        residue_stats(p, 2, [0])
-
-
 # --- the audit -----------------------------------------------------------------
 
 def test_audit_small_range_clean():
@@ -150,6 +116,37 @@ def test_audit_small_range_clean():
     assert r.violations == ()
     assert r.combinations > 0
     assert r.checks > r.combinations
+
+
+def brute_force_audit(q_max):
+    """audit_bound recounted one prefix at a time: odd primes q <= q_max by
+    trial division, orbits from u0 = 1 until they return to it."""
+    combos = checks = 0
+    violations = []
+    for q in range(3, q_max + 1):
+        if any(q % d == 0 for d in range(2, q)):
+            continue
+        for a in range(1, q):
+            for b in (0, 1):
+                orbit = inversive_sequence(InversiveParams(q, a, b, 1), q + 1)
+                period = orbit.index(1, 1)
+                for s in range(2, q):
+                    if (q - 1) % s:
+                        continue
+                    combos += 1
+                    members = s_power_residues(q, s)
+                    for n in range(1, period + 1):
+                        checks += 1
+                        count = sum(u in members for u in orbit[:n])
+                        bound = 2.2 * q ** 0.25 * math.sqrt(n)
+                        if not abs(count - n / s) < bound:
+                            violations.append((q, a, b, s, n, count, bound))
+    return AuditResult(q_max, combos, checks, tuple(violations))
+
+
+@pytest.mark.parametrize("q_max", [13, 31])
+def test_audit_bound_matches_brute_force(q_max):
+    assert audit_bound(q_max) == brute_force_audit(q_max)
 
 
 def test_audit_deterministic():

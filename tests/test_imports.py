@@ -4,6 +4,10 @@ test environment has none.  The check trusts `__all__`, so every name listed
 there must also be defined in its module: a stale entry would hide an
 unused import and break `import *`.
 
+Every public top-level function and class of the package is read by other
+code of the package, or named in README.md or under perfbench/, so public
+API that nothing uses does not accumulate.
+
 Also: every function that the benchmark's tracer (perfbench/tracing.py)
 wraps still exists under its name and still has the parameters the
 tracer's hooks read, since the tracer finds both by name and a rename
@@ -12,6 +16,8 @@ would break a traced run without failing anything else."""
 import ast
 import importlib
 import inspect
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -19,7 +25,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "lowdisc"
 TESTS = ROOT / "tests"
-TRACING = ROOT / "perfbench" / "tracing.py"
+PERFBENCH = ROOT / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -99,6 +106,73 @@ def test_export_checker_finds_stale_and_imported_names():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_export_is_defined(path):
     assert undefined_exports(path.read_text()) == []
+
+
+def _names_read(node: ast.AST) -> Counter:
+    """Identifiers under node: names, attributes and imported names."""
+    counts = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            counts[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            counts[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            counts[n.name] += 1
+    return counts
+
+
+def unreferenced_public_names(sources: dict[str, str], text: str) -> list[str]:
+    """The "module:name" of each public top-level def or class in sources
+    that no code in sources reads outside its own definition (an `__all__`
+    entry is a string, so it does not count) and that text does not name."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = sum((_names_read(tree) for tree in trees.values()), Counter())
+    return [
+        f"{module}:{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and read[node.name] == _names_read(node)[node.name]
+        and not re.search(rf"\b{node.name}\b", text)
+    ]
+
+
+def _package_sources() -> dict[str, str]:
+    return {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+
+
+def _readme_and_perfbench() -> str:
+    files = [ROOT / "README.md", *sorted(PERFBENCH.glob("*.md")), *sorted(PERFBENCH.glob("*.py"))]
+    return "\n".join(p.read_text() for p in files)
+
+
+def test_reference_checker_finds_dead_public_names():
+    sources = {
+        "a.py": (
+            "__all__ = ['dead', 'used']\n"
+            "def used(): pass\n"
+            "def dead(): return used()\n"
+            "def recursive(n): return recursive(n - 1)\n"
+            "def _private(): pass\n"
+            "class Named: pass\n"
+            "class Method:\n"
+            "    def read(self): return 0\n"
+        ),
+        "b.py": "from .a import used\nprint(obj.read(), 'dead')\n",
+    }
+    assert unreferenced_public_names(sources, "see `Named`; not Method_x") == [
+        "a.py:dead",
+        "a.py:recursive",
+        "a.py:Method",
+    ]
+    planted = _package_sources()
+    planted["quality.py"] += "\n\ndef planted_dead(points):\n    return planted_dead(points)\n"
+    assert unreferenced_public_names(planted, _readme_and_perfbench()) == ["quality.py:planted_dead"]
+
+
+def test_every_public_name_is_referenced():
+    assert unreferenced_public_names(_package_sources(), _readme_and_perfbench()) == []
 
 
 def _tracer_names() -> tuple[list[str], dict[str, set[str]]]:
