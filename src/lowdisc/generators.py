@@ -114,36 +114,52 @@ class AuditResult:
     violations: tuple   # (q, a, b, s, N, count, bound) for each failure
 
 
+# the C of the residue bound |R_s(N) - N/s| < C sqrt(N) q^(1/4)
+RESIDUE_BOUND_C = 2.2
+# orbit elements per row block of _audit_prime, so memory stays bounded at any q
+AUDIT_BLOCK = 1 << 16
+
+
 def _audit_prime(q: int):
-    """All bound checks for one modulus; returns (combos, checks, violations)."""
+    """All bound checks for one modulus; returns (combos, checks, violations).
+
+    The orbits of 1, one row per (a, b), are walked together in blocks of
+    rows with one table of inverses (inv[0] = 0 sends 0 to b).  The map is
+    a bijection, so a row's period is its first return to 1.
+    """
     divisors = [s for s in range(2, q) if (q - 1) % s == 0]
     masks = {}
     for s in divisors:
         mask = np.zeros(q, dtype=bool)
         mask[list(s_power_residues(q, s))] = True
         masks[s] = mask
-    q4 = 2.2 * q ** 0.25
-    combos = 0
+    inv = np.array([0] + [pow(u, -1, q) for u in range(1, q)], dtype=np.int64)
+    ns = np.arange(1, q + 1, dtype=np.float64)
+    bounds = RESIDUE_BOUND_C * q ** 0.25 * np.sqrt(ns)
+    rows_a = np.repeat(np.arange(1, q, dtype=np.int64), 2)
+    rows_b = np.tile(np.arange(2, dtype=np.int64), q - 1)
+    step = max(1, AUDIT_BLOCK // q)
     checks = 0
     violations = []
-    for a in range(1, q):
-        for b in (0, 1):
-            params = InversiveParams(q=q, a=a, b=b, u0=1)
-            period = least_period(params).period
-            orbit = np.array(inversive_sequence(params, period), dtype=np.int64)
-            ns = np.arange(1, period + 1, dtype=np.float64)
-            bounds = q4 * np.sqrt(ns)
-            for s in divisors:
-                combos += 1
-                counts = np.cumsum(masks[s][orbit])
-                dev = np.abs(counts - ns / s)
-                checks += period
-                bad = np.nonzero(dev >= bounds)[0]
-                for i in bad:
-                    violations.append(
-                        (q, a, b, s, int(i + 1), int(counts[i]), float(bounds[i]))
-                    )
-    return combos, checks, violations
+    for start in range(0, 2 * (q - 1), step):
+        a, b = rows_a[start:start + step], rows_b[start:start + step]
+        orbit = np.empty((len(a), q), dtype=np.int64)
+        u = np.ones(len(a), dtype=np.int64)
+        for n in range(q):
+            orbit[:, n] = u
+            u = (a * inv[u] + b) % q
+        returned = orbit[:, 1:] == 1
+        period = np.where(returned.any(axis=1), returned.argmax(axis=1) + 1, q)
+        inside = np.arange(q) < period[:, None]
+        checks += len(divisors) * int(period.sum())
+        for s in divisors:
+            counts = np.cumsum(masks[s][orbit], axis=1)
+            bad = (np.abs(counts - ns / s) >= bounds) & inside
+            for r, n in zip(*np.nonzero(bad)):
+                count, bound = int(counts[r, n]), float(bounds[n])
+                violations.append((q, int(a[r]), int(b[r]), s, int(n) + 1, count, bound))
+    violations.sort()  # (a, b, s, N) order, as one orbit and divisor at a time
+    return 2 * (q - 1) * len(divisors), checks, violations
 
 
 def audit_bound(q_max: int) -> AuditResult:

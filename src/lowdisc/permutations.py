@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .algebra import Poly, check_prime
 
 __all__ = [
@@ -135,34 +137,6 @@ class CheckDigitSystem:
         # tables[i][a] = f^(i)(a); note composition order is irrelevant for
         # iterates of a single map.
         self.tables = tuple(tables)
-        last = self.tables[s - 1]
-        inverse_last = [0] * q
-        for a, v in enumerate(last):
-            inverse_last[v] = a
-        self._inverse_last = tuple(inverse_last)
-
-    def weighted_sum(self, word) -> int:
-        self._check_word(word, self.s)
-        return sum(self.tables[i][a] for i, a in enumerate(word)) % self.q
-
-    def validate(self, word) -> bool:
-        return self.weighted_sum(word) == self.c
-
-    def check_digit(self, prefix) -> int:
-        """The unique a_s making (prefix..., a_s) valid."""
-        self._check_word(prefix, self.s - 1)
-        partial = sum(self.tables[i][a] for i, a in enumerate(prefix)) % self.q
-        return self._inverse_last[(self.c - partial) % self.q]
-
-    def complete(self, prefix) -> tuple[int, ...]:
-        return tuple(prefix) + (self.check_digit(prefix),)
-
-    def _check_word(self, word, expected_len):
-        if len(word) != expected_len:
-            raise ValueError(f"expected {expected_len} symbols, got {len(word)}")
-        for a in word:
-            if not 0 <= a < self.q:
-                raise ValueError(f"symbol {a} outside F_{self.q}")
 
     def __repr__(self):
         return f"CheckDigitSystem(q={self.q}, f={self.f!r}, c={self.c}, s={self.s})"
@@ -189,67 +163,73 @@ class DetectionReport:
     twin_counterexamples: tuple = field(default=())
 
 
+# valid words per block of detection_report, so memory stays bounded at any q, s
+WORD_BLOCK = 1 << 16
+
+
+def _first_collision(values: np.ndarray) -> np.ndarray:
+    """For each a, the first v != a with values[v] == values[a], or -1."""
+    same = values[:, None] == values[None, :]
+    np.fill_diagonal(same, False)
+    return np.where(same.any(axis=1), same.argmax(axis=1), -1)
+
+
 def detection_report(system: CheckDigitSystem) -> DetectionReport:
     """Scan all q^(s-1) valid words against single, adjacent-transposition,
-    and twin errors.  Budget-guarded: requires q <= 31 and s <= 6."""
+    and twin errors.  Budget-guarded: requires q <= 31 and s <= 6.
+
+    Word k carries the base-q digits of k (itertools.product order) and then
+    its check digit; words are tested WORD_BLOCK at a time as arrays.  With
+    T_i = f^(i), b for a_i goes unnoticed iff T_i(b) = T_i(a_i); swapping
+    a_i != a_(i+1) iff T_i - T_(i+1) agrees on them; replacing the twin
+    a_i = a_(i+1) by v, v iff T_i + T_(i+1) agrees on a_i and v.  Each class
+    keeps its first failing word, position, and b or v.
+    """
     q, s, c = system.q, system.s, system.c
     if q > 31 or s > 6:
         raise ValueError(
             f"detection_report budget exceeded (q={q}, s={s}); "
             "needs q <= 31 and s <= 6"
         )
-    T = system.tables
-    single_cx = None
-    transp_cx = None
-    twin_cx = None
-    n_words = 0
-
-    import itertools
-
-    for prefix in itertools.product(range(q), repeat=s - 1):
-        word = system.complete(prefix)
-        n_words += 1
-        if single_cx is None:
-            for i in range(s):
-                Ti = T[i]
-                base = Ti[word[i]]
-                for b in range(q):
-                    if b != word[i] and Ti[b] == base:
-                        single_cx = (word, i, b)
-                        break
-                if single_cx:
-                    break
-        if transp_cx is None:
-            for i in range(s - 1):
-                a, b = word[i], word[i + 1]
-                if a != b:
-                    delta = (T[i][b] + T[i + 1][a] - T[i][a] - T[i + 1][b]) % q
-                    if delta == 0:
-                        transp_cx = (word, i)
-                        break
-        if twin_cx is None:
-            for i in range(s - 1):
-                a = word[i]
-                if word[i + 1] == a:
-                    for v in range(q):
-                        if v != a and (
-                            T[i][v] + T[i + 1][v] - T[i][a] - T[i + 1][a]
-                        ) % q == 0:
-                            twin_cx = (word, i, v)
-                            break
-                    if twin_cx:
-                        break
+    T = np.array(system.tables, dtype=np.int64)
+    inverse_last = np.empty(q, dtype=np.int64)  # T[-1] permutes F_q
+    inverse_last[T[-1]] = np.arange(q)
+    single_b = np.array([_first_collision(t) for t in T])
+    h = (T[:-1] - T[1:]) % q
+    twin_v = np.array([_first_collision(g) for g in (T[:-1] + T[1:]) % q])
+    inner = np.arange(s - 1)
+    n_words = q ** (s - 1)
+    found = {"single": (), "transposition": (), "twin": ()}
+    for start in range(0, n_words, WORD_BLOCK):
+        k = np.arange(start, min(start + WORD_BLOCK, n_words), dtype=np.int64)
+        words = np.empty((len(k), s), dtype=np.int64)
+        for i in range(s - 2, -1, -1):
+            words[:, i] = k % q
+            k = k // q
+        words[:, -1] = inverse_last[(c - T[inner, words[:, :-1]].sum(axis=1)) % q]
+        left, right = words[:, :-1], words[:, 1:]
+        # error class -> (undetected at (word, i), table of the first b or v)
+        for name, bad, other in (
+            ("single", single_b[np.arange(s), words] >= 0, single_b),
+            ("transposition", (left != right) & (h[inner, left] == h[inner, right]), None),
+            ("twin", (left == right) & (twin_v[inner, left] >= 0), twin_v),
+        ):
+            if not found[name] and bad.any():
+                row, i = divmod(int(bad.argmax()), bad.shape[1])
+                word = tuple(words[row].tolist())
+                cx = (word, i) if other is None else (word, i, int(other[i, word[i]]))
+                found[name] = (cx,)
 
     return DetectionReport(
         q=q,
         s=s,
         words_checked=n_words,
-        detects_single=single_cx is None,
-        detects_transposition=transp_cx is None,
-        detects_twin=twin_cx is None,
-        single_counterexamples=(single_cx,) if single_cx else (),
-        transposition_counterexamples=(transp_cx,) if transp_cx else (),
-        twin_counterexamples=(twin_cx,) if twin_cx else (),
+        detects_single=not found["single"],
+        detects_transposition=not found["transposition"],
+        detects_twin=not found["twin"],
+        single_counterexamples=found["single"],
+        transposition_counterexamples=found["transposition"],
+        twin_counterexamples=found["twin"],
     )
 
 

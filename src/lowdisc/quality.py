@@ -350,16 +350,17 @@ def star_discrepancy(ps: PointSet, n_limit: Optional[int] = None):
 
 
 def star_discrepancy_1d_closed_form(ps: PointSet) -> Fraction:
-    """D*_N = 1/(2N) + max_i |x_(i) - (2i-1)/(2N)| for one dimension, exact."""
+    """D*_N = 1/(2N) + max_i |x_(i) - (2i-1)/(2N)| for one dimension, exact:
+    (den + max_i |2N v_(i) - (2i-1) den|) / (2N den) over sorted numerators v."""
     if ps.dim != 1:
         raise ValueError("closed form is one-dimensional only")
     if not ps.is_exact:
         raise ValueError("closed form needs an exact point set")
     n = ps.count
-    xs = sorted(Fraction(v, ps.denominators[0]) for v in ps.numerators[:, 0].tolist())
-    half = Fraction(1, 2 * n)
-    dev = max(abs(x - Fraction(2 * i - 1, 2 * n)) for i, x in enumerate(xs, start=1))
-    return half + dev
+    den = ps.denominators[0]
+    vs = sorted(ps.numerators[:, 0].tolist())
+    dev = max(abs(2 * n * v - (2 * i - 1) * den) for i, v in enumerate(vs, start=1))
+    return Fraction(den + dev, 2 * n * den)
 
 
 def sampled_deviation_lower_bound(

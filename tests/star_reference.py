@@ -7,6 +7,10 @@ quadrant_sweep keeps the full corner grid of the other axes for the whole
 sweep and evaluates, at each step, the quadrant its points enter.  The
 tests compare the production sweep against them value for value (Fractions)
 and bit for bit (floats).
+
+closed_form_fractions is the one-dimensional closed form in one Fraction per
+point, as star_discrepancy_1d_closed_form computed it before it moved to
+integer numerators.
 """
 
 import functools
@@ -16,7 +20,17 @@ from typing import Sequence
 
 import numpy as np
 
+from lowdisc.pointsets import PointSet
 from lowdisc.quality import BudgetError
+
+
+def closed_form_fractions(ps: PointSet) -> Fraction:
+    """D*_N = 1/(2N) + max_i |x_(i) - (2i-1)/(2N)| for one dimension, exact."""
+    n = ps.count
+    xs = sorted(Fraction(v, ps.denominators[0]) for v in ps.numerators[:, 0].tolist())
+    half = Fraction(1, 2 * n)
+    dev = max(abs(x - Fraction(2 * i - 1, 2 * n)) for i, x in enumerate(xs, start=1))
+    return half + dev
 
 
 def star_exact(nums: np.ndarray, dens: Sequence[int], n: int) -> Fraction:

@@ -2,12 +2,15 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
+from lowdisc import generators
 from lowdisc.generators import (
     AuditResult,
     InversiveParams,
+    _audit_prime,
     audit_bound,
     inversive_sequence,
     inversive_step,
@@ -120,7 +123,8 @@ def test_audit_small_range_clean():
 
 def brute_force_audit(q_max):
     """audit_bound recounted one prefix at a time: odd primes q <= q_max by
-    trial division, orbits from u0 = 1 until they return to it."""
+    trial division, orbits from u0 = 1 until they return to it, with the
+    bound's constant read from the module at call time."""
     combos = checks = 0
     violations = []
     for q in range(3, q_max + 1):
@@ -138,7 +142,7 @@ def brute_force_audit(q_max):
                     for n in range(1, period + 1):
                         checks += 1
                         count = sum(u in members for u in orbit[:n])
-                        bound = 2.2 * q ** 0.25 * math.sqrt(n)
+                        bound = generators.RESIDUE_BOUND_C * q ** 0.25 * math.sqrt(n)
                         if not abs(count - n / s) < bound:
                             violations.append((q, a, b, s, n, count, bound))
     return AuditResult(q_max, combos, checks, tuple(violations))
@@ -147,6 +151,42 @@ def brute_force_audit(q_max):
 @pytest.mark.parametrize("q_max", [13, 31])
 def test_audit_bound_matches_brute_force(q_max):
     assert audit_bound(q_max) == brute_force_audit(q_max)
+
+
+def test_audit_violations_match_brute_force(monkeypatch):
+    # a constant far below 2.2 makes violations, which must come out in the
+    # brute force's (q, a, b, s, N) order with int counts and float bounds;
+    # blocks of a few rows split the orbits of one modulus
+    monkeypatch.setattr(generators, "RESIDUE_BOUND_C", 0.4)
+    monkeypatch.setattr(generators, "AUDIT_BLOCK", 100)
+    result = audit_bound(31)
+    assert result == brute_force_audit(31)
+    assert len(result.violations) > 500
+    for q, a, b, s, n, count, bound in result.violations:
+        assert all(type(v) is int for v in (q, a, b, s, n, count))
+        assert type(bound) is float
+
+
+def test_audit_memory_stays_bounded():
+    q = 503
+    assert 2 * (q - 1) * q > 4 * generators.AUDIT_BLOCK  # several row blocks
+    tracemalloc.start()
+    try:
+        combos, checks, violations = _audit_prime(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
+    assert combos == 2 * (q - 1) * 3  # divisors 2, 251 and 502 of q - 1
+    assert violations == []
+    # each divisor checks every prefix of every orbit, so checks is three
+    # times the orbits' total length
+    periods = [
+        least_period(InversiveParams(q, a, b, 1)).period
+        for a in range(1, q)
+        for b in (0, 1)
+    ]
+    assert checks == 3 * sum(periods)
 
 
 def test_audit_deterministic():

@@ -1,9 +1,11 @@
 """Tests for complete mappings, check-digit systems, and ISBN-10 validation."""
 
 import random
+import tracemalloc
 
 import pytest
 
+from lowdisc import permutations
 from lowdisc.algebra import Poly, interpolate
 from lowdisc.permutations import (
     CheckDigitSystem,
@@ -15,6 +17,13 @@ from lowdisc.permutations import (
     isbn10_weighted_sum,
     parse_isbn10,
     value_table,
+)
+from permutations_reference import (
+    check_digit,
+    complete,
+    scan_detection_report,
+    validate,
+    weighted_sum,
 )
 
 ODD_PRIMES_TO_31 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
@@ -119,11 +128,11 @@ def test_fb_rejects_q2():
 def test_check_digit_hand_example():
     # q=5, f=X, c=0: word (1, 2, a3) valid iff 1+2+a3 = 0, so a3 = 2
     sys5 = CheckDigitSystem(Poly.x(5), c=0, s=3)
-    assert sys5.check_digit((1, 2)) == 2
-    assert sys5.complete((1, 2)) == (1, 2, 2)
-    assert sys5.validate((1, 2, 2))
-    assert not sys5.validate((1, 2, 3))
-    assert sys5.weighted_sum((1, 2, 3)) == 1
+    assert check_digit(sys5, (1, 2)) == 2
+    assert complete(sys5, (1, 2)) == (1, 2, 2)
+    assert validate(sys5, (1, 2, 2))
+    assert not validate(sys5, (1, 2, 3))
+    assert weighted_sum(sys5, (1, 2, 3)) == 1
 
 
 def test_iterate_tables_match_naive_composition():
@@ -150,11 +159,11 @@ def test_check_digit_system_rejects_non_permutation():
 def test_validate_checks_word_shape():
     sys5 = CheckDigitSystem(Poly.x(5), c=0, s=3)
     with pytest.raises(ValueError):
-        sys5.validate((1, 2))
+        validate(sys5, (1, 2))
     with pytest.raises(ValueError):
-        sys5.validate((1, 2, 7))
+        validate(sys5, (1, 2, 7))
     with pytest.raises(ValueError):
-        sys5.check_digit((1, 2, 3))
+        check_digit(sys5, (1, 2, 3))
 
 
 def test_every_completed_word_validates():
@@ -165,8 +174,8 @@ def test_every_completed_word_validates():
         system = CheckDigitSystem(interpolate(perm, q), c=rng.randrange(q), s=4)
         for _ in range(50):
             prefix = tuple(rng.randrange(q) for _ in range(3))
-            word = system.complete(prefix)
-            assert system.validate(word)
+            word = complete(system, prefix)
+            assert validate(system, word)
 
 
 # --- detection reports --------------------------------------------------------
@@ -183,8 +192,8 @@ def test_detection_q5_identity_map():
     swapped = list(word)
     swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
     system = CheckDigitSystem(Poly.x(5), c=0, s=3)
-    assert system.validate(word)
-    assert system.validate(tuple(swapped))
+    assert validate(system, word)
+    assert validate(system, tuple(swapped))
     assert tuple(swapped) != word
 
 
@@ -215,6 +224,70 @@ def test_detection_matches_complete_mapping_theory(q):
         assert rep.detects_single
         assert rep.detects_transposition == is_complete_mapping(-f)
         assert rep.detects_twin == is_complete_mapping(f)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("s", [2, 3, 4, 5])
+def test_detection_report_matches_word_scan(q, s):
+    # whole reports, counterexamples included, against the word-by-word scan
+    rng = random.Random(100 * q + s)
+    systems = [CheckDigitSystem(Poly.x(q), c=0, s=s), CheckDigitSystem(-Poly.x(q), c=1, s=s)]
+    for _ in range(2 if q ** (s - 1) > 5000 else 6):
+        perm = list(range(q))
+        rng.shuffle(perm)
+        systems.append(CheckDigitSystem(interpolate(perm, q), c=rng.randrange(q), s=s))
+    for system in systems:
+        assert detection_report(system) == scan_detection_report(system)
+
+
+def _word_index(word, q):
+    k = 0
+    for a in word[:-1]:
+        k = k * q + a
+    return k
+
+
+def test_detection_witnesses_found_in_later_blocks(monkeypatch):
+    monkeypatch.setattr(permutations, "WORD_BLOCK", 4)
+    system = CheckDigitSystem(interpolate([3, 0, 6, 1, 5, 4, 2], 7), c=3, s=4)
+    rep = detection_report(system)
+    assert rep == scan_detection_report(system)
+    assert rep.transposition_counterexamples == (((0, 1, 2, 1), 1),)
+    assert rep.twin_counterexamples == (((0, 2, 2, 6), 1, 3),)
+    # the first witnesses sit in the third and fifth blocks of four words
+    assert _word_index(rep.transposition_counterexamples[0][0], 7) == 9
+    assert _word_index(rep.twin_counterexamples[0][0], 7) == 16
+
+
+@pytest.mark.parametrize("block", [1, 5, 1 << 16])
+def test_detection_single_witness_matches_word_scan(monkeypatch, block):
+    # iterates of a permutation never collide, so plant a table that does:
+    # f^(1) = (0, 0, 1, 2, 3) collides at 0 and 1
+    monkeypatch.setattr(permutations, "WORD_BLOCK", block)
+    system = CheckDigitSystem(Poly.x(5), c=2, s=3)
+    system.tables = (system.tables[0], (0, 0, 1, 2, 3), system.tables[2])
+    rep = detection_report(system)
+    assert rep == scan_detection_report(system)
+    assert not rep.detects_single
+    assert rep.single_counterexamples == (((0, 0, 2), 1, 1),)
+
+
+def test_detection_report_memory_stays_bounded():
+    q, s = 31, 5
+    assert q ** (s - 1) > 8 * permutations.WORD_BLOCK  # 923,521 words, several blocks
+    f = interpolate(random.Random(31).sample(range(q), q), q)
+    for g in (f, -f):
+        tracemalloc.start()
+        try:
+            rep = detection_report(CheckDigitSystem(g, c=5, s=s))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20, peak
+        assert rep.words_checked == q ** (s - 1)
+        assert rep.detects_single
+        assert rep.detects_transposition == is_complete_mapping(-g)
+        assert rep.detects_twin == is_complete_mapping(g)
 
 
 def test_detection_budget_guard():
@@ -261,9 +334,9 @@ def test_isbn_equals_f2x_check_digit_system():
     word = tuple(digits[pow(2, i, 11) - 1] for i in range(10))
     system = CheckDigitSystem(Poly((0, 2), 11), c=0, s=10)
     assert word == (0, 5, 1, 3, 3, 4, 1, 2, 2, 9)
-    assert system.validate(word)
+    assert validate(system, word)
     # corrupting any single symbol must invalidate (singles always detected)
     for i in range(10):
         corrupted = list(word)
         corrupted[i] = (corrupted[i] + 3) % 11
-        assert not system.validate(tuple(corrupted))
+        assert not validate(system, tuple(corrupted))

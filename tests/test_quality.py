@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 import net_reference
 from net_reference import character_orthogonality, nrt_weight
-from star_reference import quadrant_sweep, star_exact, star_float
+from star_reference import closed_form_fractions, quadrant_sweep, star_exact, star_float
 
 from lowdisc.algebra import monic_irreducibles
 from lowdisc.pointsets import (
@@ -580,6 +580,26 @@ def test_sampled_lower_bound_never_exceeds_exact():
         exact = star_discrepancy(ps)
         lb = sampled_deviation_lower_bound(ps, samples=3000, seed=11)
         assert lb <= exact
+
+
+@st.composite
+def one_dimensional_sets(draw):
+    """Exact 1D sets: single points, values drawn from a small pool so they
+    repeat, and denominators 1, small or near 2^40."""
+    den = draw(st.one_of(st.just(1), st.integers(1, 64), st.integers(2 ** 40 - 64, 2 ** 40 + 64)))
+    pool = draw(st.lists(st.integers(0, den - 1), min_size=1, max_size=6))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    return PointSet.exact([[v] for v in rows], [den])
+
+
+@settings(max_examples=200)
+@given(one_dimensional_sets())
+@example(PointSet.exact([[0]], [1]))
+@example(PointSet.exact([[2 ** 40 - 1]], [2 ** 40]))
+@example(PointSet.exact([[3]] * 5, [7]))
+@example(PointSet.exact([[0], [2 ** 40 - 1], [2 ** 39]], [2 ** 40]))
+def test_star_1d_closed_form_matches_fraction_closed_form(ps):
+    assert star_discrepancy_1d_closed_form(ps) == closed_form_fractions(ps)
 
 
 def test_sampled_lower_bound_survives_denominators_beyond_int64():
