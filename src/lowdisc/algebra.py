@@ -8,15 +8,9 @@ trailing zeros (canonical form).  Field elements are plain ints reduced into
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 NEG_INF = float("-inf")
-
-
-class PrecisionError(Exception):
-    """A Laurent coefficient below the computed truncation order was requested."""
-
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
@@ -109,12 +103,6 @@ class Poly:
     @classmethod
     def x(cls, p: int) -> "Poly":
         return cls((0, 1), p)
-
-    @classmethod
-    def monomial(cls, p: int, k: int, c: int = 1) -> "Poly":
-        if k < 0:
-            raise ValueError("monomial degree must be >= 0")
-        return cls([0] * k + [c], p)
 
     # --- basic structure ----------------------------------------------
     @property
@@ -225,15 +213,18 @@ class Poly:
         r = divmod(self, other)
         return r[1] if r is not NotImplemented else NotImplemented
 
-    def __pow__(self, k: int):
+    def __pow__(self, k: int, mod: Poly | None = None):
+        """self^k; pow(self, k, mod) reduces mod `mod` after every step."""
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative int")
-        result = Poly.one(self.p)
+        result = Poly.one(self.p) if mod is None else Poly.one(self.p) % mod
         base = self
         while k:
             if k & 1:
                 result = result * base
             base = base * base
+            if mod is not None:
+                result, base = result % mod, base % mod
             k >>= 1
         return result
 
@@ -326,91 +317,32 @@ def nullspace_mod_p(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[l
 
 
 def interpolate(values: Sequence[int], p: int) -> Poly:
-    """Lagrange interpolation: the unique poly of degree < p with f(i) = values[i].
-
-    `values` must have length p (one value per field element, in order).
-    """
+    """The unique poly of degree < p with f(i) = values[i], for values of
+    length p: f = sum_i v_i (1 - (x - i)^(p-1)), since by Fermat
+    (a - i)^(p-1) is 1 for a != i and 0 at a = i."""
     check_prime(p)
     if len(values) != p:
         raise ValueError(f"need exactly {p} values, got {len(values)}")
     result = Poly.zero(p)
     for i, v in enumerate(values):
-        v %= p
-        if v == 0:
-            continue
-        num = Poly.one(p)
-        den = 1
-        for j in range(p):
-            if j != i:
-                num = num * Poly((-j, 1), p)
-                den = den * (i - j) % p
-        result = result + num * (v * inv_mod(den, p))
+        if v % p:
+            result = result + (1 - Poly((-i, 1), p) ** (p - 1)) * v
     return result
 
 
 # ---------------------------------------------------------------------------
-# Laurent series at infinity
+# Expansion at infinity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LaurentSeries:
-    """Truncated formal Laurent series at infinity over F_p.
-
-    Carries coefficients for exponents from `top` down to `order`, highest
-    first.  Exponents above `top` are exactly zero; below `order` nothing was
-    computed, so coeff() raises PrecisionError there.  For a nonzero series
-    the coefficient at `top` is nonzero (the leading term).
-    """
-
-    top: int
-    order: int
-    coeffs: tuple[int, ...]
-    p: int
-
-    def coeff(self, k: int) -> int:
-        if k > self.top:
-            return 0
-        if k < self.order:
-            raise PrecisionError(
-                f"coefficient at x^{k} not computed (truncation order {self.order})"
-            )
-        return self.coeffs[self.top - k]
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __repr__(self):
-        terms = [
-            f"{c}*x^{self.top - i}" for i, c in enumerate(self.coeffs) if c
-        ]
-        body = " + ".join(terms) if terms else "0"
-        return f"LaurentSeries({body} + O(x^{self.order - 1}), p={self.p})"
-
-
-def laurent_expand(num: Poly, den: Poly, order: int) -> LaurentSeries:
-    """Expand num/den as a Laurent series at infinity down to x^order.
-
-    The leading exponent is deg(num) - deg(den).  Computed by one shifted
-    polynomial floor division: with K = max(0, -order), the coefficient of
-    x^(j+K) in (num * x^K) // den equals the series coefficient c_j for all
-    j >= order.
-    """
-    if den.is_zero:
-        raise ZeroDivisionError("Laurent expansion needs a nonzero denominator")
-    if num.p != den.p:
-        raise ValueError(f"mixed moduli: {num.p} vs {den.p}")
-    p = num.p
-    if num.is_zero:
-        return LaurentSeries(top=order - 1, order=order, coeffs=(), p=p)
-    top = num.degree - den.degree
-    if top < order:
-        return LaurentSeries(top=order - 1, order=order, coeffs=(), p=p)
-    K = max(0, -order)
-    shifted = Poly(((0,) * K) + num.coeffs, p)
-    q = shifted // den
-    coeffs = tuple(q.coeff(j + K) for j in range(top, order - 1, -1))
-    return LaurentSeries(top=top, order=order, coeffs=coeffs, p=p)
+def laurent_expand(num: Poly, den: Poly, order: int) -> tuple[int, ...]:
+    """The coefficients of x^-1, x^-2, ..., x^order in num/den, expanded at
+    infinity.  With K = -order, entry k-1 is the coefficient of x^(K-k) in
+    (num * x^K) // den, one shifted polynomial floor division."""
+    if order > -1:
+        raise ValueError(f"order must be <= -1, got {order}")
+    K = -order
+    q = Poly((0,) * K + num.coeffs, num.p) // den
+    return tuple(q.coeff(K - k) for k in range(1, K + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -424,17 +356,22 @@ def _monic_polys(p: int, d: int) -> Iterator[Poly]:
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Irreducibility by trial division over all monic divisors of degree <= deg/2."""
+    """Rabin's test: f of degree d >= 1 is irreducible iff x^(p^d) = x mod f
+    and gcd(x^(p^(d/r)) - x, f) = 1 for every prime r dividing d."""
     d = f.degree
     if d is NEG_INF or d < 1:
         return False
-    if d == 1:
-        return True
-    for e in range(1, int(d) // 2 + 1):
-        for g in _monic_polys(f.p, e):
-            if (f % g).is_zero:
-                return False
-    return True
+    x = Poly.x(f.p) % f
+    frobenius = [x]  # frobenius[k] = x^(p^k) mod f
+    for _ in range(d):
+        frobenius.append(pow(frobenius[-1], f.p, f))
+    if frobenius[d] != x:
+        return False
+    return all(
+        poly_gcd(frobenius[d // r] - x, f).degree == 0
+        for r in range(2, d + 1)
+        if d % r == 0 and is_prime(r)
+    )
 
 
 def monic_irreducibles(p: int, count: int) -> list[Poly]:

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import __version__
-from .algebra import Poly, PrecisionError, parse_poly_file
+from .algebra import Poly, parse_poly_file
 from .diophantine import zaremba_table
 from .factorizer import factor
 from .generators import (
@@ -652,7 +652,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return SUBCOMMANDS[args.command][0](args)
-    except (ValueError, TypeError, KeyError, OSError, PrecisionError, BudgetError) as exc:
+    except (ValueError, TypeError, KeyError, OSError, BudgetError) as exc:
         print(json.dumps({"error": str(exc)}))
         return 1
 

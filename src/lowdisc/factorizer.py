@@ -137,7 +137,7 @@ class FactorizationResult:
         return acc
 
     def verify(self) -> bool:
-        """Reassembly matches and every factor passes trial division."""
+        """Reassembly matches and every factor passes Rabin's irreducibility test."""
         if self.reassemble() != self.input:
             return False
         return all(is_irreducible(g) for g, _ in self.factors)

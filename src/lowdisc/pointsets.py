@@ -512,7 +512,10 @@ def niederreiter_matrices(
     degree, then constant-first lex).  With e_j = deg p_j and
     i - 1 = Q e_j + u (0 <= u < e_j), row i is
 
-        C_j[i][r] = coefficient of x^(-r-1) in x^u / p_j(x)^(Q+1).
+        C_j[i][r] = coefficient of x^(-r-1) in x^u / p_j(x)^(Q+1),
+
+    which is the coefficient of x^(-r-u-1) in 1 / p_j^(Q+1).  So the e_j rows
+    of one Q are windows of one expansion.
 
     The quality parameter satisfies t <= sum_j (e_j - 1); for s <= b all
     p_j are linear and t = 0.
@@ -525,19 +528,16 @@ def niederreiter_matrices(
     cols = rows if cols is None else cols
     if cols < rows:
         raise ValueError("cols must be >= rows")
-    polys = monic_irreducibles(b, s)
     mats = []
-    for pj in polys:
+    for pj in monic_irreducibles(b, s):
         e = pj.degree
-        power_cache: dict[int, Poly] = {}
+        power = Poly.one(b)
         mat = []
-        for i in range(1, rows + 1):
-            Q, u = divmod(i - 1, e)
-            if Q not in power_cache:
-                power_cache[Q] = pj ** (Q + 1)
-            series = laurent_expand(Poly.monomial(b, u), power_cache[Q], order=-cols)
-            mat.append(tuple(series.coeff(-r - 1) for r in range(cols)))
-        mats.append(tuple(mat))
+        while len(mat) < rows:
+            power = power * pj
+            c = laurent_expand(Poly.one(b), power, order=1 - cols - e)
+            mat.extend(c[u : u + cols] for u in range(e))
+        mats.append(tuple(mat[:rows]))
     return GeneratingMatrixSet(b=b, matrices=tuple(mats))
 
 
@@ -571,8 +571,8 @@ def polynomial_lattice_matrices(f: Poly, g: Sequence[Poly]) -> GeneratingMatrixS
             raise ValueError("g_j modulus differs from f")
         if not gj.is_zero and gj.degree >= m:
             raise ValueError("deg g_j must be < deg f")
-        series = laurent_expand(gj, f, order=1 - 2 * m)
-        mats.append([[series.coeff(-(i + r)) for r in range(m)] for i in range(1, m + 1)])
+        c = laurent_expand(gj, f, order=1 - 2 * m)
+        mats.append([c[i : i + m] for i in range(m)])
     return GeneratingMatrixSet.from_lists(b, mats)
 
 

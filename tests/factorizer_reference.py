@@ -9,6 +9,8 @@ definition N_f(h) = f^p H^(p-1)(h/f) - h^p term by term; the tests compare
 the production matrix and kernel against it.
 """
 
+from polys import monomial
+
 from lowdisc.algebra import Poly, inv_mod, nullspace_mod_p
 from lowdisc.factorizer import _check_modulus, kernel_basis
 
@@ -98,7 +100,7 @@ def operator_rows(f: Poly) -> list[list[int]]:
     x^i in row i."""
     p = f.p
     d = f.degree
-    images = [niederreiter_operator(f, Poly.monomial(p, k)) for k in range(d)]
+    images = [niederreiter_operator(f, monomial(p, k)) for k in range(d)]
     return [[img.coeff(i) for img in images] for i in range(p * (d - 1) + 1)]
 
 

@@ -2,9 +2,11 @@
 the geometric net check used before the numpy kernels, the dual-space
 enumeration that the matrix t route used before the rank walk, and the
 dense dual-lattice grid that P_2's dual sum used before the residue fold,
-kept verbatim as reference implementations.
+kept verbatim as reference implementations.  Also the row-by-row
+Niederreiter matrices: one expansion per row, where the production route
+reads the rows of one power of p_j as windows of one expansion.
 
-Each builds or counts one point (or one dual vector) at a time, or
+Each builds or counts one point (or one dual vector or row) at a time, or
 materialises the whole box, so these are slow but straightforward; the
 tests compare the production routes against them value for value.
 """
@@ -14,8 +16,9 @@ import math
 from typing import Optional, Sequence
 
 import numpy as np
+from polys import monomial
 
-from lowdisc.algebra import Poly, laurent_expand, nullspace_mod_p
+from lowdisc.algebra import Poly, laurent_expand, monic_irreducibles, nullspace_mod_p
 from lowdisc.pointsets import GeneratingMatrixSet, PointSet
 from lowdisc.quality import BudgetError, DualSpace, _check_net_input, _compositions
 
@@ -99,6 +102,20 @@ def digital_points(G: GeneratingMatrixSet, start: int, count: int) -> PointSet:
     )
 
 
+def niederreiter_matrices(b: int, s: int, rows: int, cols: int) -> GeneratingMatrixSet:
+    """Niederreiter's matrices by their definition, one row at a time: with
+    e = deg p_j and i - 1 = Q e + u, row i of C_j holds the coefficients of
+    x^-1, ..., x^-cols in x^u / p_j(x)^(Q+1)."""
+    mats = []
+    for pj in monic_irreducibles(b, s):
+        mat = []
+        for i in range(1, rows + 1):
+            Q, u = divmod(i - 1, pj.degree)
+            mat.append(laurent_expand(monomial(b, u), pj ** (Q + 1), order=-cols))
+        mats.append(tuple(mat))
+    return GeneratingMatrixSet(b=b, matrices=tuple(mats))
+
+
 def polynomial_lattice(f: Poly, g: Sequence[Poly]) -> PointSet:
     """Polynomial lattice point set: for every polynomial n(x) of degree < m
     over F_b, coordinate j is v_m(n(x) g_j(x) / f(x)) where v_m keeps the
@@ -121,10 +138,9 @@ def polynomial_lattice(f: Poly, g: Sequence[Poly]) -> PointSet:
         n_poly = Poly(_index_digits(k, b, m), b)
         row = []
         for gj in g:
-            series = laurent_expand(n_poly * gj, f, order=-m)
             num = 0
-            for i in range(1, m + 1):
-                num = num * b + series.coeff(-i)
+            for digit in laurent_expand(n_poly * gj, f, order=-m):
+                num = num * b + digit
             row.append(num)
         rows.append(row)
     return PointSet.exact(

@@ -1,5 +1,6 @@
-"""Oracle tests for exact F_p[x] arithmetic, Laurent expansion, irreducibles."""
+"""Oracle tests for exact F_p[x] arithmetic, expansion at infinity, irreducibles."""
 
+import itertools
 import math
 import random
 import timeit
@@ -8,11 +9,11 @@ import pytest
 from factorizer_reference import binom_mod, hasse_derivative
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from polys import monomial
 
 from lowdisc.algebra import (
     NEG_INF,
     Poly,
-    PrecisionError,
     interpolate,
     inv_mod,
     is_irreducible,
@@ -262,7 +263,7 @@ def test_hasse_matches_scaled_iterated_derivative_below_p():
 
 def test_hasse_survives_above_characteristic():
     # x^4 over F_2: H^3 gives C(4,3) x = 4x = 0, H^4 gives C(4,4) = 1
-    f = Poly.monomial(2, 4)
+    f = monomial(2, 4)
     assert hasse_derivative(f, 4) == Poly.one(2)
     assert hasse_derivative(f, 3).is_zero
     # but the iterated formal derivative of anything vanishes by order p
@@ -293,33 +294,21 @@ def test_interpolate_roundtrip():
         interpolate([0, 1], 7)
 
 
-# --- Laurent expansion -------------------------------------------------------
+# --- expansion at infinity ---------------------------------------------------
 
 def test_laurent_geometric_series_over_f2():
     # 1/(x+1) = x^-1 + x^-2 + x^-3 + ... over F_2
-    s = laurent_expand(Poly.one(2), Poly([1, 1], 2), order=-4)
-    assert s.top == -1
-    assert [s.coeff(-k) for k in (1, 2, 3, 4)] == [1, 1, 1, 1]
-    assert s.coeff(0) == 0 and s.coeff(5) == 0
-    with pytest.raises(PrecisionError):
-        s.coeff(-5)
+    assert laurent_expand(Poly.one(2), Poly([1, 1], 2), order=-4) == (1, 1, 1, 1)
 
 
 def test_laurent_polynomial_part():
-    # x^3 / x = x^2 exactly
+    # (x^3 + 1) / x = x^2 + x^-1: the polynomial part x^2 is not returned
     p = 5
-    s = laurent_expand(Poly.monomial(p, 3), Poly.x(p), order=-2)
-    assert s.top == 2
-    assert s.coeff(2) == 1
-    assert all(s.coeff(k) == 0 for k in (1, 0, -1, -2))
+    assert laurent_expand(monomial(p, 3) + 1, Poly.x(p), order=-2) == (1, 0)
 
 
 def test_laurent_zero_numerator():
-    s = laurent_expand(Poly.zero(3), Poly([1, 2], 3), order=-3)
-    assert s.is_zero
-    assert s.coeff(-1) == 0
-    with pytest.raises(PrecisionError):
-        s.coeff(-4)
+    assert laurent_expand(Poly.zero(3), Poly([1, 2], 3), order=-3) == (0, 0, 0)
 
 
 def test_laurent_zero_denominator_rejected():
@@ -327,33 +316,30 @@ def test_laurent_zero_denominator_rejected():
         laurent_expand(Poly.one(2), Poly.zero(2), order=-1)
 
 
+def test_laurent_rejects_a_nonnegative_order_and_mixed_moduli():
+    with pytest.raises(ValueError):
+        laurent_expand(Poly.one(2), Poly([1, 1], 2), order=0)
+    with pytest.raises(ValueError):
+        laurent_expand(Poly.one(2), Poly([1, 1], 3), order=-2)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_laurent_reconstruction_identity(p):
-    # den * truncated_series must agree with num on every exponent
-    # >= order + deg(den); this is the defining property of the expansion.
+    # For deg num < deg den and K = -order, den * sum_k c_k x^(K-k) equals
+    # num * x^K up to a remainder of degree < deg den: the defining
+    # property of the first K coefficients at infinity.
     rng = random.Random(600 + p)
     for _ in range(40):
-        num = rand_poly(rng, p, 6)
-        den = rand_poly(rng, p, 4)
-        if den.is_zero:
+        den = rand_poly(rng, p, 5)
+        if den.is_zero or den.degree < 1:
             continue
-        order = rng.randint(-8, 1)
-        s = laurent_expand(num, den, order)
-        dd = den.degree
-        top_check = (s.top if num.is_zero else num.degree - den.degree) + dd + 2
-        for e in range(order + dd, top_check + 1):
-            conv = 0
-            for i in range(dd + 1):
-                k = e - i
-                if k > s.top:
-                    continue
-                if k < s.order:
-                    conv = None
-                    break
-                conv += den.coeff(i) * s.coeff(k)
-            if conv is None:
-                continue
-            assert conv % p == num.coeff(e), (num, den, order, e)
+        num = rand_poly(rng, p, den.degree - 1)
+        K = rng.randint(1, 9)
+        c = laurent_expand(num, den, order=-K)
+        assert len(c) == K
+        head = Poly([c[K - 1 - j] for j in range(K)], p)  # sum_k c_k x^(K-k)
+        rest = num * monomial(p, K) - den * head
+        assert rest.is_zero or rest.degree < den.degree, (num, den, K)
 
 
 # --- irreducibles -------------------------------------------------------------
@@ -383,7 +369,6 @@ def test_first_irreducibles_base3():
 
 def naive_irreducible(f):
     # independent oracle: divide by every monic of every lower positive degree
-    import itertools
     d = f.degree
     if d < 1:
         return False
@@ -397,7 +382,6 @@ def naive_irreducible(f):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_enumeration_complete_and_correct(p):
-    import itertools
     norm = 25 if p == 2 else 30
     listed = monic_irreducibles(p, norm)
     # every listed poly passes the naive oracle
@@ -417,14 +401,39 @@ def test_enumeration_complete_and_correct(p):
 
 
 def test_is_irreducible_agrees_with_naive():
-    rng = random.Random(17)
-    for p in (2, 3):
-        for _ in range(60):
-            f = rand_poly(rng, p, 6)
-            if f.degree is NEG_INF or f.degree < 1:
-                assert not is_irreducible(f)
-            else:
-                assert is_irreducible(f) == naive_irreducible(f)
+    # every polynomial up to the degree bound, with every leading coefficient
+    for p, max_degree in ((2, 10), (3, 6), (5, 4)):
+        assert not is_irreducible(Poly.zero(p))
+        for d in range(max_degree + 1):
+            for tail in itertools.product(range(p), repeat=d):
+                for lead in range(1, p):
+                    f = Poly(tail + (lead,), p)
+                    assert is_irreducible(f) == naive_irreducible(f), f
+
+
+def test_is_irreducible_certifies_a_degree_64_pentanomial():
+    # x^64 + x^4 + x^3 + x + 1 is irreducible over F_2; trial division
+    # would need about 2^32 divisions, Rabin's test 64 squarings mod f
+    f = monomial(2, 64) + Poly([1, 1, 0, 1, 1], 2)
+    assert is_irreducible(f)
+    assert not is_irreducible(f * Poly([1, 1], 2))
+
+
+def test_is_irreducible_at_a_large_prime():
+    # x^2 + 1 is irreducible over F_p iff p = 3 mod 4
+    assert is_irreducible(Poly([1, 0, 1], 10_007))
+    assert not is_irreducible(Poly([1, 0, 1], 10_009))
+
+
+def test_pow_with_a_modulus_matches_pow_then_mod():
+    rng = random.Random(23)
+    for p in PRIMES:
+        for _ in range(20):
+            g, f = rand_poly(rng, p, 5), rand_poly(rng, p, 4)
+            if f.is_zero:
+                continue
+            k = rng.randint(0, 12)
+            assert pow(g, k, f) == g ** k % f
 
 
 # --- serialization -------------------------------------------------------------

@@ -495,6 +495,16 @@ def test_factor_squared_binomial(capsys):
     assert payload["factors"] == [{"coeffs": [1, 1], "multiplicity": 2}]
 
 
+def test_factor_certifies_a_degree_64_irreducible(capsys):
+    # x^64 + x^4 + x^3 + x + 1; a trial-division certificate would not finish
+    coeffs = ",".join(["1,1,0,1,1"] + ["0"] * 59 + ["1"])
+    code, out = run(capsys, "factor", "--p", "2", "--coeffs", coeffs, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verified"] is True
+    assert payload["factors"] == [{"coeffs": [int(c) for c in coeffs.split(",")], "multiplicity": 1}]
+
+
 def test_factor_from_poly_file(tmp_path, capsys):
     path = tmp_path / "f.txt"
     path.write_text("p=3\n0,0,2,2\n")  # 2x^3 + 2x^2 = 2 x^2 (x + 1)

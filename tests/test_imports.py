@@ -5,8 +5,9 @@ there must also be defined in its module: a stale entry would hide an
 unused import and break `import *`.
 
 Every public top-level function and class of the package is read by other
-code of the package, or named in README.md or under perfbench/, so public
-API that nothing uses does not accumulate.
+code of the package, or named in README.md or under perfbench/, and so is
+every public method and property of its classes, so public API that
+nothing uses does not accumulate.
 
 Also: every function that the benchmark's tracer (perfbench/tracing.py)
 wraps still exists under its name and still has the parameters the
@@ -124,10 +125,15 @@ def _names_read(node: ast.AST) -> Counter:
 def unreferenced_public_names(sources: dict[str, str], text: str) -> list[str]:
     """The "module:name" of each public top-level def or class in sources
     that no code in sources reads outside its own definition (an `__all__`
-    entry is a string, so it does not count) and that text does not name."""
+    entry is a string, so it does not count) and that text does not name;
+    then the "module:Class.name" of each public method or property of a
+    top-level class that no code in sources reads as `.name` outside its
+    own definition and that text does not name as `.name` or `name` in
+    backticks."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = sum((_names_read(tree) for tree in trees.values()), Counter())
-    return [
+    attrs = sum((_attributes_read(tree) for tree in trees.values()), Counter())
+    dead = [
         f"{module}:{node.name}"
         for module, tree in trees.items()
         for node in tree.body
@@ -136,6 +142,21 @@ def unreferenced_public_names(sources: dict[str, str], text: str) -> list[str]:
         and read[node.name] == _names_read(node)[node.name]
         and not re.search(rf"\b{node.name}\b", text)
     ]
+    return dead + [
+        f"{module}:{cls.name}.{node.name}"
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and attrs[node.name] == _attributes_read(node)[node.name]
+        and not re.search(rf"[.`]{node.name}\b", text)
+    ]
+
+
+def _attributes_read(node: ast.AST) -> Counter:
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
 
 
 def _package_sources() -> dict[str, str]:
@@ -158,17 +179,30 @@ def test_reference_checker_finds_dead_public_names():
             "class Named: pass\n"
             "class Method:\n"
             "    def read(self): return 0\n"
+            "    def again(self): return self.again()\n"
+            "    @property\n"
+            "    def size(self): return 0\n"
+            "    def documented(self): return 0\n"
+            "    def _private(self): return 0\n"
         ),
-        "b.py": "from .a import used\nprint(obj.read(), 'dead')\n",
+        "b.py": "from .a import used\nprint(obj.read(), 'dead', size)\n",
     }
-    assert unreferenced_public_names(sources, "see `Named`; not Method_x") == [
+    assert unreferenced_public_names(sources, "see `Named`; not Method_x; `documented`") == [
         "a.py:dead",
         "a.py:recursive",
         "a.py:Method",
+        "a.py:Method.again",
+        "a.py:Method.size",
     ]
     planted = _package_sources()
     planted["quality.py"] += "\n\ndef planted_dead(points):\n    return planted_dead(points)\n"
-    assert unreferenced_public_names(planted, _readme_and_perfbench()) == ["quality.py:planted_dead"]
+    planted["algebra.py"] = planted["algebra.py"].replace(
+        "class Poly:\n", "class Poly:\n    def planted_method(self):\n        return self.planted_method()\n", 1
+    )
+    assert unreferenced_public_names(planted, _readme_and_perfbench()) == [
+        "quality.py:planted_dead",
+        "algebra.py:Poly.planted_method",
+    ]
 
 
 def test_every_public_name_is_referenced():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from net_reference import radical_inverse
+from polys import monomial
 
 from lowdisc.algebra import Poly
 from lowdisc.pointsets import (
@@ -572,6 +573,17 @@ def test_niederreiter_rectangular_columns_extend_rows():
         niederreiter_matrices(2, 2, rows=4, cols=3)
 
 
+def test_niederreiter_matches_the_row_by_row_definition():
+    # 490 parameter sets: one expansion per power of p_j, read as windows,
+    # against one expansion per row
+    for b in (2, 3, 5, 7):
+        for s in range(1, 8):
+            for rows in range(1, (14 if b == 2 else 7) + 1):
+                for cols in (rows, rows + 2):
+                    G = niederreiter_matrices(b, s, rows, cols)
+                    assert G == net_reference.niederreiter_matrices(b, s, rows, cols), (b, s, rows, cols)
+
+
 def test_niederreiter_prime_base_only():
     with pytest.raises(ValueError):
         niederreiter_matrices(4, 2, 3)
@@ -588,7 +600,7 @@ def test_niederreiter_points_are_distinct_for_small_nets():
 # ---------------------------------------------------------------------------
 
 def test_polynomial_lattice_x3_is_van_der_corput_as_multiset():
-    f = Poly.monomial(2, 3)
+    f = monomial(2, 3)
     ps = polynomial_lattice(f, [Poly.one(2)])
     vdc = niederreiter_net(2, 1, 3)
     assert sorted(ps.numerators.tolist()) == sorted(vdc.numerators.tolist())
@@ -602,7 +614,7 @@ def test_polynomial_lattice_agrees_with_its_net_matrices():
         b = rng.choice([2, 3, 5])
         m = rng.randint(1, 3)
         s = rng.randint(1, 3)
-        f = Poly.monomial(b, m) + Poly(
+        f = monomial(b, m) + Poly(
             [rng.randrange(b) for _ in range(m)], b
         )
         g = [
@@ -626,18 +638,19 @@ def test_polynomial_lattice_agrees_with_its_net_matrices():
 @example(b=2, m=1, s=1, seed=0)
 def test_polynomial_lattice_matches_retired_laurent_loop(b, m, s, seed):
     rng = random.Random(seed)
-    f = Poly.monomial(b, m) + Poly([rng.randrange(b) for _ in range(m)], b)
+    # f need not be monic
+    f = monomial(b, m) * rng.randrange(1, b) + Poly([rng.randrange(b) for _ in range(m)], b)
     # g_j = 0 is allowed and gives an all-zero coordinate
     g = [Poly([rng.randrange(b) for _ in range(m)], b) for _ in range(s)]
     _assert_same_points(polynomial_lattice(f, g), net_reference.polynomial_lattice(f, g))
 
 
 def test_polynomial_lattice_validation():
-    f = Poly.monomial(3, 2)
+    f = monomial(3, 2)
     with pytest.raises(ValueError):
         polynomial_lattice(f, [])
     with pytest.raises(ValueError):
-        polynomial_lattice(f, [Poly.monomial(3, 2)])  # deg g == deg f
+        polynomial_lattice(f, [monomial(3, 2)])  # deg g == deg f
     with pytest.raises(ValueError):
         polynomial_lattice(f, [Poly.one(2)])  # modulus mismatch
     with pytest.raises(ValueError):
