@@ -27,7 +27,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -60,7 +59,7 @@ from .pointsets import (
 )
 from .quality import BudgetError, assess, p_alpha, qmc_integrate, star_discrepancy
 
-__all__ = ["main", "RunManifest"]
+__all__ = ["main"]
 
 
 # ---------------------------------------------------------------------------
@@ -70,19 +69,6 @@ __all__ = ["main", "RunManifest"]
 def _json_file(obj) -> str:
     """The artifact form of a JSON value: indented, sorted keys, final newline."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """What was run and what came out, with content checksums."""
-
-    command: str
-    params: dict
-    version: str
-    outputs: dict  # filename -> sha256 hex digest
-
-    def to_json(self) -> str:
-        return _json_file(asdict(self))
 
 
 def _sha256(text: str) -> str:
@@ -102,12 +88,15 @@ def _write_artifacts(args, files: dict) -> dict:
         with open(os.path.join(args.out, name), "w") as fh:
             fh.write(content)
         digests[name] = _sha256(content)
-    params = {k: v for k, v in vars(args).items() if k not in _UNRECORDED}
-    manifest = RunManifest(
-        command=args.command, params=params, version=__version__, outputs=digests
-    )
+    # the manifest: what was run and what came out, with content checksums
+    manifest = {
+        "command": args.command,
+        "params": {k: v for k, v in vars(args).items() if k not in _UNRECORDED},
+        "version": __version__,
+        "outputs": digests,
+    }
     with open(os.path.join(args.out, "manifest.json"), "w") as fh:
-        fh.write(manifest.to_json())
+        fh.write(_json_file(manifest))
     return digests
 
 
@@ -237,7 +226,7 @@ def cmd_gen(args) -> int:
     described = {
         "n": ps.count,
         "s": ps.dim,
-        "representation": ps.representation.value,
+        "representation": ps.representation,
         "provenance": ps.provenance,
     }
     # gen prints by itself: with --out its payload carries the digests of
@@ -248,7 +237,7 @@ def cmd_gen(args) -> int:
         )
         payload = {"kind": args.kind, "n": ps.count, "s": ps.dim, "outputs": digests}
         human = (
-            f"wrote {ps.count} points (s={ps.dim}, {ps.representation.value}) "
+            f"wrote {ps.count} points (s={ps.dim}, {ps.representation}) "
             f"to {os.path.join(args.out, 'points.csv')}"
         )
         print(json.dumps(payload, sort_keys=True) if args.json else human)
@@ -307,7 +296,7 @@ def cmd_verify(args) -> int:
     lines = [
         f"N={report.n} s={report.s} representation={report.representation}",
         f"t_geometric={report.t_geometric} t_dual={report.t_dual}",
-        f"star_discrepancy={report.star_disc} ({report.star_disc_float})",
+        f"star_discrepancy={report.star_discrepancy} ({report.star_discrepancy_float})",
         f"p2={report.p2} diagnostic_ratio={report.diagnostic_ratio}",
     ]
     return _finish(args, report.as_json_dict(), "\n".join(lines))
@@ -353,6 +342,9 @@ def cmd_integrate(args) -> int:
         y = [float(tok) for tok in args.y.split(",")]
         if len(y) != ps.dim:
             raise ValueError(f"--y has {len(y)} coordinates, points have {ps.dim}")
+        outside = [yj for yj in y if not 0.0 <= yj <= 1.0]  # NaN fails both
+        if outside:
+            raise ValueError(f"--y coordinate {outside[0]} outside [0, 1]")
 
         def fn(x):
             return 1.0 if all(v < yj for v, yj in zip(x, y)) else 0.0

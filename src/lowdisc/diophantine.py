@@ -53,6 +53,10 @@ def zaremba_search(n: int, c: int) -> Optional[int]:
         raise ValueError("need n >= 2")
     if c < 1:
         raise ValueError("need c >= 1")
+    if c == 1:
+        # the last Euclid step divides some p >= 2 by 1, so every expansion
+        # ends in a quotient >= 2: no a qualifies, and the scan would find none
+        return None
     for a in range(n // (c + 1) + 1, n):
         p, q = n, a
         ok = True

@@ -2,18 +2,17 @@
 sequences, digital nets, Niederreiter sequences, polynomial lattices.
 
 Exactness policy: every construction whose coordinates are rational emits
-EXACT_RATIONAL points as integer numerators over one denominator per
-coordinate, never floats.  Kronecker sequences are inherently irrational and
-are carried as 128-bit fixed-point fractions rendered to floats.  Digital
-constructions insist on prime bases; the digit bijection is the identity,
-and row 1 of a generating matrix feeds the most significant digit b^(-1).
+exact points as integer numerators over one denominator per coordinate,
+never floats.  Kronecker sequences are inherently irrational and are carried
+as 128-bit fixed-point fractions rendered to floats.  Digital constructions
+insist on prime bases; the digit bijection is the identity, and row 1 of a
+generating matrix feeds the most significant digit b^(-1).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -22,7 +21,6 @@ import numpy as np
 from .algebra import Poly, check_prime, laurent_expand, monic_irreducibles
 
 __all__ = [
-    "Representation",
     "PointSet",
     "lattice_points",
     "alpha_fixed_point",
@@ -41,11 +39,6 @@ __all__ = [
 ]
 
 FIXED_POINT_BITS = 128
-
-
-class Representation(Enum):
-    EXACT_RATIONAL = "exact_rational"
-    FLOAT = "float"
 
 
 def _int_dtype(bound: int):
@@ -94,82 +87,57 @@ def _integer(v) -> int:
 class PointSet:
     """Immutable container for N points in [0,1)^s.
 
-    EXACT_RATIONAL sets store an (N, s) array of integer numerators with one
+    An exact set stores an (N, s) array of integer numerators with one
     denominator per coordinate: point i, coordinate j is
     numerators[i, j] / denominators[j].  The array is int64 when every
     denominator is below 2^63 and holds Python ints (dtype object)
-    otherwise.  FLOAT sets store an (N, s) float64 array, float_rows.  Both
-    arrays are read-only copies of what the caller passed, validated as
-    whole arrays.  Provenance is a small JSON-ready dict recording how the
-    set was built.
+    otherwise.  A float set stores an (N, s) float64 array, float_rows.
+    Both arrays are read-only copies of what the caller passed, validated
+    as whole arrays by the only constructors, exact and floating.
+    Provenance is a small JSON-ready dict recording how the set was built.
     """
-
-    def __init__(
-        self,
-        *,
-        representation: Representation,
-        numerators: Optional[np.typing.ArrayLike] = None,
-        denominators: Optional[Sequence[int]] = None,
-        float_rows: Optional[np.typing.ArrayLike] = None,
-        provenance: Optional[dict] = None,
-    ):
-        self.representation = representation
-        self.provenance = dict(provenance or {})
-        if representation is Representation.EXACT_RATIONAL:
-            if numerators is None or denominators is None:
-                raise ValueError("exact point sets need numerators and denominators")
-            dens = tuple(int(d) for d in denominators)
-            if any(d < 1 for d in dens):
-                raise ValueError("denominators must be >= 1")
-            nums = _frozen_rows(
-                numerators,
-                _int_dtype(max(dens, default=1)),
-                len(dens),
-                "row width != number of denominators",
-            )
-            inside = (nums >= 0) & (nums < np.array(dens, dtype=nums.dtype))
-            if not inside.all():
-                i, j = np.argwhere(~inside)[0]
-                raise ValueError(f"numerator {nums[i, j]} outside [0, {dens[j]})")
-            self.numerators = nums
-            self.denominators = dens
-            self.float_rows = None
-            self.count, self.dim = nums.shape
-        elif representation is Representation.FLOAT:
-            if float_rows is None:
-                raise ValueError("float point sets need float_rows")
-            rows = _frozen_rows(float_rows, np.float64, None, "ragged rows")
-            inside = (rows >= 0.0) & (rows < 1.0)  # False at NaN too
-            if not inside.all():
-                i, j = np.argwhere(~inside)[0]
-                raise ValueError(f"coordinate {rows[i, j]} outside [0, 1)")
-            self.float_rows = rows
-            self.numerators = None
-            self.denominators = None
-            self.count, self.dim = rows.shape
-        else:  # pragma: no cover
-            raise ValueError(f"unknown representation {representation!r}")
 
     @classmethod
     def exact(cls, numerators, denominators, provenance=None) -> "PointSet":
-        return cls(
-            representation=Representation.EXACT_RATIONAL,
-            numerators=numerators,
-            denominators=denominators,
-            provenance=provenance,
+        dens = tuple(int(d) for d in denominators)
+        if any(d < 1 for d in dens):
+            raise ValueError("denominators must be >= 1")
+        nums = _frozen_rows(
+            numerators,
+            _int_dtype(max(dens, default=1)),
+            len(dens),
+            "row width != number of denominators",
         )
+        inside = (nums >= 0) & (nums < np.array(dens, dtype=nums.dtype))
+        if not inside.all():
+            i, j = np.argwhere(~inside)[0]
+            raise ValueError(f"numerator {nums[i, j]} outside [0, {dens[j]})")
+        return cls()._fill(nums, dens, None, provenance)
 
     @classmethod
     def floating(cls, rows, provenance=None) -> "PointSet":
-        return cls(
-            representation=Representation.FLOAT,
-            float_rows=rows,
-            provenance=provenance,
-        )
+        rows = _frozen_rows(rows, np.float64, None, "ragged rows")
+        inside = (rows >= 0.0) & (rows < 1.0)  # False at NaN too
+        if not inside.all():
+            i, j = np.argwhere(~inside)[0]
+            raise ValueError(f"coordinate {rows[i, j]} outside [0, 1)")
+        return cls()._fill(None, None, rows, provenance)
+
+    def _fill(self, numerators, denominators, float_rows, provenance) -> "PointSet":
+        self.numerators = numerators
+        self.denominators = denominators
+        self.float_rows = float_rows
+        self.provenance = dict(provenance or {})
+        self.count, self.dim = (float_rows if numerators is None else numerators).shape
+        return self
 
     @property
     def is_exact(self) -> bool:
-        return self.representation is Representation.EXACT_RATIONAL
+        return self.float_rows is None
+
+    @property
+    def representation(self) -> str:
+        return "exact_rational" if self.is_exact else "float"
 
     def __len__(self) -> int:
         return self.count
@@ -197,7 +165,7 @@ class PointSet:
     def __repr__(self):
         return (
             f"PointSet(n={self.count}, s={self.dim}, "
-            f"{self.representation.value}, {self.provenance.get('kind', '?')})"
+            f"{self.representation}, {self.provenance.get('kind', '?')})"
         )
 
 
@@ -292,17 +260,11 @@ def kronecker(alphas: Sequence, n: int, start: int = 0) -> PointSet:
 # Halton sequences
 # ---------------------------------------------------------------------------
 
-def halton(
-    bases: Sequence[int],
-    n: int,
-    start: int = 0,
-    allow_non_coprime: bool = False,
-) -> PointSet:
+def halton(bases: Sequence[int], n: int, start: int = 0) -> PointSet:
     """First n Halton points x_k (k = start..start+n-1), exact.
 
     Coordinate j is the radical inverse of k in bases[j].  Bases must be
-    pairwise coprime (override with allow_non_coprime to study the failure
-    mode on purpose).  Each coordinate's denominator is the power b_j^L
+    pairwise coprime.  Each coordinate's denominator is the power b_j^L
     needed for the largest index, so a column shares one denominator.
     """
     if n < 1:
@@ -312,14 +274,10 @@ def halton(
     blist = [int(b) for b in bases]
     if any(b < 2 for b in blist):
         raise ValueError("bases must be >= 2")
-    if not allow_non_coprime:
-        for i in range(len(blist)):
-            for j in range(i + 1, len(blist)):
-                if math.gcd(blist[i], blist[j]) != 1:
-                    raise ValueError(
-                        f"bases {blist[i]} and {blist[j]} share a factor; "
-                        "pass allow_non_coprime=True to force"
-                    )
+    for i in range(len(blist)):
+        for j in range(i + 1, len(blist)):
+            if math.gcd(blist[i], blist[j]) != 1:
+                raise ValueError(f"bases {blist[i]} and {blist[j]} share a factor")
     last = start + n - 1
     dens = []
     for b in blist:
@@ -346,7 +304,7 @@ def halton(
             "n": n,
             "start": start,
             "bases": blist,
-            "coprime_checked": not allow_non_coprime,
+            "coprime_checked": True,
         },
     )
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -164,45 +164,40 @@ def minimal_t_geometric(
 
 @dataclass(frozen=True)
 class DualSpace:
-    """Basis of the vectors orthogonal to the stacked net image in F_b^(sm),
-    read as s blocks of m digit positions, plus the minimum NRT weight."""
+    """The space of vectors orthogonal to the stacked net image in F_b^(sm),
+    read as s blocks of m digit positions: its dimension and minimum NRT
+    weight."""
 
     b: int
     m: int
     s: int
-    basis: tuple[tuple[int, ...], ...]
+    dimension: int
     delta: int
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
 
 
 def dual_space(G: GeneratingMatrixSet) -> DualSpace:
     """Dual of the image {(C_1 u, ..., C_s u) : u in F_b^m} with its minimum
     NRT weight delta (m + 1 when the dual is trivial).
 
-    A dual vector of weight w is a dependency among the first d_j rows of
-    the C_j for a composition (d_1, ..., d_s) of w, so delta = m + 1 - t
-    for the first level t at which every composition of m - t has
-    independent rows.
+    The image has the dimension of the row space of all sm rows of the C_j,
+    so the dual has sm minus that rank.  A dual vector of weight w is a
+    dependency among the first d_j rows of the C_j for a composition
+    (d_1, ..., d_s) of w, so delta = m + 1 - t for the first level t at
+    which every composition of m - t has independent rows.
     """
     if G.rows != G.cols:
         raise ValueError("dual space needs square generating matrices")
     b, m, s = G.b, G.rows, G.s
-    # T^T has the stacked matrix columns as rows: entry (k, j*m+i) = C_j[i][k]
-    tt_rows = [
-        [G.matrices[j][i][k] for j in range(s) for i in range(m)]
-        for k in range(m)
-    ]
-    basis = nullspace_mod_p(tt_rows, s * m, b)
+    all_rows = [row for mat in G.matrices for row in mat]
+    # sm minus the rank of all sm rows, which is m minus their nullity
+    dimension = (s - 1) * m + len(nullspace_mod_p(all_rows, m, b))
 
     def independent(shape):  # the first d_j rows of the C_j, taken together
         rows = [row for mat, d in zip(G.matrices, shape) if d for row in mat[:d]]
         return len(nullspace_mod_p(rows, m, b)) == m - len(rows)
 
     t = _first_level(range(m + 1), m, s, independent)
-    return DualSpace(b=b, m=m, s=s, basis=tuple(map(tuple, basis)), delta=m + 1 - t)
+    return DualSpace(b=b, m=m, s=s, dimension=dimension, delta=m + 1 - t)
 
 
 def minimal_t_dual(G: GeneratingMatrixSet) -> int:
@@ -498,34 +493,18 @@ class QualityReport:
     m: Optional[int] = None
     t_geometric: Optional[int] = None
     t_dual: Optional[int] = None
-    star_disc: Optional[Fraction | float] = None
-    star_disc_float: Optional[float] = None
+    star_discrepancy: Optional[Fraction | float] = None
+    star_discrepancy_float: Optional[float] = None
     p2: Optional[float] = None
     diagnostic_ratio: Optional[float] = None
 
     def as_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "s": self.s,
-            "representation": self.representation,
-            "b": self.b,
-            "m": self.m,
-            "t_geometric": self.t_geometric,
-            "t_dual": self.t_dual,
-            "star_discrepancy": (
-                None
-                if self.star_disc is None
-                else {
-                    "num": self.star_disc.numerator,
-                    "den": self.star_disc.denominator,
-                }
-                if isinstance(self.star_disc, Fraction)
-                else self.star_disc
-            ),
-            "star_discrepancy_float": self.star_disc_float,
-            "p2": self.p2,
-            "diagnostic_ratio": self.diagnostic_ratio,
-        }
+        """The fields by name, an exact D* as {"num", "den"}."""
+        fields = asdict(self)
+        d_star = self.star_discrepancy
+        if isinstance(d_star, Fraction):
+            fields["star_discrepancy"] = {"num": d_star.numerator, "den": d_star.denominator}
+        return fields
 
 
 def assess(
@@ -575,13 +554,13 @@ def assess(
     return QualityReport(
         n=ps.count,
         s=ps.dim,
-        representation=ps.representation.value,
+        representation=ps.representation,
         b=b,
         m=m,
         t_geometric=t_geo,
         t_dual=t_dual,
-        star_disc=d_star,
-        star_disc_float=None if d_star is None else float(d_star),
+        star_discrepancy=d_star,
+        star_discrepancy_float=None if d_star is None else float(d_star),
         p2=p2,
         diagnostic_ratio=diag,
     )

@@ -1,6 +1,7 @@
 """The per-point loops that the digital-net and Halton constructions and
 the geometric net check used before the numpy kernels, the dual-space
-enumeration that the matrix t route used before the rank walk, and the
+basis (a nullspace of T^T) and its enumeration, which the matrix t route
+used before the rank walk, and the
 dense dual-lattice grid that P_2's dual sum used before the residue fold,
 kept verbatim as reference implementations.  Also the row-by-row
 Niederreiter matrices: one expansion per row, where the production route
@@ -210,13 +211,9 @@ def nrt_weight(vec: Sequence[int], m: int, s: int) -> int:
     return total
 
 
-def dual_space(G: GeneratingMatrixSet) -> DualSpace:
-    """Dual of the image {(C_1 u, ..., C_s u) : u in F_b^m} with its minimum
-    NRT weight delta (m + 1 when the dual is trivial).
-
-    The whole dual space is enumerated for the weight minimum, guarded by a
-    size budget.
-    """
+def dual_basis(G: GeneratingMatrixSet) -> list[list[int]]:
+    """A basis of the vectors in F_b^(sm) orthogonal to the image
+    {(C_1 u, ..., C_s u) : u in F_b^m}: the nullspace of T^T."""
     if G.rows != G.cols:
         raise ValueError("dual space needs square generating matrices")
     b, m, s = G.b, G.rows, G.s
@@ -225,7 +222,19 @@ def dual_space(G: GeneratingMatrixSet) -> DualSpace:
         [G.matrices[j][i][k] for j in range(s) for i in range(m)]
         for k in range(m)
     ]
-    basis = nullspace_mod_p(tt_rows, s * m, b)
+    return nullspace_mod_p(tt_rows, s * m, b)
+
+
+def dual_space(G: GeneratingMatrixSet) -> DualSpace:
+    """Dual of the image {(C_1 u, ..., C_s u) : u in F_b^m}, of dimension
+    len(dual_basis(G)), with its minimum NRT weight delta (m + 1 when the
+    dual is trivial).
+
+    The whole dual space is enumerated for the weight minimum, guarded by a
+    size budget.
+    """
+    basis = dual_basis(G)
+    b, m, s = G.b, G.rows, G.s
     k = len(basis)
     if b ** k > DUAL_ENUMERATION_LIMIT:
         raise BudgetError(
@@ -244,7 +253,7 @@ def dual_space(G: GeneratingMatrixSet) -> DualSpace:
         weights = (blocks * sig).max(axis=2).sum(axis=1)
         positive = weights[weights > 0]
         delta = int(positive.min()) if positive.size else m + 1
-    return DualSpace(b=b, m=m, s=s, basis=tuple(tuple(v) for v in basis), delta=delta)
+    return DualSpace(b=b, m=m, s=s, dimension=k, delta=delta)
 
 
 def minimal_t_dual(G: GeneratingMatrixSet) -> int:

@@ -450,6 +450,16 @@ def test_integrate_constant_and_box(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("y, bad", [("2,2", "2.0"), ("nan,0.5", "nan"), ("0.5,inf", "inf"),
+                                    ("0.5,-0.25", "-0.25")])
+def test_integrate_box_corner_outside_the_cube_is_an_error(tmp_path, capsys, y, bad):
+    run(capsys, "gen", "--kind", "lattice", "--a", "1,3", "--n", "8", "--out", str(tmp_path))
+    code, out = run(capsys, "integrate", "--points", str(tmp_path / "points.csv"),
+                    "--f", "box", "--y", y, "--json")
+    assert code == 1
+    assert json.loads(out) == {"error": f"--y coordinate {bad} outside [0, 1]"}
+
+
 # ---------------------------------------------------------------------------
 # isbn
 # ---------------------------------------------------------------------------

@@ -203,8 +203,10 @@ def test_zaremba_search_at_multiples_of_c_plus_1(c):
 
 def test_zaremba_search_trivial_and_impossible():
     assert zaremba_search(17, 17) == 1  # 1/17 = [17]
-    # quotient bound 1 forces golden-ratio-like fractions; n=4 has none
+    # every expansion ends in a quotient >= 2, so bound 1 has no witness;
+    # the answer comes at once, without a scan of 2^40 candidates
     assert zaremba_search(4, 1) is None
+    assert zaremba_search(2 ** 40, 1) is None
     with pytest.raises(ValueError):
         zaremba_search(1, 3)
     with pytest.raises(ValueError):

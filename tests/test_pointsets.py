@@ -79,6 +79,19 @@ def test_float_pointset_has_no_fractions():
         ps.as_fractions()
 
 
+def test_pointset_is_built_only_by_its_validating_constructors():
+    with pytest.raises(TypeError):
+        PointSet(numerators=[[3]], denominators=[2])  # 3/2 lies outside [0, 1)
+    with pytest.raises(TypeError):
+        PointSet(representation="float", float_rows=[[2.0]])
+    exact = PointSet.exact([[1]], [2])
+    floating = PointSet.floating([[0.5]])
+    assert (exact.representation, exact.is_exact) == ("exact_rational", True)
+    assert (floating.representation, floating.is_exact) == ("float", False)
+    assert exact.float_rows is None
+    assert floating.numerators is None and floating.denominators is None
+
+
 # ---------------------------------------------------------------------------
 # PointSet storage: one read-only (N, s) array
 # ---------------------------------------------------------------------------
@@ -352,10 +365,8 @@ def test_halton_start_offset():
 
 
 def test_halton_coprimality_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^bases 2 and 4 share a factor$"):
         halton([2, 4], 8)
-    ps = halton([2, 4], 8, allow_non_coprime=True)  # deliberately degenerate
-    assert ps.count == 8
 
 
 def _assert_halton_is_radical_inverse(ps, bases, start):

