@@ -142,33 +142,46 @@ def _criterion_3() -> tuple[bool, str]:
 # 4. Factorizer against a trial-division oracle
 # ---------------------------------------------------------------------------
 
-def _naive_factor(f: Poly) -> list[tuple[tuple[int, ...], int]]:
-    """Trial division by monic polynomials in degree order."""
-    p = f.p
-    factors: dict[tuple[int, ...], int] = {}
+def _sieved_irreducibles(p: int, max_d: int) -> list[Poly]:
+    """The monic irreducibles over F_p of degree 1..max_d, by degree and then
+    constant-first lex order: the monic polynomials that no product of two
+    lower-degree monics hits (a reducible one has an irreducible factor of
+    at most half its degree, found earlier in the sieve)."""
+    monics = {
+        d: [Poly(tail + (1,), p) for tail in itertools.product(range(p), repeat=d)]
+        for d in range(1, max_d + 1)
+    }
+    found: list[Poly] = []
+    for d in range(1, max_d + 1):
+        hit = {g * h for g in found if 2 * g.degree <= d for h in monics[d - g.degree]}
+        found.extend(f for f in monics[d] if f not in hit)
+    return found
+
+
+def _naive_factor(f: Poly, irreducibles: list[Poly]) -> list[tuple[tuple[int, ...], int]]:
+    """Trial division by monic irreducibles in degree order, each as often as
+    it divides; once 2 deg g > deg(work), what is left is irreducible.  The
+    irreducibles must reach degree deg f / 2."""
+    factors = []
     work = f.monic()
-    while work.degree >= 1:
-        hit = None
-        max_d = work.degree // 2
-        for d in range(1, max_d + 1):
-            for tail in itertools.product(range(p), repeat=d):
-                cand = Poly(list(tail) + [1], p)
-                q, r = divmod(work, cand)
-                if r.is_zero:
-                    hit = cand
-                    work = q
-                    break
-            if hit:
-                break
-        if hit is None:  # remainder is irreducible
-            hit = work
-            work = Poly.one(p)
-        factors[hit.coeffs] = factors.get(hit.coeffs, 0) + 1
-    return sorted(factors.items(), key=lambda kv: (len(kv[0]), kv[0]))
+    for g in irreducibles:
+        if 2 * g.degree > work.degree:
+            break
+        mult = 0
+        q, r = divmod(work, g)
+        while r.is_zero:
+            work, mult = q, mult + 1
+            q, r = divmod(work, g)
+        if mult:
+            factors.append((g.coeffs, mult))
+    if work.degree >= 1:
+        factors.append((work.coeffs, 1))
+    return sorted(factors, key=lambda kv: (len(kv[0]), kv[0]))
 
 
 def _criterion_4() -> tuple[bool, str]:
     rng = random.Random(4)
+    irreducibles = {p: _sieved_irreducibles(p, 6) for p in (2, 3)}  # deg f <= 12
     for trial in range(500):
         p = 2 if trial % 2 == 0 else 3
         deg = rng.randint(1, 12)
@@ -178,7 +191,7 @@ def _criterion_4() -> tuple[bool, str]:
         if result.reassemble() != f:
             return False, f"reassembly failed for {coeffs} over F_{p}"
         got = [(g.coeffs, m) for g, m in result.factors]
-        if got != _naive_factor(f):
+        if got != _naive_factor(f, irreducibles[p]):
             return False, f"factor multiset differs from oracle for {coeffs} over F_{p}"
     return True, "500 random monic polynomials (deg <= 12, p in {2,3}) match trial division"
 

@@ -222,10 +222,13 @@ class Poly:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
-            if mod is not None:
-                result, base = result % mod, base % mod
+                if mod is not None:
+                    result = result % mod
             k >>= 1
+            if k:  # the square after the top bit would go unused
+                base = base * base
+                if mod is not None:
+                    base = base % mod
         return result
 
     def __eq__(self, other):

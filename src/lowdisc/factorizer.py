@@ -115,9 +115,8 @@ def _split_squarefree(g: Poly) -> list[Poly]:
     p = g.p
     gp = g.derivative()
     for h in basis:
-        candidates = [poly_gcd(g, h)]
-        candidates.extend(poly_gcd(g, h - c * gp) for c in range(p))
-        for dvd in candidates:
+        for c in range(p):
+            dvd = poly_gcd(g, h - c * gp)
             if dvd.degree is not NEG_INF and 1 <= dvd.degree < g.degree:
                 rest = g // dvd
                 return _split_squarefree(dvd) + _split_squarefree(rest)

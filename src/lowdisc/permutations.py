@@ -12,6 +12,7 @@ definitions literally at q = 2 (where no complete mappings exist).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +55,7 @@ def is_complete_mapping(f: Poly) -> bool:
     return _is_complete_table(value_table(f), f.p)
 
 
+@functools.lru_cache(maxsize=1)  # fb_sweep asks for one q's table q times
 def _nonzero_squares(q: int) -> frozenset[int]:
     return frozenset(z * z % q for z in range(1, q))
 

@@ -62,6 +62,9 @@ STAR_SWEEP_CHUNKS = 16
 # one walk over the compositions of m - t, on either route, checks at most
 # this many; level 0 of b = 17, s = 17, m = 10 alone has 5.3 million
 COMPOSITION_BUDGET = 1 << 16
+# the sampled bound compares about this many point coordinates with sample
+# corners at a time
+SAMPLE_CHUNK = 1 << 22
 # p_alpha takes about this many products k * a_j at a time
 P_ALPHA_CHUNK = 1 << 16
 # p2_dual_sum folds at most this many terms, which caps its arrays at a few
@@ -388,17 +391,24 @@ def sampled_deviation_lower_bound(
     ceils = floors + np.array([r > 0 for _, r in cells]).reshape(n, s)
     strict = np.empty(samples, dtype=np.int64)
     weak = np.empty(samples, dtype=np.int64)
-    step = max(1, (1 << 22) // (n * s))
+    step = max(1, SAMPLE_CHUNK // (n * s))
     for lo in range(0, samples, step):
-        k = ks[lo : lo + step, None, :]
-        strict[lo : lo + step] = (floors < k).all(axis=2).sum(axis=1)
-        weak[lo : lo + step] = (ceils <= k).all(axis=2).sum(axis=1)
-    # deviations scaled by n * 2^(30 s), in Python ints
+        k = ks[lo : lo + step]
+        below = floors[:, 0] < k[:, 0, None]
+        upto = ceils[:, 0] <= k[:, 0, None]
+        for j in range(1, s):
+            below &= floors[:, j] < k[:, j, None]
+            upto &= ceils[:, j] <= k[:, j, None]
+        strict[lo : lo + step] = below.sum(axis=1)
+        weak[lo : lo + step] = upto.sum(axis=1)
+    # deviations scaled by n * 2^(30 s), in Python ints (object arrays), so
+    # no product overflows
     vol_den = scale ** s
-    best = 0
-    for k_row, below, upto in zip(ks.tolist(), strict.tolist(), weak.tolist()):
-        vol = math.prod(k_row) * n
-        best = max(best, vol - below * vol_den, upto * vol_den - vol)
+    vol = ks.astype(object).prod(axis=1) * n
+    best = max(
+        (vol - strict.astype(object) * vol_den).max(initial=0),
+        (weak.astype(object) * vol_den - vol).max(initial=0),
+    )
     return Fraction(best, n * vol_den)
 
 

@@ -7,7 +7,14 @@ implementations.
 `operator_rows` (one call per monomial x^k) is slow but follows the
 definition N_f(h) = f^p H^(p-1)(h/f) - h^p term by term; the tests compare
 the production matrix and kernel against it.
+
+`trial_divide_by_all_monics` is the trial division that criterion 4 ran
+before it divided by sieved irreducibles only: it tries every monic
+polynomial of degree up to deg/2; the tests compare the sieved oracle
+against it.
 """
+
+import itertools
 
 from polys import monomial
 
@@ -113,3 +120,27 @@ def reference_kernel_basis(f: Poly) -> list[Poly]:
 def kernel_dimension(f: Poly) -> int:
     return len(kernel_basis(f))
 
+
+def trial_divide_by_all_monics(f: Poly) -> list[tuple[tuple[int, ...], int]]:
+    """Trial division by monic polynomials in degree order."""
+    p = f.p
+    factors: dict[tuple[int, ...], int] = {}
+    work = f.monic()
+    while work.degree >= 1:
+        hit = None
+        max_d = work.degree // 2
+        for d in range(1, max_d + 1):
+            for tail in itertools.product(range(p), repeat=d):
+                cand = Poly(list(tail) + [1], p)
+                q, r = divmod(work, cand)
+                if r.is_zero:
+                    hit = cand
+                    work = q
+                    break
+            if hit:
+                break
+        if hit is None:  # remainder is irreducible
+            hit = work
+            work = Poly.one(p)
+        factors[hit.coeffs] = factors.get(hit.coeffs, 0) + 1
+    return sorted(factors.items(), key=lambda kv: (len(kv[0]), kv[0]))

@@ -11,6 +11,11 @@ and bit for bit (floats).
 closed_form_fractions is the one-dimensional closed form in one Fraction per
 point, as star_discrepancy_1d_closed_form computed it before it moved to
 integer numerators.
+
+sampled_deviation_per_sample is sampled_deviation_lower_bound as it was
+before its counts became one comparison per axis and its deviations one
+object-array pass: all axes compared at once, then one Python step per
+sample.
 """
 
 import functools
@@ -261,3 +266,33 @@ def quadrant_sweep(pts: np.ndarray, tops: Sequence, exact: bool):
         best = max(best, to_number((share(counts) - scaled).max()))
     counts = closed[(slice(None, -1),) * (s - 1)]
     return max(best, to_number((xs[-1] * vol - share(counts)).max()))
+
+
+def sampled_deviation_per_sample(ps: PointSet, samples: int, seed: int) -> Fraction:
+    """Exact deviation at `samples` random corners k/2^30, one sample at a time."""
+    rng = np.random.default_rng(seed)
+    bits = 30
+    scale = 1 << bits
+    s = ps.dim
+    n = ps.count
+    ks = rng.integers(1, scale + 1, size=(samples, s), dtype=np.int64)
+    cells = [
+        divmod(v << bits, d)
+        for row in ps.numerators.tolist()
+        for v, d in zip(row, ps.denominators)
+    ]
+    floors = np.array([q for q, _ in cells], dtype=np.int64).reshape(n, s)
+    ceils = floors + np.array([r > 0 for _, r in cells]).reshape(n, s)
+    strict = np.empty(samples, dtype=np.int64)
+    weak = np.empty(samples, dtype=np.int64)
+    step = max(1, (1 << 22) // (n * s))
+    for lo in range(0, samples, step):
+        k = ks[lo : lo + step, None, :]
+        strict[lo : lo + step] = (floors < k).all(axis=2).sum(axis=1)
+        weak[lo : lo + step] = (ceils <= k).all(axis=2).sum(axis=1)
+    vol_den = scale ** s
+    best = 0
+    for k_row, below, upto in zip(ks.tolist(), strict.tolist(), weak.tolist()):
+        vol = math.prod(k_row) * n
+        best = max(best, vol - below * vol_den, upto * vol_den - vol)
+    return Fraction(best, n * vol_den)

@@ -425,6 +425,28 @@ def test_is_irreducible_at_a_large_prime():
     assert not is_irreducible(Poly([1, 0, 1], 10_009))
 
 
+@pytest.mark.parametrize("mod", [None, Poly([1, 1, 0, 1], 2)])
+def test_pow_multiplies_once_per_bit_and_once_per_square(monkeypatch, mod):
+    f = Poly([1, 0, 1, 1, 1], 2)
+    calls = []
+    multiply = Poly.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return multiply(a, b)
+
+    expected = Poly.one(2)
+    for k in range(41):
+        reference = expected if mod is None else expected % mod
+        with monkeypatch.context() as m:
+            m.setattr(Poly, "__mul__", counted)
+            calls.clear()
+            got = f ** k if mod is None else pow(f, k, mod)
+        assert got == reference, k
+        assert len(calls) <= max(0, k.bit_count() + k.bit_length() - 1), k
+        expected = expected * f
+
+
 def test_pow_with_a_modulus_matches_pow_then_mod():
     rng = random.Random(23)
     for p in PRIMES:

@@ -9,12 +9,14 @@ from factorizer_reference import (
     niederreiter_operator,
     operator_rows,
     reference_kernel_basis,
+    trial_divide_by_all_monics,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from polys import monomial
 
-from lowdisc.algebra import NEG_INF, Poly, poly_gcd
+from lowdisc.acceptance import _naive_factor, _sieved_irreducibles
+from lowdisc.algebra import NEG_INF, Poly, is_prime, monic_irreducibles, poly_gcd
 from lowdisc.factorizer import (
     FactorizationResult,
     factor,
@@ -271,3 +273,38 @@ def test_factorization_result_verify_catches_tampering():
     assert r.verify()
     # (x+1)(x^2+x+1) = x^3 + 1 != x^3 + x^2 + 1
     assert not tampered.verify()
+
+
+# --- criterion 4's oracle ------------------------------------------------------
+
+def gauss_count(p, d):
+    """Monic irreducibles of degree d over F_p: (1/d) sum_(e | d) mu(e) p^(d/e)."""
+
+    def mobius(e):
+        primes = [r for r in range(2, e + 1) if e % r == 0 and is_prime(r)]
+        return 0 if any(e % (r * r) == 0 for r in primes) else (-1) ** len(primes)
+
+    return sum(mobius(e) * p ** (d // e) for e in range(1, d + 1) if d % e == 0) // d
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_sieve_finds_gauss_count_per_degree(p):
+    degrees = [g.degree for g in _sieved_irreducibles(p, 6)]
+    assert degrees == sorted(degrees)
+    assert [degrees.count(d) for d in range(1, 7)] == [gauss_count(p, d) for d in range(1, 7)]
+
+
+@pytest.mark.parametrize("p,count", [(2, 23), (3, 196)])
+def test_sieve_lists_the_monic_irreducibles_in_order(p, count):
+    sieved = _sieved_irreducibles(p, 6)
+    assert len(sieved) == count
+    assert sieved == monic_irreducibles(p, count)
+
+
+@pytest.mark.parametrize("p,max_deg", [(2, 8), (3, 5)])
+def test_sieved_oracle_matches_division_by_every_monic(p, max_deg):
+    irreducibles = _sieved_irreducibles(p, max_deg // 2)
+    for d in range(1, max_deg + 1):
+        for tail in itertools.product(range(p), repeat=d):
+            f = Poly(tail + (1,), p)
+            assert _naive_factor(f, irreducibles) == trial_divide_by_all_monics(f), f

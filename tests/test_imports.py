@@ -12,7 +12,10 @@ nothing uses does not accumulate.
 Also: every function that the benchmark's tracer (perfbench/tracing.py)
 wraps still exists under its name and still has the parameters the
 tracer's hooks read, since the tracer finds both by name and a rename
-would break a traced run without failing anything else."""
+would break a traced run without failing anything else.
+
+Last: criterion 4's trial-division oracle names no factorizer code, so it
+stays independent of the route it checks."""
 
 import ast
 import importlib
@@ -245,3 +248,23 @@ def test_tracer_names_resolve_in_the_package():
         params = inspect.signature(fn).parameters
         hook = "_on_" + qualname.replace(".", "_")
         assert reads.get(hook, set()) <= set(params), qualname
+
+
+def test_criterion_4_oracle_uses_no_factorizer_code():
+    # the oracle must reach its answer by trial division alone, or it would
+    # agree with `factor` by construction
+    from lowdisc import acceptance
+
+    banned = {"is_irreducible", "monic_irreducibles", "factor", "kernel_basis", "factorizer"}
+    for fn in (acceptance._naive_factor, acceptance._sieved_irreducibles):
+        named = set()
+        for node in ast.walk(ast.parse(inspect.getsource(fn))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.update(node.name.split("."))
+            elif isinstance(node, ast.ImportFrom):
+                named.update((node.module or "").split("."))
+        assert not named & banned, fn.__name__

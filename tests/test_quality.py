@@ -12,7 +12,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 import net_reference
 from net_reference import character_orthogonality, nrt_weight
-from star_reference import closed_form_fractions, quadrant_sweep, star_exact, star_float
+from star_reference import (
+    closed_form_fractions,
+    quadrant_sweep,
+    sampled_deviation_per_sample,
+    star_exact,
+    star_float,
+)
 
 from lowdisc.algebra import monic_irreducibles
 from lowdisc.pointsets import (
@@ -626,6 +632,49 @@ def test_sampled_lower_bound_frozen():
     )
     lb = sampled_deviation_lower_bound(halton([2, 3, 5], 2000), samples=3000, seed=5)
     assert lb == Fraction(2081127574149502169837257, 604462909807314587353088000)
+
+
+@st.composite
+def sampled_bound_cases(draw):
+    """An exact set of 1 to 5 points in s = 1..4, a chunk size, and a
+    sample count just below, at or above the chunk's step (or past two
+    steps).  Each axis has denominator 1, a small one, one beyond int64, or
+    2^31 with coordinates next to or on a sample corner's, where the strict
+    and weak counts differ."""
+    s = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
+    chunk = draw(st.integers(1, 40))
+    step = max(1, chunk // (n * s))
+    samples = draw(st.sampled_from([step - 1, step, step + 1, 2 * step + 1]).filter(bool))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    corners = np.random.default_rng(seed).integers(1, (1 << 30) + 1, size=(samples, s)).tolist()
+    den = st.one_of(
+        st.just(1), st.integers(1, 64), st.integers(2 ** 63 - 64, 2 ** 70), st.just(1 << 31)
+    )
+    dens = draw(st.lists(den, min_size=s, max_size=s))
+    rows = [
+        [
+            min(2 * draw(st.sampled_from(corners))[j] + draw(st.integers(-1, 1)), d - 1)
+            if d == 1 << 31 else draw(st.integers(0, d - 1))
+            for j, d in enumerate(dens)
+        ]
+        for _ in range(n)
+    ]
+    return PointSet.exact(rows, dens), chunk, samples, seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(sampled_bound_cases())
+@example((PointSet.exact([[1 << 69]], [1 << 70]), 1, 2, 0))  # n = 1, s = 1
+@example((PointSet.exact([[3, 1 << 65, 0, 7]], [4, 1 << 66, 1, 9]), 12, 3, 5))  # s = 4
+def test_sampled_bound_matches_per_sample_loop(case):
+    import lowdisc.quality as quality
+
+    ps, chunk, samples, seed = case
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(quality, "SAMPLE_CHUNK", chunk)
+        got = sampled_deviation_lower_bound(ps, samples=samples, seed=seed)
+    assert got == sampled_deviation_per_sample(ps, samples, seed)
 
 
 def test_sampled_lower_bound_needs_exact_points():
