@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 FIXED_POINT_BITS = 128
+CSV_BLOCK = 1 << 12  # rows of an exact CSV formatted per str.format call
 
 
 def _int_dtype(bound: int):
@@ -402,12 +403,35 @@ def _index_range(start: int, count: int, bound: int) -> np.ndarray:
     return np.arange(count, dtype=_int_dtype(max(bound, start + count - 1))) + start
 
 
+def _digit_table(rows: list, b: int, first: int, count: int) -> np.ndarray:
+    """The digits of C k for k = first..first+count-1, one matrix row of
+    `rows` (each as long as k has digits) per table row: a (len(rows), count)
+    array of the matrix product mod b, int64 for b < 2^63 and Python ints
+    (dtype object) beyond."""
+    cols = len(rows[0])
+    # the product holds b and row-times-digits dot products up to cols (b - 1)^2
+    k = _index_range(first, count, max(b, cols * (b - 1) ** 2 + 1))
+    digits = np.empty((cols, count), dtype=k.dtype)
+    for r in range(cols):
+        digits[r] = k % b
+        k //= b
+    return (np.array(rows, dtype=k.dtype) @ digits % b).astype(_int_dtype(b))
+
+
 def digital_points(G: GeneratingMatrixSet, start: int, count: int) -> PointSet:
     """Digital points x_k for k = start..start+count-1, exact.
 
     Index digits (least significant first) fill the column vector; matrix
     rows give base-b digits of the coordinate, row 1 being the most
     significant.  Denominator is b^rows for every coordinate.
+
+    k -> C k is linear over F_b, so with k = k_hi b^h + k_lo the digits of
+    x_k are T_lo[k_lo] + T_hi[k_hi] mod b: T_lo holds C times all b^h low
+    halves, T_hi C times the high halves in the range, both by the matrix
+    product.  h is the largest with b^h <= sqrt(count) (h = 0 is the plain
+    product over every index), so the tables hold about 2 sqrt(count)
+    indices, and each point costs one addition and one reduction of int64
+    digits per matrix row and one Horner step over the rows.
     """
     if count < 1:
         raise ValueError("need count >= 1")
@@ -420,18 +444,26 @@ def digital_points(G: GeneratingMatrixSet, start: int, count: int) -> PointSet:
             f"index {start + count - 1} does not fit in {cols} base-{b} digits"
         )
     den = b ** rows_n
-    # a row-times-digits dot product reaches cols (b - 1)^2 before mod b
-    k = _index_range(start, count, max(den, cols * (b - 1) ** 2 + 1))
-    digits = np.empty((cols, count), dtype=k.dtype)
-    for r in range(cols):
-        digits[r] = k % b
-        k //= b
-    columns = np.zeros((G.s, count), dtype=k.dtype)
-    for column, mat in zip(columns, G.matrices):
+    h = 0
+    while b ** (2 * h + 2) <= count:
+        h += 1
+    block = b ** h
+    hi_first, lo_first = divmod(start, block)
+    hi_count = (start + count - 1) // block - hi_first + 1
+    stacked = [row for mat in G.matrices for row in mat]
+    t_lo = _digit_table([row[:h] for row in stacked], b, 0, block)
+    t_hi = _digit_table([row[h:] for row in stacked], b, hi_first, hi_count)
+    columns = np.zeros((G.s, count), dtype=_int_dtype(den))
+    tables = zip(t_lo.reshape(G.s, rows_n, block), t_hi.reshape(G.s, rows_n, hi_count))
+    for column, (lo, hi) in zip(columns, tables):
         # Horner over the matrix rows, most significant digit first
-        for mrow in np.array(mat, dtype=k.dtype):
+        for lo_row, hi_row in zip(lo, hi):
+            digits = (hi_row[:, None] + lo_row).ravel()[lo_first : lo_first + count]
+            if h:  # b^2 <= count, so b < 2^32: read as uint64, d - b wraps above d unless d >= b
+                wrapped = digits.view(np.uint64)
+                np.minimum(wrapped, wrapped - b, out=wrapped)
             column *= b
-            column += mrow @ digits % b
+            column += digits
     return PointSet.exact(
         columns.T,
         [den] * G.s,
@@ -559,19 +591,20 @@ def polynomial_lattice(f: Poly, g: Sequence[Poly]) -> PointSet:
 def pointset_to_csv(ps: PointSet, force_float: bool = False) -> str:
     """Render as CSV, one column per coordinate, header x1..xs.
 
-    Exact sets write num/den tokens unless force_float; float sets write
-    repr() so the round trip is bit-exact.
+    Exact sets write num/den tokens unless force_float, CSV_BLOCK rows per
+    str.format call over the block's numerators, so only one block's Python
+    ints exist at a time; float sets write repr() so the round trip is
+    bit-exact.
     """
-    lines = [_csv_header(ps.dim)]
-    if ps.is_exact and not force_float and ps.dim:
-        # one list per column, not one per row: s lists of N ints (a
-        # zero-dimensional set renders empty rows through either branch)
-        row_format = ",".join(f"{{}}/{d}" for d in ps.denominators)
-        lines += map(row_format.format, *ps.numerators.T.tolist())
+    parts = [_csv_header(ps.dim) + "\n"]
+    if ps.is_exact and not force_float:
+        row_format = ",".join(f"{{}}/{d}" for d in ps.denominators) + "\n"
+        for lo in range(0, ps.count, CSV_BLOCK):
+            block = ps.numerators[lo : lo + CSV_BLOCK]
+            parts.append((row_format * len(block)).format(*block.ravel().tolist()))
     else:
-        lines += [",".join(map(repr, row)) for row in ps.as_floats()]
-    lines.append("")  # the final newline, without copying the whole text again
-    return "\n".join(lines)
+        parts += [",".join(map(repr, row)) + "\n" for row in ps.as_floats()]
+    return "".join(parts)
 
 
 def _csv_header(dim: int) -> str:

@@ -1,5 +1,6 @@
 """The per-point loops that the digital-net and Halton constructions and
-the geometric net check used before the numpy kernels, the dual-space
+the geometric net check used before the numpy kernels, the matrix-product
+digital-point kernel that the half-index tables replaced, the dual-space
 basis (a nullspace of T^T) and its enumeration, which the matrix t route
 used before the rank walk, and the
 dense dual-lattice grid that P_2's dual sum used before the residue fold,
@@ -20,7 +21,7 @@ import numpy as np
 from polys import monomial
 
 from lowdisc.algebra import Poly, laurent_expand, monic_irreducibles, nullspace_mod_p
-from lowdisc.pointsets import GeneratingMatrixSet, PointSet
+from lowdisc.pointsets import GeneratingMatrixSet, PointSet, _index_range
 from lowdisc.quality import BudgetError, DualSpace, _check_net_input, _compositions
 
 DUAL_ENUMERATION_LIMIT = 1 << 22
@@ -90,6 +91,48 @@ def digital_points(G: GeneratingMatrixSet, start: int, count: int) -> PointSet:
         out.append(row)
     return PointSet.exact(
         out,
+        [den] * G.s,
+        provenance={
+            "kind": "digital",
+            "b": b,
+            "rows": rows_n,
+            "cols": cols,
+            "start": start,
+            "n": count,
+            "matrices": G.as_lists(),
+        },
+    )
+
+
+def digital_points_by_product(G: GeneratingMatrixSet, start: int, count: int) -> PointSet:
+    """digital_points as one matrix product per matrix row: each row of C_j
+    times the (cols, count) array of every index's digits, mod b, then
+    Horner over the rows.  Same checks, dtypes and provenance."""
+    if count < 1:
+        raise ValueError("need count >= 1")
+    if start < 0:
+        raise ValueError("need start >= 0")
+    b = G.b
+    rows_n, cols = G.rows, G.cols
+    if start + count - 1 >= b ** cols:
+        raise ValueError(
+            f"index {start + count - 1} does not fit in {cols} base-{b} digits"
+        )
+    den = b ** rows_n
+    # a row-times-digits dot product reaches cols (b - 1)^2 before mod b
+    k = _index_range(start, count, max(den, cols * (b - 1) ** 2 + 1))
+    digits = np.empty((cols, count), dtype=k.dtype)
+    for r in range(cols):
+        digits[r] = k % b
+        k //= b
+    columns = np.zeros((G.s, count), dtype=k.dtype)
+    for column, mat in zip(columns, G.matrices):
+        # Horner over the matrix rows, most significant digit first
+        for mrow in np.array(mat, dtype=k.dtype):
+            column *= b
+            column += mrow @ digits % b
+    return PointSet.exact(
+        columns.T,
         [den] * G.s,
         provenance={
             "kind": "digital",

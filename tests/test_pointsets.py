@@ -4,8 +4,10 @@ digital nets, Niederreiter matrices, polynomial lattices, CSV round trips."""
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
+import csv_reference
 import net_reference
 import numpy as np
 import pytest
@@ -14,8 +16,10 @@ from hypothesis import strategies as st
 from net_reference import radical_inverse
 from polys import monomial
 
+from lowdisc import pointsets
 from lowdisc.algebra import Poly
 from lowdisc.pointsets import (
+    CSV_BLOCK,
     FIXED_POINT_BITS,
     GeneratingMatrixSet,
     PointSet,
@@ -535,6 +539,74 @@ def test_digital_points_large_base_dot_products():
     assert ps.numerators.tolist() == [[2], [1]]
 
 
+@st.composite
+def split_index_inputs(draw):
+    """(G, start, count) with rows != cols, b up to 7 and up to 700 points,
+    so the half-index split b^h <= sqrt(count) runs from h = 0 to h = 4;
+    start 3 b^rows + 5, where it fits, begins inside a low-half block."""
+    b = draw(st.sampled_from([2, 3, 5, 7]))
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 8).filter(lambda c: c != rows))
+    s = draw(st.integers(1, 3))
+    entry = st.integers(0, b - 1)
+    matrix = st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+    G = GeneratingMatrixSet.from_lists(b, draw(st.lists(matrix, min_size=s, max_size=s)))
+    top = b ** cols
+    start = draw(st.one_of(st.integers(0, top - 1), st.just(min(3 * b ** rows + 5, top - 1))))
+    count = draw(st.integers(1, min(700, top - start)))
+    return G, start, count
+
+
+@settings(max_examples=150)
+@given(split_index_inputs())
+def test_digital_points_match_matrix_product(case):
+    G, start, count = case
+    ref = net_reference.digital_points_by_product(G, start, count)
+    _assert_same_points(digital_points(G, start, count), ref)
+
+
+@pytest.mark.parametrize("b,m", [(2, 6), (3, 4), (5, 3), (7, 2)])
+def test_digital_points_at_split_boundaries(b, m):
+    # counts on both sides of b^(2h) change h; start 3 b^m + 5 is inside a block
+    G = niederreiter_matrices(b, 3, m, m + 2)
+    for h in (1, 2):
+        for count in (b ** (2 * h) - 1, b ** (2 * h), b ** (2 * h) + 1):
+            for start in (0, 3 * b ** m + 5):
+                if start + count <= b ** (m + 2):
+                    ref = net_reference.digital_points_by_product(G, start, count)
+                    _assert_same_points(digital_points(G, start, count), ref)
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize(
+    "b", [3037000507, 2 ** 63 - 25, 2 ** 63 + 29], ids=["int64", "int64-edge", "python-ints"]
+)
+def test_digital_points_digit_types(b, rows):
+    # digits below 2^63 are int64, Python ints above; 5 points keep h = 0
+    rng = random.Random(b + rows)
+    mats = [[[rng.randrange(b) for _ in range(2)] for _ in range(rows)] for _ in range(2)]
+    G = GeneratingMatrixSet.from_lists(b, mats)
+    start = rng.randrange(b ** 2 - 5)
+    ref = net_reference.digital_points_by_product(G, start, 5)
+    _assert_same_points(digital_points(G, start, 5), ref)
+
+
+def test_digital_points_split_follows_count_not_cols():
+    # 64 index digits and 4 points: a split at cols / 2 would want 2^32-entry tables
+    rng = random.Random(64)
+    matrix = [[rng.randrange(2) for _ in range(64)] for _ in range(64)]
+    G = GeneratingMatrixSet.from_lists(2, [matrix])
+    for start in (0, 2 ** 63 - 2, 2 ** 64 - 4):
+        tracemalloc.start()
+        try:
+            ps = digital_points(G, start, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, peak
+        _assert_same_points(ps, net_reference.digital_points_by_product(G, start, 4))
+
+
 def test_identity_matrix_gives_van_der_corput():
     ident = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
     G = GeneratingMatrixSet.from_lists(2, [ident])
@@ -726,6 +798,47 @@ def test_csv_roundtrip_keeps_net_denominators(b, s, m):
     back = pointset_from_csv(pointset_to_csv(ps))
     assert back.denominators == ps.denominators == (b ** m,) * s
     assert back.numerators.tolist() == ps.numerators.tolist()
+
+
+@pytest.mark.parametrize("block", [5, CSV_BLOCK])
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+def test_csv_render_matches_row_by_row_oracle(monkeypatch, block, s):
+    # row counts around the block size, int64 numerators and Python ints
+    monkeypatch.setattr(pointsets, "CSV_BLOCK", block)
+    rng = random.Random(block * 10 + s)
+    for wide in (False, True):
+        dens = [rng.choice([1, 2, 7, 10 ** 18, 2 ** 63 - 1]) for _ in range(s)]
+        if wide:
+            dens[rng.randrange(s)] = rng.choice([2 ** 63, 2 ** 64 + 1])
+        for n in (1, block - 1, block, block + 1, 3 * block + 7):
+            ps = PointSet.exact([[rng.randrange(d) for d in dens] for _ in range(n)], dens)
+            assert ps.numerators.dtype == (object if wide else np.int64)
+            for force_float in (False, True):
+                # compared as lines: a failing str comparison of this size diffs for minutes
+                expected = csv_reference.pointset_to_csv(ps, force_float).splitlines()
+                assert pointset_to_csv(ps, force_float).splitlines() == expected
+                assert pointset_to_csv(ps, force_float).endswith("\n")
+
+
+@pytest.mark.parametrize("n", [1, 4, 5, 6, 22])
+def test_csv_render_zero_dimensional(monkeypatch, n):
+    monkeypatch.setattr(pointsets, "CSV_BLOCK", 5)
+    empty = np.zeros((n, 0))
+    for ps in (PointSet.exact(empty.astype(np.int64), []), PointSet.floating(empty)):
+        assert pointset_to_csv(ps) == csv_reference.pointset_to_csv(ps) == "\n" * (n + 1)
+
+
+def test_csv_render_memory_stays_bounded():
+    # the row-by-row render held 10^5 row strings and the text: 32 MB
+    ps = halton([2, 3, 5, 7, 11], 100_000)
+    tracemalloc.start()
+    try:
+        text = pointset_to_csv(ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak
+    assert text.count("\n") == 100_001
 
 
 def test_csv_provenance_passthrough():
