@@ -8,6 +8,7 @@ trailing zeros (canonical form).  Field elements are plain ints reduced into
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 NEG_INF = float("-inf")
@@ -60,15 +61,17 @@ def inv_mod(a: int, p: int) -> int:
     return pow(a, -1, p)
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Poly:
     """Univariate polynomial over F_p in canonical form.
 
     Supports +, -, *, divmod, //, %, ** (non-negative int), == and hashing.
-    Mixed operands: plain ints are lifted to constants.  Operations between
-    polynomials over different primes raise ValueError.
+    +, -, * and divmod lift a plain int to a constant; == compares
+    polynomials only.  Polynomials over different primes raise ValueError.
     """
 
-    __slots__ = ("coeffs", "p")
+    coeffs: tuple[int, ...]
+    p: int
 
     def __init__(self, coeffs: Iterable[int], p: int):
         check_prime(p)
@@ -87,9 +90,6 @@ class Poly:
             c.pop()
         object.__setattr__(self, "coeffs", tuple(c))
         object.__setattr__(self, "p", p)
-
-    def __setattr__(self, name, value):  # immutability
-        raise AttributeError("Poly is immutable")
 
     # --- constructors -------------------------------------------------
     @classmethod
@@ -231,18 +231,6 @@ class Poly:
                     base = base % mod
         return result
 
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = Poly((other,), self.p)
-        return (
-            isinstance(other, Poly)
-            and self.p == other.p
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.coeffs, self.p))
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -362,7 +350,7 @@ def is_irreducible(f: Poly) -> bool:
     """Rabin's test: f of degree d >= 1 is irreducible iff x^(p^d) = x mod f
     and gcd(x^(p^(d/r)) - x, f) = 1 for every prime r dividing d."""
     d = f.degree
-    if d is NEG_INF or d < 1:
+    if d < 1:
         return False
     x = Poly.x(f.p) % f
     frobenius = [x]  # frobenius[k] = x^(p^k) mod f
@@ -387,8 +375,7 @@ def monic_irreducibles(p: int, count: int) -> list[Poly]:
     if count < 1:
         raise ValueError("count must be >= 1")
     out: list[Poly] = []
-    d = 1
-    while len(out) < count:
+    for d in itertools.count(1):
         for f in _monic_polys(p, d):
             half = d // 2
             if any((f % g).is_zero for g in out if g.degree <= half):
@@ -396,8 +383,6 @@ def monic_irreducibles(p: int, count: int) -> list[Poly]:
             out.append(f)
             if len(out) == count:
                 return out
-        d += 1
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,8 @@ one or the other and, with --out, writes the artifacts (report.json unless
 the handler names its files) and a manifest of the parsed options.  gen
 prints by itself (its --out payload carries the files' digests) and builds
 its point sets from a second table, kind -> (needed options, builder).
+gen --kind digital and verify read provenance files through one reader,
+_provenance_file, which checks the fields each kind of provenance needs.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -129,8 +132,7 @@ def _poly_pretty(f: Poly) -> str:
     if f.is_zero:
         return "0"
     terms = []
-    for e in range(f.degree, -1, -1):
-        c = f.coeffs[e] if e < len(f.coeffs) else 0
+    for e, c in reversed(list(enumerate(f.coeffs))):
         if c == 0:
             continue
         if e == 0:
@@ -146,42 +148,35 @@ def _read_points(path: str, provenance: Optional[dict] = None) -> PointSet:
         return pointset_from_csv(fh.read(), provenance)
 
 
-def _fraction_payload(value) -> dict:
-    if isinstance(value, Fraction):
-        return {
-            "num": value.numerator,
-            "den": value.denominator,
-            "decimal": float(value),
-            "exact": True,
-        }
-    return {"decimal": float(value), "exact": False}
-
-
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------
 
+# provenance fields that gen and verify read, by the matrices or the kind
+# of set they describe
+_PROVENANCE_FIELDS = {"matrices": ("b",), "lattice": ("a", "n"), "polylattice": ("b", "f", "g")}
+
+
 def _provenance_file(path: str) -> dict:
-    """The JSON object in path, or the one under its "provenance" key."""
+    """The JSON object in path, or the one under its "provenance" key, with
+    every field that its matrices or its kind of set needs."""
     with open(path) as fh:
         meta = json.load(fh)
     if isinstance(meta, dict):
         meta = meta.get("provenance", meta)
     if not isinstance(meta, dict):
         raise ValueError(f"{path}: provenance is not a JSON object")
+    what = "matrices" if "matrices" in meta else meta.get("kind")
+    missing = [f'"{name}"' for name in _PROVENANCE_FIELDS.get(what, ()) if name not in meta]
+    if missing:
+        raise ValueError(f"{path}: provenance lacks {', '.join(missing)} for its {what}")
     return meta
 
 
-def _matrices_from_file(path: str) -> GeneratingMatrixSet:
-    """Accepts {"b":..,"matrices":..} directly or wrapped in "provenance"."""
-    meta = _provenance_file(path)
-    if "b" not in meta or "matrices" not in meta:
-        raise ValueError(f"{path} holds no generating matrices")
-    return GeneratingMatrixSet.from_lists(meta["b"], meta["matrices"])
-
-
 def _gen_digital(args) -> PointSet:
-    G = _matrices_from_file(args.matrices)
+    G = _matrices_from_provenance(_provenance_file(args.matrices))
+    if G is None:
+        raise ValueError(f"{args.matrices} holds no generating matrices")
     if args.n is None:
         return digital_net(G)
     return digital_points(G, args.start, args.n)
@@ -252,25 +247,14 @@ def cmd_gen(args) -> int:
 # verify / discrepancy / p2 / integrate
 # ---------------------------------------------------------------------------
 
-# provenance fields that verify reads, by the matrices or the kind of set
-# they describe
-_PROVENANCE_FIELDS = {"matrices": ("b",), "lattice": ("a", "n"), "polylattice": ("b", "f", "g")}
-
-
 def _sidecar_provenance(args) -> Optional[dict]:
     """The provenance recorded next to --points (or in --sidecar), if any."""
     path = args.sidecar
     if path is None:
-        guess = os.path.splitext(args.points)[0] + ".json"
-        path = guess if os.path.exists(guess) else None
-    if path is None:
-        return None
-    prov = _provenance_file(path)
-    what = "matrices" if "matrices" in prov else prov.get("kind")
-    missing = [f'"{name}"' for name in _PROVENANCE_FIELDS.get(what, ()) if name not in prov]
-    if missing:
-        raise ValueError(f"{path}: provenance lacks {', '.join(missing)} for its {what}")
-    return prov
+        path = os.path.splitext(args.points)[0] + ".json"
+        if not os.path.exists(path):
+            return None
+    return _provenance_file(path)
 
 
 def _matrices_from_provenance(prov: Optional[dict]) -> Optional[GeneratingMatrixSet]:
@@ -305,10 +289,11 @@ def cmd_verify(args) -> int:
 def cmd_discrepancy(args) -> int:
     ps = _read_points(args.points)
     value = star_discrepancy(ps, n_limit=args.n_limit)
-    payload = _fraction_payload(value)
-    payload["n"] = ps.count
-    payload["s"] = ps.dim
-    if isinstance(value, Fraction):
+    exact = isinstance(value, Fraction)
+    payload = {"n": ps.count, "s": ps.dim, "decimal": float(value), "exact": exact}
+    if exact:
+        payload["num"] = value.numerator
+        payload["den"] = value.denominator
         human = f"D* = {value.numerator}/{value.denominator} = {float(value)}"
     else:
         human = f"D* = {value} (float point set; value is approximate)"
@@ -323,15 +308,8 @@ def cmd_p2(args) -> int:
 
 _INTEGRANDS = {
     "const1": (lambda x: 1.0, 1.0),
-    "prod2x": (lambda x: _prod2x(x), 1.0),
+    "prod2x": (lambda x: math.prod(2.0 * v for v in x), 1.0),
 }
-
-
-def _prod2x(x) -> float:
-    acc = 1.0
-    for v in x:
-        acc *= 2.0 * v
-    return acc
 
 
 def cmd_integrate(args) -> int:
@@ -349,9 +327,7 @@ def cmd_integrate(args) -> int:
         def fn(x):
             return 1.0 if all(v < yj for v, yj in zip(x, y)) else 0.0
 
-        exact = 1.0
-        for yj in y:
-            exact *= yj
+        exact = math.prod(y)
     elif args.f in _INTEGRANDS:
         fn, exact = _INTEGRANDS[args.f]
     else:

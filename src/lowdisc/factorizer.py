@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import NEG_INF, Poly, is_irreducible, nullspace_mod_p, poly_gcd
+from .algebra import Poly, is_irreducible, nullspace_mod_p, poly_gcd
 
 SUPPORTED_PRIMES = (2, 3, 5)
 
@@ -43,7 +43,7 @@ SUPPORTED_PRIMES = (2, 3, 5)
 def _check_modulus(f: Poly) -> None:
     if f.p not in SUPPORTED_PRIMES:
         raise ValueError(f"characteristic {f.p} unsupported (need one of {SUPPORTED_PRIMES})")
-    if f.degree is NEG_INF or f.degree < 1:
+    if f.degree < 1:
         raise ValueError("f must have degree >= 1")
     if not f.is_monic:
         raise ValueError("f must be monic")
@@ -92,15 +92,15 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     c = poly_gcd(f, fp)
     w = f // c
     i = 1
-    while w.degree is not NEG_INF and w.degree >= 1:
+    while w.degree >= 1:
         y = poly_gcd(w, c)
         z = w // y
-        if z.degree is not NEG_INF and z.degree >= 1:
+        if z.degree >= 1:
             out.append((z, i))
         w = y
         c = c // y
         i += 1
-    if c.degree is not NEG_INF and c.degree >= 1:
+    if c.degree >= 1:
         out.extend((g, m * p) for g, m in squarefree_decomposition(c.pth_root()))
     return out
 
@@ -117,7 +117,7 @@ def _split_squarefree(g: Poly) -> list[Poly]:
     for h in basis:
         for c in range(p):
             dvd = poly_gcd(g, h - c * gp)
-            if dvd.degree is not NEG_INF and 1 <= dvd.degree < g.degree:
+            if 1 <= dvd.degree < g.degree:
                 rest = g // dvd
                 return _split_squarefree(dvd) + _split_squarefree(rest)
     raise RuntimeError(f"kernel basis failed to split {g!r}")  # pragma: no cover
@@ -151,7 +151,7 @@ def factor(f: Poly) -> FactorizationResult:
     """
     if f.p not in SUPPORTED_PRIMES:
         raise ValueError(f"characteristic {f.p} unsupported (need one of {SUPPORTED_PRIMES})")
-    if f.degree is NEG_INF or f.degree < 1:
+    if f.degree < 1:
         raise ValueError("factor needs deg f >= 1")
     content = f.leading
     work = f.monic()

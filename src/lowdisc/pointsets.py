@@ -198,8 +198,8 @@ def lattice_points(a: Sequence[int], n: int) -> PointSet:
 # Kronecker sequences
 # ---------------------------------------------------------------------------
 
-def alpha_fixed_point(alpha, bits: int = FIXED_POINT_BITS) -> int:
-    """floor(frac(alpha) * 2^bits) for alpha given exactly.
+def alpha_fixed_point(alpha) -> int:
+    """floor(frac(alpha) * 2^FIXED_POINT_BITS) for alpha given exactly.
 
     Accepted forms: "sqrt(d)" for an integer d >= 0 (computed by integer
     square root, so the full bit budget is correct), any decimal string
@@ -219,12 +219,12 @@ def alpha_fixed_point(alpha, bits: int = FIXED_POINT_BITS) -> int:
             d = int(text[5:-1])
             if d < 0:
                 raise ValueError(f"sqrt of negative: {alpha!r}")
-            root = math.isqrt(d << (2 * bits))
-            return root & ((1 << bits) - 1)
+            root = math.isqrt(d << (2 * FIXED_POINT_BITS))
+            return root & ((1 << FIXED_POINT_BITS) - 1)
         alpha = Fraction(text)
     if isinstance(alpha, Fraction):
         frac = alpha - math.floor(alpha)
-        return (frac.numerator << bits) // frac.denominator
+        return (frac.numerator << FIXED_POINT_BITS) // frac.denominator
     raise TypeError(f"unsupported alpha {alpha!r}")
 
 
@@ -550,7 +550,7 @@ def polynomial_lattice_matrices(f: Poly, g: Sequence[Poly]) -> GeneratingMatrixS
     coefficient of x^(-(i + r)) in g_j / f.  So each C_j is a Hankel matrix
     read off one Laurent expansion of g_j / f."""
     m = f.degree
-    if m is None or f.is_zero or m < 1:
+    if m < 1:
         raise ValueError("modulus f must have degree >= 1")
     if not g:
         raise ValueError("empty generating vector")

@@ -106,14 +106,10 @@ def _first_level(levels, m: int, parts: int, holds: Callable) -> Optional[int]:
     return None
 
 
-def _check_net_input(
-    ps: PointSet, b: int, m: int, s: Optional[int] = None
-) -> None:
+def _check_net_input(ps: PointSet, b: int, m: int) -> None:
     """A set that passes has b^m = N points with int64 numerators below N."""
     if not ps.is_exact:
         raise ValueError("net verification needs an exact point set")
-    if s is not None and ps.dim != s:
-        raise ValueError(f"point set has dimension {ps.dim}, not {s}")
     if ps.count != b ** m:
         raise ValueError(f"expected b^m = {b ** m} points, got {ps.count}")
     den = b ** m
@@ -135,28 +131,24 @@ def _cells_balanced(cols: np.ndarray, b: int, m: int, shape: tuple) -> bool:
     return bool((np.bincount(key, minlength=b ** w) == b ** (m - w)).all())
 
 
-def net_property(
-    ps: PointSet, b: int, m: int, t: int, s: Optional[int] = None
-) -> bool:
+def net_property(ps: PointSet, b: int, m: int, t: int) -> bool:
     """Does every elementary interval of volume b^(t-m) hold exactly b^t points?
 
     Checks all digit-resolution shapes (d_1, ..., d_s) with sum = m - t.
     """
-    _check_net_input(ps, b, m, s)
+    _check_net_input(ps, b, m)
     if not 0 <= t <= m:
         raise ValueError(f"need 0 <= t <= m, got t={t}")
     holds = functools.partial(_cells_balanced, ps.numerators.T, b, m)
     return _first_level([t], m, ps.dim, holds) == t
 
 
-def minimal_t_geometric(
-    ps: PointSet, b: int, m: int, s: Optional[int] = None
-) -> int:
+def minimal_t_geometric(ps: PointSet, b: int, m: int) -> int:
     """Smallest t such that ps is a (t, m, s)-net in base b.
 
     Always terminates: t = m trivially holds (the single cell [0,1)^s).
     """
-    _check_net_input(ps, b, m, s)
+    _check_net_input(ps, b, m)
     holds = functools.partial(_cells_balanced, ps.numerators.T, b, m)
     return _first_level(range(m + 1), m, ps.dim, holds)
 

@@ -15,7 +15,7 @@ tests compare the production routes against them value for value.
 
 import cmath
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from polys import monomial
@@ -200,16 +200,14 @@ def polynomial_lattice(f: Poly, g: Sequence[Poly]) -> PointSet:
     )
 
 
-def net_property(
-    ps: PointSet, b: int, m: int, t: int, s: Optional[int] = None
-) -> bool:
+def net_property(ps: PointSet, b: int, m: int, t: int) -> bool:
     """Does every elementary interval of volume b^(t-m) hold exactly b^t points?
 
     Checks all digit-resolution shapes (d_1, ..., d_s) with sum = m - t; a
     point falls in cell a iff its truncated base-b digits match, i.e.
     numerator // b^(m - d_j) agrees per coordinate.
     """
-    _check_net_input(ps, b, m, s)
+    _check_net_input(ps, b, m)
     if not 0 <= t <= m:
         raise ValueError(f"need 0 <= t <= m, got t={t}")
     s = ps.dim
@@ -226,13 +224,11 @@ def net_property(
     return True
 
 
-def t_monotonicity_check(
-    ps: PointSet, b: int, m: int, t: int, s: Optional[int] = None
-) -> bool:
+def t_monotonicity_check(ps: PointSet, b: int, m: int, t: int) -> bool:
     """A (t, m, s)-net must also be a (t', m, s)-net for every t' in [t, m]."""
-    if not net_property(ps, b, m, t, s):
+    if not net_property(ps, b, m, t):
         return True  # nothing to propagate
-    return all(net_property(ps, b, m, t2, s) for t2 in range(t, m + 1))
+    return all(net_property(ps, b, m, t2) for t2 in range(t, m + 1))
 
 
 def nrt_weight(vec: Sequence[int], m: int, s: int) -> int:

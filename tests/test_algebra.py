@@ -43,6 +43,24 @@ def test_canonical_form():
     assert Poly([-1], 7).coeffs == (6,)
 
 
+def test_poly_is_immutable_and_has_no_dict():
+    f = Poly([1, 2], 5)
+    with pytest.raises(AttributeError):
+        f.coeffs = (0,)
+    assert f.coeffs == (1, 2)
+    assert not hasattr(f, "__dict__")
+
+
+def test_equal_polys_hash_alike_and_ints_are_not_polys():
+    f = Poly([1, 2], 5)
+    g = Poly([6, 7, 0], 5)
+    assert f == g
+    assert hash(f) == hash(g)
+    assert {f: "f"}[g] == "f"
+    assert Poly([1, 2], 7) != f
+    assert Poly([3], 5) != 3
+
+
 def test_modulus_must_be_prime():
     for bad in (0, 1, 4, 6, 9, 100):
         with pytest.raises(ValueError):

@@ -137,6 +137,35 @@ def test_gen_digital_replays_recorded_matrices(tmp_path, capsys):
     assert (dst / "points.csv").read_bytes() == (src / "points.csv").read_bytes()
 
 
+def test_gen_digital_replays_a_polylattice_sidecar(tmp_path, capsys):
+    src = tmp_path / "src"
+    run(capsys, "gen", "--kind", "polylattice", "--b", "2", "--f", "1,1,0,1",
+        "--g", "1;1,1", "--out", str(src))
+    dst = tmp_path / "dst"
+    code, _ = run(
+        capsys,
+        "gen", "--kind", "digital", "--matrices", str(src / "points.json"),
+        "--out", str(dst),
+    )
+    assert code == 0
+    assert (dst / "points.csv").read_bytes() == (src / "points.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "content,error",
+    [
+        ({"matrices": [[[1]]]}, ': provenance lacks "b" for its matrices'),
+        ({"kind": "lattice", "a": [1, 3], "n": 4}, " holds no generating matrices"),
+    ],
+)
+def test_gen_digital_names_what_its_matrices_file_lacks(tmp_path, capsys, content, error):
+    path = tmp_path / "mats.json"
+    path.write_text(json.dumps(content))
+    code, out = run(capsys, "gen", "--kind", "digital", "--matrices", str(path))
+    assert code == 1
+    assert json.loads(out) == {"error": f"{path}{error}"}
+
+
 def test_gen_digital_from_plain_matrix_file(tmp_path, capsys):
     path = tmp_path / "mats.json"
     path.write_text(json.dumps({"b": 2, "matrices": [[[1, 0], [0, 1]]]}))

@@ -7,7 +7,9 @@ unused import and break `import *`.
 Every public top-level function and class of the package is read by other
 code of the package, or named in README.md or under perfbench/, and so is
 every public method and property of its classes, so public API that
-nothing uses does not accumulate.
+nothing uses does not accumulate.  Likewise every defaulted parameter of
+a public top-level function is passed by some call in the package or
+under perfbench/, so no parameter stays that no caller sets.
 
 Also: every function that the benchmark's tracer (perfbench/tracing.py)
 wraps still exists under its name and still has the parameters the
@@ -210,6 +212,71 @@ def test_reference_checker_finds_dead_public_names():
 
 def test_every_public_name_is_referenced():
     assert unreferenced_public_names(_package_sources(), _readme_and_perfbench()) == []
+
+
+def unpassed_parameters(sources: dict[str, str]) -> list[str]:
+    """The "module:function(name=)" of each defaulted parameter of a public
+    top-level function in sources that no call in sources passes, by
+    keyword or by position.  A call is matched by the function's name, and
+    a starred argument passes every positional parameter."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    calls = [
+        call
+        for tree in trees.values()
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call)
+    ]
+    unpassed = []
+    for module, tree in trees.items():
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+            defaulted = positional[len(positional) - len(fn.args.defaults):] + [
+                a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None
+            ]
+            passed = set()
+            for call in calls:
+                if getattr(call.func, "id", getattr(call.func, "attr", None)) != fn.name:
+                    continue
+                passed |= {kw.arg for kw in call.keywords}
+                if any(isinstance(arg, ast.Starred) for arg in call.args):
+                    passed |= set(positional)
+                else:
+                    passed |= set(positional[: len(call.args)])
+            unpassed += [f"{module}:{fn.name}({name}=)" for name in defaulted if name not in passed]
+    return unpassed
+
+
+def _package_and_perfbench_sources() -> dict[str, str]:
+    perfbench = {f"perfbench/{p.name}": p.read_text() for p in sorted(PERFBENCH.glob("*.py"))}
+    return {**_package_sources(), **perfbench}
+
+
+def test_parameter_checker_finds_unpassed_defaults():
+    sources = {
+        "a.py": (
+            "def f(a, b=1, c=2, *, d=3, e=4, g): pass\n"
+            "def h(x, y=0, z=0): pass\n"
+            "def never(k=1): pass\n"
+            "def _private(q=1): pass\n"
+            "class C:\n"
+            "    def method(self, r=1): pass\n"
+        ),
+        "b.py": "f(0, 1, e=5, g=6)\nmod.h(*args)\n",
+    }
+    assert unpassed_parameters(sources) == [
+        "a.py:f(c=)",
+        "a.py:f(d=)",
+        "a.py:never(k=)",
+    ]
+    planted = _package_and_perfbench_sources()
+    planted["quality.py"] += "\n\ndef planted(points, scale=1):\n    return points\n\n\nplanted(None)\n"
+    assert unpassed_parameters(planted) == ["quality.py:planted(scale=)"]
+
+
+def test_every_defaulted_parameter_is_passed():
+    assert unpassed_parameters(_package_and_perfbench_sources()) == []
 
 
 def _tracer_names() -> tuple[list[str], dict[str, set[str]]]:

@@ -141,8 +141,6 @@ def test_net_property_validates_input():
     with pytest.raises(ValueError):
         net_property(ps, 2, 2, 3)  # t > m
     with pytest.raises(ValueError):
-        net_property(ps, 2, 2, 0, s=2)  # dimension mismatch
-    with pytest.raises(ValueError):
         net_property(PointSet.floating([[0.0]] * 4), 2, 2, 0)
     with pytest.raises(ValueError):
         # right count, wrong denominator
