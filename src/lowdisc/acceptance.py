@@ -51,12 +51,12 @@ __all__ = ["CriterionResult", "ALL_CRITERIA", "run_criterion", "format_result_li
 
 @dataclass(frozen=True)
 class CriterionResult:
-    cid: int
+    criterion: int
     name: str
     passed: bool
     detail: str
-    elapsed: float
-    budget: float
+    elapsed_seconds: float
+    budget_seconds: float
 
 
 # ---------------------------------------------------------------------------
@@ -394,14 +394,12 @@ def run_criterion(cid: int) -> CriterionResult:
     if ok and elapsed >= budget:
         ok = False
         detail += f" -- but took {elapsed:.1f}s, over the {budget:.0f}s budget"
-    return CriterionResult(
-        cid=cid, name=name, passed=ok, detail=detail, elapsed=elapsed, budget=budget
-    )
+    return CriterionResult(cid, name, ok, detail, elapsed, budget)
 
 
 def format_result_line(result: CriterionResult) -> str:
     verdict = "PASS" if result.passed else "FAIL"
     return (
-        f"criterion {result.cid:2d} [{result.name}] {verdict} "
-        f"({result.elapsed:.2f}s / budget {result.budget:.0f}s): {result.detail}"
+        f"criterion {result.criterion:2d} [{result.name}] {verdict} "
+        f"({result.elapsed_seconds:.2f}s / budget {result.budget_seconds:.0f}s): {result.detail}"
     )

@@ -206,12 +206,10 @@ class Poly:
         return Poly._reduced(quot, p), Poly._reduced(rem[:dq], p)
 
     def __floordiv__(self, other):
-        r = divmod(self, other)
-        return r[0] if r is not NotImplemented else NotImplemented
+        return divmod(self, other)[0]
 
     def __mod__(self, other):
-        r = divmod(self, other)
-        return r[1] if r is not NotImplemented else NotImplemented
+        return divmod(self, other)[1]
 
     def __pow__(self, k: int, mod: Poly | None = None):
         """self^k; pow(self, k, mod) reduces mod `mod` after every step."""

@@ -19,6 +19,8 @@ prints by itself (its --out payload carries the files' digests) and builds
 its point sets from a second table, kind -> (needed options, builder).
 gen --kind digital and verify read provenance files through one reader,
 _provenance_file, which checks the fields each kind of provenance needs.
+The payloads of cmsweep, inversive, inversive-audit, zaremba and reproduce
+are the fields of the records the library returns, by dataclasses.asdict.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -359,11 +362,8 @@ def cmd_isbn(args) -> int:
 
 def cmd_cmsweep(args) -> int:
     result = fb_sweep(args.q)
-    payload = {
-        "q": result.q,
-        "count": result.count,
-        "witnesses": list(result.witnesses),
-    }
+    payload = asdict(result)
+    del payload["mismatches"]
     human = (
         f"q={result.q}: {result.count} complete mappings of the half-power "
         f"family; witnesses b = {list(result.witnesses)}"
@@ -412,16 +412,7 @@ def cmd_inversive(args) -> int:
     info = least_period(params)
     n = args.n if args.n is not None else info.period
     orbit = inversive_sequence(params, n)
-    payload = {
-        "q": args.q,
-        "a": args.a,
-        "b": args.b,
-        "u0": args.u0,
-        "n": n,
-        "orbit": orbit,
-        "period": info.period,
-        "pre_period": info.pre_period,
-    }
+    payload = {**asdict(params), **asdict(info), "n": n, "orbit": orbit}
     if args.unit:
         payload["unit"] = to_unit_interval(orbit, args.q)
     human = (
@@ -433,12 +424,7 @@ def cmd_inversive(args) -> int:
 
 def cmd_inversive_audit(args) -> int:
     result = audit_bound(args.qmax)
-    payload = {
-        "q_max": result.q_max,
-        "combinations": result.combinations,
-        "checks": result.checks,
-        "violations": [list(v) for v in result.violations],
-    }
+    payload = asdict(result)
     human = (
         f"audited {result.combinations} (q,a,b,s) combinations, "
         f"{result.checks} inequalities, q <= {result.q_max}: "
@@ -467,15 +453,7 @@ def cmd_zaremba(args) -> int:
         "m_max": args.mmax,
         "c": args.c,
         "absent": absent,
-        "rows": [
-            {
-                "m": row.m,
-                "n": row.n,
-                "witness": row.witness,
-                "quotients": None if row.witness is None else list(row.quotients),
-            }
-            for row in rows
-        ],
+        "rows": [asdict(row) for row in rows],
     }
     code = 0 if absent == 0 else 1
     return _finish(args, payload, table, code, {"zaremba.csv": table + "\n"})
@@ -497,17 +475,7 @@ def cmd_reproduce(args) -> int:
                 f"unknown criterion {ids[0]}; valid: {sorted(ALL_CRITERIA)}"
             )
     results = [run_criterion(cid) for cid in ids]
-    payload = [
-        {
-            "criterion": r.cid,
-            "name": r.name,
-            "passed": r.passed,
-            "detail": r.detail,
-            "elapsed_seconds": round(r.elapsed, 3),
-            "budget_seconds": r.budget,
-        }
-        for r in results
-    ]
+    payload = [{**asdict(r), "elapsed_seconds": round(r.elapsed_seconds, 3)} for r in results]
     human = "\n".join(format_result_line(r) for r in results)
     return _finish(args, payload, human, 0 if all(r.passed for r in results) else 1)
 

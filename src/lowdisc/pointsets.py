@@ -238,6 +238,8 @@ def kronecker(alphas: Sequence, n: int, start: int = 0) -> PointSet:
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    if not alphas:
+        raise ValueError("empty list of alphas")
     fixed = [alpha_fixed_point(al) for al in alphas]
     mask = (1 << FIXED_POINT_BITS) - 1
     scale = float(1 << FIXED_POINT_BITS)
@@ -272,6 +274,8 @@ def halton(bases: Sequence[int], n: int, start: int = 0) -> PointSet:
         raise ValueError("need n >= 1")
     if start < 0:
         raise ValueError("need start >= 0")
+    if not bases:
+        raise ValueError("empty list of bases")
     blist = [int(b) for b in bases]
     if any(b < 2 for b in blist):
         raise ValueError("bases must be >= 2")
@@ -286,7 +290,7 @@ def halton(bases: Sequence[int], n: int, start: int = 0) -> PointSet:
         while den <= last:
             den *= b
         dens.append(den)
-    top = max(dens, default=1)
+    top = max(dens)
     columns = np.zeros((len(blist), n), dtype=_int_dtype(top))
     for column, b, den in zip(columns, blist, dens):
         # reversing the digits of k, as many as den has, gives its radical

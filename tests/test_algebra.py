@@ -231,6 +231,23 @@ def test_gcd_properties(p):
     assert poly_gcd(Poly.zero(5), Poly.zero(5)).is_zero
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: Poly.zero(5).leading, "zero polynomial has no leading coefficient"),
+    (lambda: Poly.zero(5).monic(), "cannot normalize the zero polynomial"),
+    (lambda: monic_irreducibles(2, 0), "count must be >= 1"),
+])
+def test_zero_polynomial_and_count_guards(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_floor_division_and_mod_refuse_a_non_polynomial():
+    with pytest.raises(TypeError):
+        Poly([1], 2) // "x"
+    with pytest.raises(TypeError):
+        Poly([1], 2) % "x"
+
+
 def test_inv_mod():
     for p in (2, 3, 5, 7, 11):
         for a in range(1, p):

@@ -91,6 +91,18 @@ def test_gen_missing_parameters_is_domain_error(capsys, kind):
         assert named == ["--kind"] + needs[given:]
 
 
+@pytest.mark.parametrize("kind, option, error", [
+    ("halton", "--bases", "empty list of bases"),
+    ("kronecker", "--alphas", "empty list of alphas"),
+])
+def test_gen_with_no_coordinates_is_an_error(capsys, kind, option, error):
+    # a set of points without coordinates renders as blank lines, which
+    # every reader of point CSVs refuses as an empty CSV
+    code, out = run(capsys, "gen", "--kind", kind, option, "", "--n", "3")
+    assert code == 1
+    assert json.loads(out) == {"error": error}
+
+
 def test_gen_writes_artifacts_and_manifest(tmp_path, capsys):
     out_dir = tmp_path / "net"
     code, _ = run(
@@ -479,6 +491,19 @@ def test_integrate_constant_and_box(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("y, error", [
+    (None, "integrand 'box' needs --y y1,y2,..."),
+    ("0.5", "--y has 1 coordinates, points have 2"),
+    ("0.5,0.5,0.5", "--y has 3 coordinates, points have 2"),
+])
+def test_integrate_box_needs_a_corner_of_the_points_dimension(tmp_path, capsys, y, error):
+    run(capsys, "gen", "--kind", "lattice", "--a", "1,3", "--n", "8", "--out", str(tmp_path))
+    argv = ["integrate", "--points", str(tmp_path / "points.csv"), "--f", "box", "--json"]
+    code, out = run(capsys, *argv, *(["--y", y] if y is not None else []))
+    assert code == 1
+    assert json.loads(out) == {"error": error}
+
+
 @pytest.mark.parametrize("y, bad", [("2,2", "2.0"), ("nan,0.5", "nan"), ("0.5,inf", "inf"),
                                     ("0.5,-0.25", "-0.25")])
 def test_integrate_box_corner_outside_the_cube_is_an_error(tmp_path, capsys, y, bad):
@@ -670,6 +695,20 @@ def test_reproduce_json(capsys):
     payload = json.loads(out)
     assert payload[0]["criterion"] == 6
     assert payload[0]["passed"] is True
+
+
+def test_reproduce_all_runs_every_criterion_in_order(capsys, monkeypatch):
+    # perfbench/run.py and workloads.py read these keys off `reproduce all --json`
+    from lowdisc import acceptance
+
+    cheap = {cid: acceptance.ALL_CRITERIA[cid] for cid in (11, 1)}
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", cheap)
+    code, out = run(capsys, "reproduce", "all", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert [row["criterion"] for row in payload] == [1, 11]
+    keys = {"criterion", "name", "passed", "detail", "elapsed_seconds", "budget_seconds"}
+    assert all(set(row) == keys and row["passed"] for row in payload)
 
 
 def test_reproduce_unknown_criterion(capsys):

@@ -98,6 +98,10 @@ def test_operator_rejects_bad_input():
         niederreiter_operator(Poly([1, 2], 3), Poly.one(3))  # not monic
     with pytest.raises(ValueError):
         niederreiter_operator(Poly([0, 1], 2), Poly.one(2))  # f(0) = 0
+    with pytest.raises(ValueError, match="^f must have degree >= 1$"):
+        operator_matrix(Poly.one(2))
+    with pytest.raises(ValueError, match="^squarefree decomposition needs monic input$"):
+        squarefree_decomposition(Poly([1, 0, 2], 3))
     with pytest.raises(ValueError):
         niederreiter_operator(f, monomial(2, 2))             # deg h >= deg f
     with pytest.raises(ValueError):

@@ -51,6 +51,8 @@ def test_param_validation():
         InversiveParams(q=7, a=1, b=9, u0=0)
     with pytest.raises(ValueError):
         InversiveParams(q=7, a=1, b=0, u0=-1)
+    with pytest.raises(ValueError, match="^n must be >= 0$"):
+        inversive_sequence(InversiveParams(q=7, a=1, b=0, u0=0), -1)
 
 
 @pytest.mark.parametrize("q", PRIMES)

@@ -13,20 +13,26 @@ under perfbench/, so no parameter stays that no caller sets.
 
 Also: every function that the benchmark's tracer (perfbench/tracing.py)
 wraps still exists under its name and still has the parameters the
-tracer's hooks read, since the tracer finds both by name and a rename
-would break a traced run without failing anything else.
+tracer's hooks read, and its annotated return type still has the
+attributes they read off its result, since the tracer finds all of them
+by name and a rename would break a traced run without failing anything
+else.
 
 Last: criterion 4's trial-division oracle names no factorizer code, so it
 stays independent of the route it checks."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import re
+import typing
 from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from lowdisc.pointsets import PointSet
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "lowdisc"
@@ -279,10 +285,11 @@ def test_every_defaulted_parameter_is_passed():
     assert unpassed_parameters(_package_and_perfbench_sources()) == []
 
 
-def _tracer_names() -> tuple[list[str], dict[str, set[str]]]:
+def _tracer_names(source: str) -> tuple[list[str], dict[str, set[str]], dict[str, set[str]]]:
     """TIMED's "module.function" keys, and per hook method of Tracer (its
-    aliases resolved) the argument names it reads through _arg."""
-    tree = ast.parse(TRACING.read_text())
+    aliases resolved) the argument names it reads through _arg and the
+    attributes it reads off `result`."""
+    tree = ast.parse(source)
     timed = next(
         ast.literal_eval(node.value)
         for node in tree.body
@@ -293,28 +300,82 @@ def _tracer_names() -> tuple[list[str], dict[str, set[str]]]:
     for node in tracer.body:
         if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name):
             methods.update((t.id, methods[node.value.id]) for t in node.targets)
+    hooks = {name: method for name, method in methods.items() if name.startswith("_on_")}
     reads = {
         name: {
             call.args[3].value
             for call in ast.walk(method)
             if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_arg"
         }
-        for name, method in methods.items()
-        if name.startswith("_on_")
+        for name, method in hooks.items()
     }
-    return list(timed), reads
+    results = {
+        name: {
+            node.attr
+            for node in ast.walk(method)
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "result"
+        }
+        for name, method in hooks.items()
+    }
+    return list(timed), reads, results
+
+
+def _traced(qualname: str):
+    module, name = qualname.split(".")
+    return getattr(importlib.import_module(f"lowdisc.{module}"), name)
+
+
+# an instance of each traced return type that is not a dataclass: its
+# attributes are set when it is built, so only an instance has them
+_RESULT_SAMPLES = {PointSet: PointSet.exact([[0]], [1])}
+
+
+def _has_attribute(cls, name: str) -> bool:
+    if dataclasses.is_dataclass(cls):
+        fields = {field.name for field in dataclasses.fields(cls)}
+        return name in fields or isinstance(getattr(cls, name, None), property)
+    return hasattr(_RESULT_SAMPLES[cls], name)
+
+
+def unresolved_result_reads(source: str) -> list[str]:
+    """"module.function: result.name" for each attribute that a hook of the
+    tracer in source reads off a result its function's return type lacks."""
+    timed, _, results = _tracer_names(source)
+    missing = []
+    for qualname in timed:
+        names = results.get("_on_" + qualname.replace(".", "_"), set())
+        if names:
+            returned = typing.get_type_hints(_traced(qualname))["return"]
+            missing += [f"{qualname}: result.{n}" for n in sorted(names) if not _has_attribute(returned, n)]
+    return missing
+
+
+def test_result_attribute_checker_finds_a_renamed_field(monkeypatch):
+    from lowdisc import generators
+
+    @dataclasses.dataclass(frozen=True)
+    class Renamed:
+        check_count: int
+
+    def audit_bound(q_max: int) -> Renamed:
+        return Renamed(0)
+
+    monkeypatch.setattr(generators, "audit_bound", audit_bound)
+    assert unresolved_result_reads(TRACING.read_text()) == ["generators.audit_bound: result.checks"]
+    # a point set's attributes are found on an instance
+    renamed = TRACING.read_text().replace("result.count", "result.size")
+    assert "pointsets.halton: result.size" in unresolved_result_reads(renamed)
 
 
 def test_tracer_names_resolve_in_the_package():
-    timed, reads = _tracer_names()
+    timed, reads, _ = _tracer_names(TRACING.read_text())
     hooks = {"_on_" + qualname.replace(".", "_"): qualname for qualname in timed}
     assert set(reads) <= set(hooks)  # no hook for a function it does not wrap
     for qualname in timed:
-        module, name = qualname.split(".")
-        fn = getattr(importlib.import_module(f"lowdisc.{module}"), name)
-        params = inspect.signature(fn).parameters
+        params = inspect.signature(_traced(qualname)).parameters
         hook = "_on_" + qualname.replace(".", "_")
         assert reads.get(hook, set()) <= set(params), qualname
+    assert unresolved_result_reads(TRACING.read_text()) == []
 
 
 def test_criterion_4_oracle_uses_no_factorizer_code():

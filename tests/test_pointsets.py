@@ -373,6 +373,27 @@ def test_halton_coprimality_guard():
         halton([2, 4], 8)
 
 
+_MATRIX = GeneratingMatrixSet.from_lists(2, [[[1, 0], [0, 1]]])
+
+
+@pytest.mark.parametrize("error, message, call", [
+    (TypeError, "unsupported alpha [1]", lambda: alpha_fixed_point([1])),
+    (ValueError, "empty list of alphas", lambda: kronecker([], 3)),
+    (ValueError, "need n >= 1", lambda: halton([2], 0)),
+    (ValueError, "need start >= 0", lambda: halton([2], 4, start=-1)),
+    (ValueError, "empty list of bases", lambda: halton([], 3)),
+    (ValueError, "bases must be >= 2", lambda: halton([1], 4)),
+    (ValueError, "ragged matrix", lambda: GeneratingMatrixSet.from_lists(2, [[[1, 0], [1]]])),
+    (ValueError, "need count >= 1", lambda: digital_points(_MATRIX, 0, 0)),
+    (ValueError, "need start >= 0", lambda: digital_points(_MATRIX, -1, 2)),
+    (ValueError, "need s >= 1", lambda: niederreiter_matrices(2, 0, 3)),
+    (ValueError, "need rows >= 1", lambda: niederreiter_matrices(2, 2, 0)),
+])
+def test_construction_guards_refuse_bad_input(error, message, call):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def _assert_halton_is_radical_inverse(ps, bases, start):
     last = start + ps.count - 1
     for b, den in zip(bases, ps.denominators):

@@ -429,6 +429,42 @@ def test_star_float_path_approximates_exact():
     ) < 1e-12
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: star_discrepancy(PointSet.exact([[]] * 2, [])), "empty point set"),
+    (lambda: star_discrepancy(PointSet.floating(np.zeros((0, 1)))), "need at least one point"),
+    (lambda: star_discrepancy_1d_closed_form(lattice_points([1, 3], 4)),
+     "closed form is one-dimensional only"),
+    (lambda: star_discrepancy_1d_closed_form(PointSet.floating([[0.5]])),
+     "closed form needs an exact point set"),
+])
+def test_star_input_guards(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize("n, dens", [(2, [1 << 31, 1 << 31]), (2, [1 << 61]), (4, [1 << 60])])
+def test_star_refuses_objectives_beyond_int64(n, dens):
+    # n * prod(dens) >= 2^62 would let the sweep's int64 objectives overflow
+    ps = PointSet.exact([[d - 1 - k for d in dens] for k in range(n)], dens)
+    with pytest.raises(BudgetError, match="denominator product too large"):
+        star_discrepancy(ps)
+
+
+def test_star_at_the_int64_boundary_matches_the_closed_form():
+    den = 1 << 60  # n * den = 2^61, the largest power of two let through
+    ps = PointSet.exact([[1], [den - 1]], [den])
+    assert star_discrepancy(ps) == star_discrepancy_1d_closed_form(ps)
+    assert star_discrepancy(ps) == closed_form_fractions(ps)
+
+
+def test_star_1d_disagreeing_with_the_closed_form_raises(monkeypatch):
+    import lowdisc.quality as quality
+
+    monkeypatch.setattr(quality, "star_discrepancy_1d_closed_form", lambda ps: Fraction(0))
+    with pytest.raises(RuntimeError, match="disagrees with closed form"):
+        star_discrepancy(lattice_points([1], 8))
+
+
 def test_star_budget_guards():
     with pytest.raises(BudgetError):
         star_discrepancy(lattice_points([1, 3, 5, 7], 16))  # s = 4
