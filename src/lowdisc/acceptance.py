@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable
 
 from .algebra import Poly, interpolate, is_prime
-from .diophantine import zaremba_table
+from .diophantine import zaremba_search, zaremba_table
 from .factorizer import factor
 from .generators import audit_bound
 from .permutations import CheckDigitSystem, detection_report, fb_sweep, is_complete_mapping
@@ -278,8 +278,6 @@ def _criterion_8() -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 def _criterion_9() -> tuple[bool, str]:
-    from .diophantine import zaremba_search
-
     rng = random.Random(9)
     for _ in range(100):
         n = rng.randint(1, 50)

@@ -54,7 +54,7 @@ def check_prime(p: int) -> int:
 
 
 def inv_mod(a: int, p: int) -> int:
-    """Multiplicative inverse of a modulo prime p (extended Euclid)."""
+    """Multiplicative inverse of a modulo prime p, by pow(a, -1, p)."""
     a %= p
     if a == 0:
         raise ZeroDivisionError(f"0 has no inverse mod {p}")

@@ -18,7 +18,10 @@ the handler names its files) and a manifest of the parsed options.  gen
 prints by itself (its --out payload carries the files' digests) and builds
 its point sets from a second table, kind -> (needed options, builder).
 gen --kind digital and verify read provenance files through one reader,
-_provenance_file, which checks the fields each kind of provenance needs.
+_provenance_file, which checks the fields each kind of provenance needs,
+and verify's references come to assess in the set's provenance.  Every
+list option goes through one reader, _list_option: an empty option is an
+empty list, and a blank entry is an error.
 The payloads of cmsweep, inversive, inversive-audit, zaremba and reproduce
 are the fields of the records the library returns, by dataclasses.asdict.
 """
@@ -34,7 +37,7 @@ import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import __version__
 from .algebra import Poly, parse_poly_file
@@ -49,7 +52,6 @@ from .generators import (
 )
 from .permutations import fb_sweep, isbn10_weighted_sum
 from .pointsets import (
-    GeneratingMatrixSet,
     PointSet,
     digital_net,
     digital_points,
@@ -59,10 +61,10 @@ from .pointsets import (
     lattice_points,
     niederreiter_net,
     polynomial_lattice,
-    polynomial_lattice_matrices,
     pointset_from_csv,
     pointset_to_csv,
 )
+from .pointsets import _matrices_from_provenance
 from .quality import BudgetError, assess, p_alpha, qmc_integrate, star_discrepancy
 
 __all__ = ["main"]
@@ -123,12 +125,13 @@ def _finish(args, payload, human: str, code: int = 0, files: Optional[dict] = No
 # Small parsers and pretty-printers
 # ---------------------------------------------------------------------------
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-
-
-def _str_list(text: str) -> list[str]:
-    return [tok.strip() for tok in text.split(",") if tok.strip() != ""]
+def _list_option(text: str, kind: Callable = int, sep: str = ",") -> list:
+    """The entries of a list option, each stripped and read by kind: an
+    empty option is an empty list, and a blank entry is an error."""
+    tokens = [tok.strip() for tok in text.split(sep)] if text.strip() else []
+    if "" in tokens:
+        raise ValueError(f"blank entry in {text!r}")
+    return [kind(tok) for tok in tokens]
 
 
 def _poly_pretty(f: Poly) -> str:
@@ -186,8 +189,8 @@ def _gen_digital(args) -> PointSet:
 
 
 def _gen_polylattice(args) -> PointSet:
-    f = Poly(_int_list(args.f), args.b)
-    g = [Poly(_int_list(part), args.b) for part in args.g.split(";")]
+    f = Poly(_list_option(args.f), args.b)
+    g = _list_option(args.g, lambda part: Poly(_list_option(part), args.b), ";")
     return polynomial_lattice(f, g)
 
 
@@ -195,14 +198,14 @@ def _gen_polylattice(args) -> PointSet:
 # at call time: a profiler or tracer that rebinds the module attribute (as
 # perfbench does) must see the call, which a stored function object hides.
 _GEN_KINDS = {
-    "lattice": (("a", "n"), lambda args: lattice_points(_int_list(args.a), args.n)),
+    "lattice": (("a", "n"), lambda args: lattice_points(_list_option(args.a), args.n)),
     "kronecker": (
         ("alphas", "n"),
-        lambda args: kronecker(_str_list(args.alphas), args.n, start=args.start),
+        lambda args: kronecker(_list_option(args.alphas, str), args.n, start=args.start),
     ),
     "halton": (
         ("bases", "n"),
-        lambda args: halton(_int_list(args.bases), args.n, start=args.start),
+        lambda args: halton(_list_option(args.bases), args.n, start=args.start),
     ),
     "hybrid": (
         ("first", "second"),
@@ -260,26 +263,12 @@ def _sidecar_provenance(args) -> Optional[dict]:
     return _provenance_file(path)
 
 
-def _matrices_from_provenance(prov: Optional[dict]) -> Optional[GeneratingMatrixSet]:
-    if prov is None:
-        return None
-    if "matrices" in prov:
-        return GeneratingMatrixSet.from_lists(prov["b"], prov["matrices"])
-    if prov.get("kind") == "polylattice":
-        b = prov["b"]
-        f = Poly(prov["f"], b)
-        g = [Poly(coeffs, b) for coeffs in prov["g"]]
-        return polynomial_lattice_matrices(f, g)
-    return None
-
-
 def cmd_verify(args) -> int:
     prov = _sidecar_provenance(args)
     ps = _read_points(args.points, prov)
     if args.s is not None and ps.dim != args.s:
         raise ValueError(f"points have s={ps.dim}, expected --s {args.s}")
-    G = _matrices_from_provenance(prov)
-    report = assess(ps, b=args.b, m=args.m, G=G, n_limit=args.n_limit)
+    report = assess(ps, b=args.b, m=args.m, n_limit=args.n_limit)
     lines = [
         f"N={report.n} s={report.s} representation={report.representation}",
         f"t_geometric={report.t_geometric} t_dual={report.t_dual}",
@@ -304,7 +293,7 @@ def cmd_discrepancy(args) -> int:
 
 
 def cmd_p2(args) -> int:
-    a = _int_list(args.a)
+    a = _list_option(args.a)
     value = p_alpha(a, args.n)
     return _finish(args, {"a": a, "n": args.n, "p2": value}, f"P_2 = {value}")
 
@@ -320,7 +309,7 @@ def cmd_integrate(args) -> int:
     if args.f == "box":
         if args.y is None:
             raise ValueError("integrand 'box' needs --y y1,y2,...")
-        y = [float(tok) for tok in args.y.split(",")]
+        y = _list_option(args.y, float)
         if len(y) != ps.dim:
             raise ValueError(f"--y has {len(y)} coordinates, points have {ps.dim}")
         outside = [yj for yj in y if not 0.0 <= yj <= 1.0]  # NaN fails both
@@ -378,7 +367,7 @@ def cmd_factor(args) -> int:
         with open(args.poly_file) as fh:
             f = parse_poly_file(fh.read())
     elif args.coeffs is not None and args.p is not None:
-        f = Poly(_int_list(args.coeffs), args.p)
+        f = Poly(_list_option(args.coeffs), args.p)
     else:
         raise ValueError("factor needs --poly-file, or --p with --coeffs")
     result = factor(f)

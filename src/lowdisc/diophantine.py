@@ -37,7 +37,6 @@ def continued_fraction(a: int, n: int) -> tuple[int, ...]:
         p, q = q, p % q
     if p != 1:
         raise ValueError(f"a and n must be coprime, gcd({a}, {n}) = {p}")
-    assert quotients[-1] >= 2 or len(quotients) == 0
     return tuple(quotients)
 
 

@@ -588,6 +588,17 @@ def polynomial_lattice(f: Poly, g: Sequence[Poly]) -> PointSet:
     return ps
 
 
+def _matrices_from_provenance(prov: dict) -> Optional[GeneratingMatrixSet]:
+    """The generating matrices a provenance names: the ones a digital set
+    records, or a polynomial lattice's from its f and g; None for any other."""
+    if "matrices" in prov:
+        return GeneratingMatrixSet.from_lists(prov["b"], prov["matrices"])
+    if prov.get("kind") == "polylattice":
+        b = prov["b"]
+        return polynomial_lattice_matrices(Poly(prov["f"], b), [Poly(gj, b) for gj in prov["g"]])
+    return None
+
+
 # ---------------------------------------------------------------------------
 # CSV round trip
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ import numpy as np
 
 from .algebra import nullspace_mod_p
 from .pointsets import GeneratingMatrixSet, PointSet, digital_net, lattice_points
-from .pointsets import _index_range, _lattice_generator
+from .pointsets import _index_range, _lattice_generator, _matrices_from_provenance
 
 __all__ = [
     "BudgetError",
@@ -513,14 +513,14 @@ def assess(
     ps: PointSet,
     b: Optional[int] = None,
     m: Optional[int] = None,
-    G: Optional[GeneratingMatrixSet] = None,
     n_limit: Optional[int] = None,
 ) -> QualityReport:
     """Best-effort quality report: each measure is filled in when its
     preconditions hold and left None otherwise (budget misses included).
 
-    t_dual describes the digital net of G and p2 the lattice named in the
-    provenance; each is reported only when ps holds exactly those points.
+    t_dual describes the digital net of the square matrices and p2 the
+    lattice that ps.provenance names; each is reported only when ps holds
+    exactly those points.
     """
     t_geo = None
     if b is not None and m is not None and ps.is_exact:
@@ -529,6 +529,8 @@ def assess(
         except (ValueError, BudgetError):
             t_geo = None
     t_dual = None
+    prov = ps.provenance
+    G = _matrices_from_provenance(prov)
     if G is not None and G.rows == G.cols:
         try:
             t_dual = minimal_t_dual(G)
@@ -542,7 +544,6 @@ def assess(
     except BudgetError:
         d_star = None
     p2 = None
-    prov = ps.provenance
     if prov.get("kind") == "lattice" and _holds(
         ps, prov["n"], lambda: lattice_points(prov["a"], prov["n"])
     ):

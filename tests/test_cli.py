@@ -103,6 +103,28 @@ def test_gen_with_no_coordinates_is_an_error(capsys, kind, option, error):
     assert json.loads(out) == {"error": error}
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["gen", "--kind", "lattice", "--a", "1,,3", "--n", "4"], "1,,3"),
+    (["gen", "--kind", "lattice", "--a", "1,3,", "--n", "4"], "1,3,"),
+    (["p2", "--a", "1, ,34", "--n", "55"], "1, ,34"),
+    (["factor", "--p", "2", "--coeffs", "1,,1"], "1,,1"),
+    (["gen", "--kind", "polylattice", "--b", "2", "--f", "1,1,0,1", "--g", "1;;1"], "1;;1"),
+    (["gen", "--kind", "polylattice", "--b", "2", "--f", "1,1,0,1", "--g", "1;1,,1"], "1,,1"),
+    (["gen", "--kind", "polylattice", "--b", "2", "--f", "1,,0,1", "--g", "1"], "1,,0,1"),
+    (["gen", "--kind", "halton", "--bases", "2,,3", "--n", "4"], "2,,3"),
+    (["gen", "--kind", "kronecker", "--alphas", "sqrt(2),,sqrt(3)", "--n", "4"], "sqrt(2),,sqrt(3)"),
+    (["integrate", "--points", "POINTS", "--f", "box", "--y", "0.5,,0.5"], "0.5,,0.5"),
+])
+def test_a_blank_list_entry_is_an_error(tmp_path, capsys, argv, text):
+    # dropping the entry would silently give a set of another dimension or
+    # another polynomial
+    run(capsys, "gen", "--kind", "lattice", "--a", "1,3", "--n", "8", "--out", str(tmp_path))
+    argv = [str(tmp_path / "points.csv") if arg == "POINTS" else arg for arg in argv]
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out) == {"error": f"blank entry in {text!r}"}
+
+
 def test_gen_writes_artifacts_and_manifest(tmp_path, capsys):
     out_dir = tmp_path / "net"
     code, _ = run(

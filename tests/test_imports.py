@@ -18,8 +18,11 @@ attributes they read off its result, since the tracer finds all of them
 by name and a rename would break a traced run without failing anything
 else.
 
-Last: criterion 4's trial-division oracle names no factorizer code, so it
-stays independent of the route it checks."""
+Criterion 4's trial-division oracle names no factorizer code, so it stays
+independent of the route it checks.
+
+Last: cli.py splits text only inside its one list reader, so a new list
+option cannot bring back a second decoder with rules of its own."""
 
 import ast
 import dataclasses
@@ -396,3 +399,44 @@ def test_criterion_4_oracle_uses_no_factorizer_code():
             elif isinstance(node, ast.ImportFrom):
                 named.update((node.module or "").split("."))
         assert not named & banned, fn.__name__
+
+
+def splits_outside(source: str, reader: str) -> list[str]:
+    """"function:line" (or "<module>:line") of each `.split(` call in source
+    outside the top-level function named reader."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name == reader:
+            continue
+        where = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        found += [
+            f"{where}:{call.lineno}"
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "split"
+        ]
+    return found
+
+
+def test_split_checker_finds_a_second_decoder():
+    source = (
+        "def _read(text):\n"
+        "    return text.split(',')\n"
+        "def handler(args):\n"
+        "    return [int(t) for t in args.a.split(';')]\n"
+        "KINDS = {'x': lambda args: args.b.split(',')}\n"
+        "def other(path):\n"
+        "    return os.path.splitext(path)\n"
+    )
+    assert splits_outside(source, "_read") == ["handler:4", "<module>:5"]
+    cli = (SRC / "cli.py").read_text()
+    planted = cli.replace(
+        "y = _list_option(args.y, float)", 'y = [float(tok) for tok in args.y.split(",")]', 1
+    )
+    assert planted != cli
+    assert [where.partition(":")[0] for where in splits_outside(planted, "_list_option")] == [
+        "cmd_integrate"
+    ]
+
+
+def test_cli_splits_text_only_in_its_list_reader():
+    assert splits_outside((SRC / "cli.py").read_text(), "_list_option") == []

@@ -20,7 +20,7 @@ from star_reference import (
     star_float,
 )
 
-from lowdisc.algebra import monic_irreducibles
+from lowdisc.algebra import Poly, monic_irreducibles
 from lowdisc.pointsets import (
     GeneratingMatrixSet,
     PointSet,
@@ -30,6 +30,8 @@ from lowdisc.pointsets import (
     lattice_points,
     niederreiter_matrices,
     niederreiter_net,
+    polynomial_lattice,
+    polynomial_lattice_matrices,
 )
 from lowdisc.quality import (
     STAR_DISCREPANCY_BUDGET,
@@ -357,7 +359,7 @@ def test_one_composition_budget_covers_every_walk(monkeypatch):
     ):
         with pytest.raises(BudgetError):
             walk()
-    rep = assess(ps, b=2, m=4, G=G)
+    rep = assess(ps, b=2, m=4)  # ps's provenance names G
     assert rep.t_geometric is None and rep.t_dual is None
     assert rep.star_discrepancy == Fraction(11, 64)
 
@@ -934,7 +936,7 @@ def test_diagnostic_stays_bounded_for_niederreiter_family():
 
 def test_assess_full_report():
     G = niederreiter_matrices(2, 2, 4)
-    rep = assess(digital_net(G), b=2, m=4, G=G)
+    rep = assess(digital_net(G), b=2, m=4)
     assert isinstance(rep, QualityReport)
     assert rep.t_geometric == 0 and rep.t_dual == 0
     assert rep.star_discrepancy == Fraction(11, 64)
@@ -976,12 +978,26 @@ def test_assess_fills_p2_for_lattices_and_skips_over_budget():
     assert big.p2 is not None
 
 
+def _naming(ps: PointSet, G: GeneratingMatrixSet) -> PointSet:
+    """ps's points under a provenance that names the matrices of G."""
+    return PointSet.exact(ps.numerators, ps.denominators, {"b": G.b, "matrices": G.as_lists()})
+
+
+def test_assess_reads_a_net_reference_from_the_provenance():
+    G = niederreiter_matrices(2, 4, 5)  # t = 2, between 0 and m
+    assert assess(digital_net(G), 2, 5).t_dual == minimal_t_dual(G) == 2
+    f = Poly([1, 1, 0, 0, 1], 2)  # x^4 + x + 1
+    g = [Poly([1], 2), Poly([0, 1, 0, 1], 2), Poly([1, 0, 1], 2)]
+    t = minimal_t_dual(polynomial_lattice_matrices(f, g))  # an int, never None
+    assert assess(polynomial_lattice(f, g), 2, 4).t_dual == t
+
+
 def test_assess_reports_p2_and_t_dual_only_for_their_points():
     G = niederreiter_matrices(2, 2, 4)
     swapped = GeneratingMatrixSet(b=2, matrices=G.matrices[::-1])
-    rep = assess(digital_net(G), b=2, m=4, G=swapped)
+    rep = assess(_naming(digital_net(G), swapped), b=2, m=4)
     assert rep.t_geometric == 0 and rep.t_dual is None
-    assert assess(digital_net(swapped), G=swapped).t_dual == 0
+    assert assess(digital_net(swapped)).t_dual == 0
     fib = lattice_points([1, 34], 55)
     other = PointSet.exact(halton([2, 3], 55).numerators, [64, 81], provenance=fib.provenance)
     assert assess(other).p2 is None
@@ -995,7 +1011,8 @@ def test_assess_builds_no_reference_for_a_refused_dual(monkeypatch):
         raise AssertionError("a refused dual needs no reference net")
 
     G = _level_five_matrices()  # 256 points, but a walk over the budget
-    ps = niederreiter_net(2, 2, 8)  # 256 points too, so a dual t would be checked
+    # 256 points too, so a dual t would be checked
+    ps = _naming(niederreiter_net(2, 2, 8), G)
     monkeypatch.setattr(quality, "digital_net", must_not_build)
-    rep = assess(ps, b=2, m=8, G=G)
+    rep = assess(ps, b=2, m=8)
     assert rep.t_dual is None and rep.t_geometric is not None
