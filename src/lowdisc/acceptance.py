@@ -262,7 +262,7 @@ def _criterion_8() -> tuple[bool, str]:
             [[rng.randrange(b) for _ in range(m)] for _ in range(m)]
             for _ in range(s)
         ]
-        G = GeneratingMatrixSet.from_lists(b, mats)
+        G = GeneratingMatrixSet(b, mats)
         t_dual = minimal_t_dual(G)
         t_geo = minimal_t_geometric(digital_net(G), b, m)
         if t_dual != t_geo:

@@ -382,26 +382,3 @@ def monic_irreducibles(p: int, count: int) -> list[Poly]:
             if len(out) == count:
                 return out
 
-
-# ---------------------------------------------------------------------------
-# Parsing (CLI format: comma-separated coefficients, lowest degree first)
-# ---------------------------------------------------------------------------
-
-def poly_from_string(s: str, p: int) -> Poly:
-    try:
-        coeffs = [int(t) for t in s.strip().split(",") if t.strip() != ""]
-    except ValueError as e:
-        raise ValueError(f"bad coefficient list {s!r}: {e}") from None
-    return Poly(coeffs, p)
-
-
-def parse_poly_file(text: str) -> Poly:
-    """Parse the on-disk format: a `p=<prime>` header line, then coefficients."""
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or not lines[0].lower().startswith("p="):
-        raise ValueError("polynomial file must start with a p=<prime> header")
-    p = int(lines[0][2:])
-    if len(lines) < 2:
-        raise ValueError("polynomial file has no coefficient line")
-    return poly_from_string(lines[1], p)
-

@@ -18,10 +18,11 @@ the handler names its files) and a manifest of the parsed options.  gen
 prints by itself (its --out payload carries the files' digests) and builds
 its point sets from a second table, kind -> (needed options, builder).
 gen --kind digital and verify read provenance files through one reader,
-_provenance_file, which checks the fields each kind of provenance needs,
-and verify's references come to assess in the set's provenance.  Every
-list option goes through one reader, _list_option: an empty option is an
-empty list, and a blank entry is an error.
+_provenance_file, which has pointsets.provenance_reference name a field
+that is missing, mistyped or out of range; verify passes the provenance to
+assess with the points.  Every list option, and the coefficient line of
+factor --poly-file, goes through one reader, _list_option: an empty option
+is an empty list, and a blank entry is an error.
 The payloads of cmsweep, inversive, inversive-audit, zaremba and reproduce
 are the fields of the records the library returns, by dataclasses.asdict.
 """
@@ -40,7 +41,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import __version__
-from .algebra import Poly, parse_poly_file
+from .algebra import Poly
 from .diophantine import zaremba_table
 from .factorizer import factor
 from .generators import (
@@ -52,6 +53,7 @@ from .generators import (
 )
 from .permutations import fb_sweep, isbn10_weighted_sum
 from .pointsets import (
+    GeneratingMatrixSet,
     PointSet,
     digital_net,
     digital_points,
@@ -63,8 +65,8 @@ from .pointsets import (
     polynomial_lattice,
     pointset_from_csv,
     pointset_to_csv,
+    provenance_reference,
 )
-from .pointsets import _matrices_from_provenance
 from .quality import BudgetError, assess, p_alpha, qmc_integrate, star_discrepancy
 
 __all__ = ["main"]
@@ -158,30 +160,24 @@ def _read_points(path: str, provenance: Optional[dict] = None) -> PointSet:
 # gen
 # ---------------------------------------------------------------------------
 
-# provenance fields that gen and verify read, by the matrices or the kind
-# of set they describe
-_PROVENANCE_FIELDS = {"matrices": ("b",), "lattice": ("a", "n"), "polylattice": ("b", "f", "g")}
-
-
-def _provenance_file(path: str) -> dict:
-    """The JSON object in path, or the one under its "provenance" key, with
-    every field that its matrices or its kind of set needs."""
+def _provenance_file(path: str) -> tuple[dict, object]:
+    """The provenance in path (its JSON object, or the one under its
+    "provenance" key) and the reference that provenance_reference reads."""
     with open(path) as fh:
         meta = json.load(fh)
     if isinstance(meta, dict):
         meta = meta.get("provenance", meta)
     if not isinstance(meta, dict):
         raise ValueError(f"{path}: provenance is not a JSON object")
-    what = "matrices" if "matrices" in meta else meta.get("kind")
-    missing = [f'"{name}"' for name in _PROVENANCE_FIELDS.get(what, ()) if name not in meta]
-    if missing:
-        raise ValueError(f"{path}: provenance lacks {', '.join(missing)} for its {what}")
-    return meta
+    try:
+        return meta, provenance_reference(meta)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _gen_digital(args) -> PointSet:
-    G = _matrices_from_provenance(_provenance_file(args.matrices))
-    if G is None:
+    _, G = _provenance_file(args.matrices)
+    if not isinstance(G, GeneratingMatrixSet):
         raise ValueError(f"{args.matrices} holds no generating matrices")
     if args.n is None:
         return digital_net(G)
@@ -260,7 +256,7 @@ def _sidecar_provenance(args) -> Optional[dict]:
         path = os.path.splitext(args.points)[0] + ".json"
         if not os.path.exists(path):
             return None
-    return _provenance_file(path)
+    return _provenance_file(path)[0]
 
 
 def cmd_verify(args) -> int:
@@ -364,8 +360,12 @@ def cmd_cmsweep(args) -> int:
 
 def cmd_factor(args) -> int:
     if args.poly_file:
+        # a p=<prime> line, then the coefficients as a list option; blank lines skipped
         with open(args.poly_file) as fh:
-            f = parse_poly_file(fh.read())
+            lines = [ln.strip() for ln in fh if ln.strip()]
+        if len(lines) < 2 or not lines[0].lower().startswith("p="):
+            raise ValueError("polynomial file needs a p=<prime> line, then a coefficient line")
+        f = Poly(_list_option(lines[1]), int(lines[0][2:]))
     elif args.coeffs is not None and args.p is not None:
         f = Poly(_list_option(args.coeffs), args.p)
     else:

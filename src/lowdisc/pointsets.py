@@ -12,9 +12,10 @@ generating matrix feeds the most significant digit b^(-1).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +35,7 @@ __all__ = [
     "niederreiter_net",
     "polynomial_lattice_matrices",
     "polynomial_lattice",
+    "provenance_reference",
     "pointset_to_csv",
     "pointset_from_csv",
 ]
@@ -85,6 +87,22 @@ def _integer(v) -> int:
     raise ValueError(f"numerator {v!r} is not an integer")
 
 
+class _ReadOnlyDict(dict):
+    """A dict that refuses every change; json.dumps writes it as any dict."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a point set's provenance is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+
+def _frozen(value):
+    """value with its dicts made read-only and its lists tuples, at every depth."""
+    if isinstance(value, dict):
+        return _ReadOnlyDict((key, _frozen(v)) for key, v in value.items())
+    return tuple(map(_frozen, value)) if isinstance(value, (list, tuple)) else value
+
+
 class PointSet:
     """Immutable container for N points in [0,1)^s.
 
@@ -95,7 +113,8 @@ class PointSet:
     otherwise.  A float set stores an (N, s) float64 array, float_rows.
     Both arrays are read-only copies of what the caller passed, validated
     as whole arrays by the only constructors, exact and floating.
-    Provenance is a small JSON-ready dict recording how the set was built.
+    Provenance is a small JSON-ready dict recording how the set was built,
+    fixed with it (read-only dicts, lists as tuples).
     """
 
     @classmethod
@@ -128,7 +147,7 @@ class PointSet:
         self.numerators = numerators
         self.denominators = denominators
         self.float_rows = float_rows
-        self.provenance = dict(provenance or {})
+        self.provenance = _frozen(provenance or {})
         self.count, self.dim = (float_rows if numerators is None else numerators).shape
         return self
 
@@ -175,11 +194,14 @@ class PointSet:
 # ---------------------------------------------------------------------------
 
 def _lattice_generator(a: Sequence[int], n: int) -> list[int]:
-    """The generating vector a reduced mod n, for n >= 1 and a nonempty."""
+    """The generating vector a reduced mod n, for n >= 1 and a nonempty a of ints (no bools)."""
     if n < 1:
         raise ValueError("need n >= 1")
     if not a:
         raise ValueError("empty generating vector")
+    bad = [v for v in a if not _nested_ints(v, 0)]
+    if bad:
+        raise ValueError(f"generating vector entry {bad[0]!r} is not an int")
     return [int(v) % n for v in a]
 
 
@@ -359,31 +381,22 @@ class GeneratingMatrixSet:
     """
 
     b: int
-    matrices: tuple[tuple[tuple[int, ...], ...], ...]
+    matrices: Iterable[Iterable[Iterable[int]]]  # stored as tuples of tuples of ints
 
     def __post_init__(self):
         check_prime(self.b)
-        if not self.matrices:
-            raise ValueError("need at least one matrix")
-        shapes = {(len(mat), len(mat[0]) if mat else 0) for mat in self.matrices}
-        if len(shapes) != 1:
+        mats = tuple(tuple(tuple(int(v) for v in row) for row in mat) for mat in self.matrices)
+        object.__setattr__(self, "matrices", mats)  # any nested iterables, stored as tuples
+        shapes = {(len(mat), len(mat[0]) if mat else 0) for mat in mats}
+        if len(shapes) > 1:
             raise ValueError(f"inconsistent matrix shapes: {shapes}")
-        for mat in self.matrices:
-            for row in mat:
-                if len(row) != len(mat[0]):
-                    raise ValueError("ragged matrix")
-                for v in row:
-                    if not 0 <= v < self.b:
-                        raise ValueError(f"entry {v} outside F_{self.b}")
-
-    @classmethod
-    def from_lists(cls, b: int, mats: Iterable[Iterable[Iterable[int]]]) -> "GeneratingMatrixSet":
-        return cls(
-            b=b,
-            matrices=tuple(
-                tuple(tuple(int(v) for v in row) for row in mat) for mat in mats
-            ),
-        )
+        if not shapes or 0 in shapes.pop():
+            raise ValueError("need at least one matrix, with a row and a column")
+        if any(len(row) != len(mat[0]) for mat in mats for row in mat):
+            raise ValueError("ragged matrix")
+        outside = [v for mat in mats for row in mat for v in row if not 0 <= v < self.b]
+        if outside:
+            raise ValueError(f"entry {outside[0]} outside F_{self.b}")
 
     @property
     def s(self) -> int:
@@ -396,9 +409,6 @@ class GeneratingMatrixSet:
     @property
     def cols(self) -> int:
         return len(self.matrices[0][0])
-
-    def as_lists(self) -> list[list[list[int]]]:
-        return [[list(row) for row in mat] for mat in self.matrices]
 
 
 def _index_range(start: int, count: int, bound: int) -> np.ndarray:
@@ -428,6 +438,22 @@ def digital_points(G: GeneratingMatrixSet, start: int, count: int) -> PointSet:
     Index digits (least significant first) fill the column vector; matrix
     rows give base-b digits of the coordinate, row 1 being the most
     significant.  Denominator is b^rows for every coordinate.
+    """
+    return _digital_set(G, start, count)
+
+
+def _digital_set(G: GeneratingMatrixSet, start: int, count: int, **fields) -> PointSet:
+    """digital_points(G, start, count), `fields` added to or overriding its provenance."""
+    recorded = dict(kind="digital", b=G.b, rows=G.rows, cols=G.cols, start=start, n=count)
+    return PointSet.exact(
+        _digital_numerators(G, start, count),
+        [G.b ** G.rows] * G.s,
+        provenance={**recorded, "matrices": G.matrices, **fields},
+    )
+
+
+def _digital_numerators(G: GeneratingMatrixSet, start: int, count: int) -> np.ndarray:
+    """The (count, s) numerators of digital_points(G, start, count).
 
     k -> C k is linear over F_b, so with k = k_hi b^h + k_lo the digits of
     x_k are T_lo[k_lo] + T_hi[k_hi] mod b: T_lo holds C times all b^h low
@@ -447,7 +473,6 @@ def digital_points(G: GeneratingMatrixSet, start: int, count: int) -> PointSet:
         raise ValueError(
             f"index {start + count - 1} does not fit in {cols} base-{b} digits"
         )
-    den = b ** rows_n
     h = 0
     while b ** (2 * h + 2) <= count:
         h += 1
@@ -457,7 +482,7 @@ def digital_points(G: GeneratingMatrixSet, start: int, count: int) -> PointSet:
     stacked = [row for mat in G.matrices for row in mat]
     t_lo = _digit_table([row[:h] for row in stacked], b, 0, block)
     t_hi = _digit_table([row[h:] for row in stacked], b, hi_first, hi_count)
-    columns = np.zeros((G.s, count), dtype=_int_dtype(den))
+    columns = np.zeros((G.s, count), dtype=_int_dtype(b ** rows_n))
     tables = zip(t_lo.reshape(G.s, rows_n, block), t_hi.reshape(G.s, rows_n, hi_count))
     for column, (lo, hi) in zip(columns, tables):
         # Horner over the matrix rows, most significant digit first
@@ -468,29 +493,14 @@ def digital_points(G: GeneratingMatrixSet, start: int, count: int) -> PointSet:
                 np.minimum(wrapped, wrapped - b, out=wrapped)
             column *= b
             column += digits
-    return PointSet.exact(
-        columns.T,
-        [den] * G.s,
-        provenance={
-            "kind": "digital",
-            "b": b,
-            "rows": rows_n,
-            "cols": cols,
-            "start": start,
-            "n": count,
-            "matrices": G.as_lists(),
-        },
-    )
+    return columns.T
 
 
 def digital_net(G: GeneratingMatrixSet) -> PointSet:
     """The net of all b^m points of a square m x m matrix set."""
     if G.rows != G.cols:
         raise ValueError(f"digital net needs square matrices, got {G.rows}x{G.cols}")
-    ps = digital_points(G, 0, G.b ** G.rows)
-    ps.provenance["kind"] = "digital_net"
-    ps.provenance["m"] = G.rows
-    return ps
+    return _digital_set(G, 0, G.b ** G.rows, kind="digital_net", m=G.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -538,10 +548,7 @@ def niederreiter_matrices(
 def niederreiter_net(b: int, s: int, m: int) -> PointSet:
     """First b^m Niederreiter points truncated to m digits: a (t, m, s)-net."""
     G = niederreiter_matrices(b, s, rows=m, cols=m)
-    ps = digital_net(G)
-    ps.provenance["kind"] = "niederreiter"
-    ps.provenance["s"] = s
-    return ps
+    return _digital_set(G, 0, b ** m, kind="niederreiter", m=m, s=s)
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +574,7 @@ def polynomial_lattice_matrices(f: Poly, g: Sequence[Poly]) -> GeneratingMatrixS
             raise ValueError("deg g_j must be < deg f")
         c = laurent_expand(gj, f, order=1 - 2 * m)
         mats.append([c[i : i + m] for i in range(m)])
-    return GeneratingMatrixSet.from_lists(b, mats)
+    return GeneratingMatrixSet(b, mats)
 
 
 def polynomial_lattice(f: Poly, g: Sequence[Poly]) -> PointSet:
@@ -577,26 +584,56 @@ def polynomial_lattice(f: Poly, g: Sequence[Poly]) -> PointSet:
     the digital net of polynomial_lattice_matrices(f, g)."""
     G = polynomial_lattice_matrices(f, g)
     b, m = G.b, G.cols
-    ps = digital_points(G, 0, b ** m)
-    ps.provenance = {
-        "kind": "polylattice",
-        "b": b,
-        "m": m,
-        "f": list(f.coeffs),
-        "g": [list(gj.coeffs) for gj in g],
-    }
-    return ps
+    return PointSet.exact(
+        _digital_numerators(G, 0, b ** m),
+        [b ** m] * G.s,
+        provenance=dict(kind="polylattice", b=b, m=m, f=f.coeffs, g=[gj.coeffs for gj in g]),
+    )
 
 
-def _matrices_from_provenance(prov: dict) -> Optional[GeneratingMatrixSet]:
-    """The generating matrices a provenance names: the ones a digital set
-    records, or a polynomial lattice's from its f and g; None for any other."""
-    if "matrices" in prov:
-        return GeneratingMatrixSet.from_lists(prov["b"], prov["matrices"])
-    if prov.get("kind") == "polylattice":
-        b = prov["b"]
-        return polynomial_lattice_matrices(Poly(prov["f"], b), [Poly(gj, b) for gj in prov["g"]])
-    return None
+# ---------------------------------------------------------------------------
+# The reference a provenance names
+# ---------------------------------------------------------------------------
+
+# what a provenance names -> ({field: depth of lists around its ints}, reference builder)
+_REFERENCES = {
+    "lattice": ({"a": 1, "n": 0}, lambda a, n: (_lattice_generator(a, n), n)),
+    "matrices": ({"b": 0, "matrices": 3}, GeneratingMatrixSet),
+    "polylattice": (
+        {"b": 0, "f": 1, "g": 2},
+        lambda b, f, g: polynomial_lattice_matrices(Poly(f, b), [Poly(gj, b) for gj in g]),
+    ),
+}
+
+
+def provenance_reference(prov: Mapping) -> tuple[list[int], int] | GeneratingMatrixSet | None:
+    """The reference a provenance names: a lattice's (a, n), a reduced mod
+    n; the generating matrices a digital set records, or a polynomial
+    lattice's from its f and g; None for any other set.  The one reader of
+    provenance fields: a field that is missing, of the wrong type or out of
+    range raises ValueError naming it."""
+    what = "matrices" if "matrices" in prov else prov.get("kind")
+    if what not in _REFERENCES:
+        return None
+    fields, build = _REFERENCES[what]
+    for name, depth in fields.items():
+        if name not in prov:
+            raise ValueError(f'provenance lacks "{name}" for its {what}')
+        if not _nested_ints(prov[name], depth):
+            kind = "a list of " + "lists of " * (depth - 1) + "ints" if depth else "an int"
+            raise ValueError(f'provenance field "{name}" must be {kind}')
+    try:
+        return build(*(prov[name] for name in fields))
+    except ValueError as exc:
+        named = ", ".join(f'"{name}"' for name in fields)
+        raise ValueError(f"provenance fields {named}: {exc}") from None
+
+
+def _nested_ints(value, depth: int) -> bool:
+    """Is value an int, not a bool (depth 0), or a list or tuple of depth - 1 ones?"""
+    if depth == 0:
+        return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return isinstance(value, (list, tuple)) and all(_nested_ints(v, depth - 1) for v in value)
 
 
 # ---------------------------------------------------------------------------

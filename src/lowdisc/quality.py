@@ -33,7 +33,7 @@ import numpy as np
 
 from .algebra import nullspace_mod_p
 from .pointsets import GeneratingMatrixSet, PointSet, digital_net, lattice_points
-from .pointsets import _index_range, _lattice_generator, _matrices_from_provenance
+from .pointsets import _index_range, _lattice_generator, provenance_reference
 
 __all__ = [
     "BudgetError",
@@ -519,8 +519,8 @@ def assess(
     preconditions hold and left None otherwise (budget misses included).
 
     t_dual describes the digital net of the square matrices and p2 the
-    lattice that ps.provenance names; each is reported only when ps holds
-    exactly those points.
+    lattice that ps.provenance names (a bad field raises ValueError); each
+    is reported only when ps holds exactly those points.
     """
     t_geo = None
     if b is not None and m is not None and ps.is_exact:
@@ -529,14 +529,13 @@ def assess(
         except (ValueError, BudgetError):
             t_geo = None
     t_dual = None
-    prov = ps.provenance
-    G = _matrices_from_provenance(prov)
-    if G is not None and G.rows == G.cols:
+    ref = provenance_reference(ps.provenance)
+    if isinstance(ref, GeneratingMatrixSet) and ref.rows == ref.cols:
         try:
-            t_dual = minimal_t_dual(G)
+            t_dual = minimal_t_dual(ref)
         except BudgetError:
             t_dual = None
-        if t_dual is not None and not _holds(ps, G.b ** G.rows, lambda: digital_net(G)):
+        if t_dual is not None and not _holds(ps, ref.b ** ref.rows, lambda: digital_net(ref)):
             t_dual = None
     d_star = None
     try:
@@ -544,10 +543,8 @@ def assess(
     except BudgetError:
         d_star = None
     p2 = None
-    if prov.get("kind") == "lattice" and _holds(
-        ps, prov["n"], lambda: lattice_points(prov["a"], prov["n"])
-    ):
-        p2 = p_alpha(prov["a"], prov["n"])
+    if isinstance(ref, tuple) and _holds(ps, ref[1], lambda: lattice_points(*ref)):
+        p2 = p_alpha(*ref)
     diag = None
     # a geometric t implies b and m were given
     if t_geo is not None and d_star is not None and m >= 2:

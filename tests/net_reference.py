@@ -99,7 +99,7 @@ def digital_points(G: GeneratingMatrixSet, start: int, count: int) -> PointSet:
             "cols": cols,
             "start": start,
             "n": count,
-            "matrices": G.as_lists(),
+            "matrices": G.matrices,
         },
     )
 
@@ -141,7 +141,7 @@ def digital_points_by_product(G: GeneratingMatrixSet, start: int, count: int) ->
             "cols": cols,
             "start": start,
             "n": count,
-            "matrices": G.as_lists(),
+            "matrices": G.matrices,
         },
     )
 

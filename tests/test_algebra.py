@@ -20,8 +20,6 @@ from lowdisc.algebra import (
     is_prime,
     laurent_expand,
     monic_irreducibles,
-    parse_poly_file,
-    poly_from_string,
     poly_gcd,
 )
 
@@ -491,27 +489,3 @@ def test_pow_with_a_modulus_matches_pow_then_mod():
                 continue
             k = rng.randint(0, 12)
             assert pow(g, k, f) == g ** k % f
-
-
-# --- serialization -------------------------------------------------------------
-
-def test_poly_string_roundtrip():
-    f = poly_from_string("1,0,2,1", 3)
-    assert f == Poly([1, 0, 2, 1], 3)
-    assert ",".join(map(str, f.coeffs)) == "1,0,2,1"
-    assert poly_from_string("1, 0, 5,", 3) == Poly([1, 0, 2], 3)
-    assert poly_from_string("0", 5).is_zero
-
-
-def test_poly_file_roundtrip():
-    assert parse_poly_file("p=3\n1,0,2,1\n") == Poly([1, 0, 2, 1], 3)
-    assert parse_poly_file("\nP=2\n\n1,1,0,1") == Poly([1, 1, 0, 1], 2)
-    with pytest.raises(ValueError):
-        parse_poly_file("1,1,0,1\n")
-    with pytest.raises(ValueError):
-        parse_poly_file("p=2\n")
-
-
-def test_poly_from_string_rejects_garbage():
-    with pytest.raises(ValueError):
-        poly_from_string("1,x,0", 2)

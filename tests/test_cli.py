@@ -366,6 +366,36 @@ def test_verify_sidecar_missing_a_field_names_it(tmp_path, capsys, sidecar, miss
     assert json.loads(out) == {"error": f"{side}: provenance lacks {missing}"}
 
 
+@pytest.mark.parametrize(
+    "sidecar,error",
+    [
+        ({"kind": "lattice", "a": [1, 3], "n": "4"}, 'field "n" must be an int'),
+        ({"kind": "lattice", "a": [1, 3], "n": True}, 'field "n" must be an int'),
+        ({"kind": "lattice", "a": [1, 3.5], "n": 4}, 'field "a" must be a list of ints'),
+        ({"kind": "lattice", "a": [1, 3], "n": 0}, 'fields "a", "n": need n >= 1'),
+        ({"b": 2, "matrices": 5}, 'field "matrices" must be a list of lists of lists of ints'),
+        ({"b": 2.0, "matrices": [[[1]]]}, 'field "b" must be an int'),
+        ({"b": 4, "matrices": [[[1]]]}, 'fields "b", "matrices": modulus must be prime, got 4'),
+        ({"b": 2, "matrices": [[]]}, 'fields "b", "matrices": need at least one matrix, with a row'),
+        (
+            {"kind": "polylattice", "b": 2, "f": [1, 1, 0, 1], "g": 7},
+            'field "g" must be a list of lists of ints',
+        ),
+    ],
+)
+def test_verify_sidecar_with_a_bad_field_names_it(tmp_path, capsys, sidecar, error):
+    run(capsys, "gen", "--kind", "lattice", "--a", "1,3", "--n", "4", "--out", str(tmp_path))
+    side = tmp_path / "side.json"
+    side.write_text(json.dumps(sidecar))
+    code, out = run(capsys, "verify", "--points", str(tmp_path / "points.csv"),
+                    "--sidecar", str(side))
+    assert code == 1
+    assert json.loads(out)["error"].startswith(f"{side}: provenance {error}")
+    code, out = run(capsys, "gen", "--kind", "digital", "--matrices", str(side))
+    assert code == 1
+    assert json.loads(out)["error"].startswith(f"{side}: provenance {error}")
+
+
 def test_verify_ignores_a_lattice_sidecar_of_other_points(tmp_path, capsys):
     # 55 Halton points with the sidecar of the 55-point Fibonacci lattice
     run(capsys, "gen", "--kind", "halton", "--bases", "2,3", "--n", "55",
@@ -602,6 +632,46 @@ def test_factor_from_poly_file(tmp_path, capsys):
         {"coeffs": [0, 1], "multiplicity": 2},
         {"coeffs": [1, 1], "multiplicity": 1},
     ]
+
+
+def test_factor_reads_a_poly_file(tmp_path, capsys):
+    # the header in either case, blank lines and spaces skipped, and the
+    # coefficients reduced mod p
+    path = tmp_path / "f.txt"
+    for text, p, coeffs in [
+        ("p=3\n1,0,2,1\n", 3, [1, 0, 2, 1]),
+        ("\nP=2\n\n1,1,0,1", 2, [1, 1, 0, 1]),
+        ("p=3\n 1, 0, 5 \n", 3, [1, 0, 2]),
+    ]:
+        path.write_text(text)
+        code, out = run(capsys, "factor", "--poly-file", str(path), "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["p"], payload["input"]) == (p, coeffs)
+
+
+_NO_POLY = "polynomial file needs a p=<prime> line, then a coefficient line"
+
+
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        ("1,1,0,1\n", _NO_POLY),
+        ("p=2\n", _NO_POLY),
+        ("p=2\n1,x,0\n", "invalid literal for int() with base 10: 'x'"),
+        ("p=3\n1, 0, 5,\n", "blank entry in '1, 0, 5,'"),
+        ("p=2\n1,,1\n", "blank entry in '1,,1'"),
+    ],
+    ids=["no-header", "no-coefficients", "garbage", "trailing-blank", "blank-entry"],
+)
+def test_factor_refuses_a_malformed_poly_file(tmp_path, capsys, text, error):
+    # the coefficient line is read as --coeffs is: a blank entry is refused,
+    # not skipped (p=2 with 1,,1 once factored x+1)
+    path = tmp_path / "f.txt"
+    path.write_text(text)
+    code, out = run(capsys, "factor", "--poly-file", str(path))
+    assert code == 1
+    assert json.loads(out) == {"error": error}
 
 
 def test_factor_human_rendering(capsys):

@@ -21,8 +21,13 @@ else.
 Criterion 4's trial-division oracle names no factorizer code, so it stays
 independent of the route it checks.
 
-Last: cli.py splits text only inside its one list reader, so a new list
-option cannot bring back a second decoder with rules of its own."""
+Also: cli.py splits text only inside its one list reader, so a new list
+option cannot bring back a second decoder with rules of its own.
+
+Last: no code of the package reads a provenance's fields outside the one
+decoder, pointsets.provenance_reference, or writes into a provenance, so
+every reference a provenance names is read with the same checks, and a
+set's provenance stays what its construction passed."""
 
 import ast
 import dataclasses
@@ -440,3 +445,84 @@ def test_split_checker_finds_a_second_decoder():
 
 def test_cli_splits_text_only_in_its_list_reader():
     assert splits_outside((SRC / "cli.py").read_text(), "_list_option") == []
+
+
+# where package code may touch a provenance's fields: the decoder, the
+# repr's read of its kind, and the one assignment that stores it
+PROVENANCE_READERS = {"provenance_reference", "PointSet.__repr__", "PointSet._fill"}
+
+
+def _is_provenance(node: ast.AST) -> bool:
+    """Is node `<expr>.provenance`, or a name `prov` or `provenance`?"""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "provenance"
+    return isinstance(node, ast.Name) and node.id in {"prov", "provenance"}
+
+
+def _touches_provenance(node: ast.AST) -> bool:
+    """Does node subscript a provenance, read an attribute of one (its
+    .get or any other method), or assign to one?"""
+    if isinstance(node, (ast.Subscript, ast.Attribute)) and _is_provenance(node.value):
+        return True
+    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return any(isinstance(t, ast.Attribute) and _is_provenance(t) for t in targets)
+    return False
+
+
+def provenance_reads_outside(source: str, allowed: set[str]) -> list[str]:
+    """"qualname:line" (or "<module>:line") of each subscript of, attribute
+    read off, or assignment to a provenance in source outside the
+    functions and methods whose qualified names are in allowed."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = child.name if where == "<module>" else f"{where}.{child.name}"
+                if name not in allowed:
+                    visit(child, name)
+                continue
+            if _touches_provenance(child):
+                found.append(f"{where}:{child.lineno}")
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_provenance_checker_finds_a_second_reader():
+    source = (
+        "def provenance_reference(prov):\n"
+        "    return prov['a'], prov.get('n')\n"
+        "class PointSet:\n"
+        "    def __repr__(self):\n"
+        "        return self.provenance.get('kind')\n"
+        "    def grow(self):\n"
+        "        self.provenance['m'] = 3\n"
+        "def build(ps, provenance):\n"
+        "    ps.provenance = {}\n"
+        "    return provenance.get('b'), ps.provenance, f(provenance=provenance)\n"
+        "N = lambda prov: prov['n']\n"
+    )
+    allowed = {"provenance_reference", "PointSet.__repr__"}
+    assert provenance_reads_outside(source, allowed) == [
+        "PointSet.grow:7",
+        "build:9",
+        "build:10",
+        "<module>:11",
+    ]
+    quality = (SRC / "quality.py").read_text()
+    planted = quality.replace(
+        "ref = provenance_reference(ps.provenance)",
+        'ref = provenance_reference(ps.provenance) if ps.provenance.get("kind") else None',
+        1,
+    )
+    assert planted != quality
+    found = provenance_reads_outside(planted, PROVENANCE_READERS)
+    assert [where.partition(":")[0] for where in found] == ["assess"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_decoder_reads_provenance_fields(path):
+    assert provenance_reads_outside(path.read_text(), PROVENANCE_READERS) == []

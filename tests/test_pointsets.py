@@ -1,7 +1,9 @@
 """Tests for point-set constructions: lattices, Kronecker, Halton, hybrid,
 digital nets, Niederreiter matrices, polynomial lattices, CSV round trips."""
 
+import json
 import math
+import operator
 import random
 import re
 import tracemalloc
@@ -36,6 +38,7 @@ from lowdisc.pointsets import (
     pointset_to_csv,
     polynomial_lattice,
     polynomial_lattice_matrices,
+    provenance_reference,
 )
 from lowdisc.pointsets import _canonical_exact_csv, _general_csv
 
@@ -240,6 +243,11 @@ def test_lattice_validation():
         lattice_points([1], 0)
     with pytest.raises(ValueError):
         lattice_points([], 5)
+    # a float or a bool is not an int, and is not truncated into one
+    for a, entry in (([1.5, 3], "1.5"), ([True, 3], "True"), ([1, "3"], "'3'")):
+        with pytest.raises(ValueError, match=f"entry {re.escape(entry)} is not an int"):
+            lattice_points(a, 4)
+    assert lattice_points([np.int64(1), 7], 4).provenance["a"] == (1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +381,7 @@ def test_halton_coprimality_guard():
         halton([2, 4], 8)
 
 
-_MATRIX = GeneratingMatrixSet.from_lists(2, [[[1, 0], [0, 1]]])
+_MATRIX = GeneratingMatrixSet(2, [[[1, 0], [0, 1]]])
 
 
 @pytest.mark.parametrize("error, message, call", [
@@ -383,7 +391,7 @@ _MATRIX = GeneratingMatrixSet.from_lists(2, [[[1, 0], [0, 1]]])
     (ValueError, "need start >= 0", lambda: halton([2], 4, start=-1)),
     (ValueError, "empty list of bases", lambda: halton([], 3)),
     (ValueError, "bases must be >= 2", lambda: halton([1], 4)),
-    (ValueError, "ragged matrix", lambda: GeneratingMatrixSet.from_lists(2, [[[1, 0], [1]]])),
+    (ValueError, "ragged matrix", lambda: GeneratingMatrixSet(2, [[[1, 0], [1]]])),
     (ValueError, "need count >= 1", lambda: digital_points(_MATRIX, 0, 0)),
     (ValueError, "need start >= 0", lambda: digital_points(_MATRIX, -1, 2)),
     (ValueError, "need s >= 1", lambda: niederreiter_matrices(2, 0, 3)),
@@ -474,30 +482,32 @@ def test_hybrid_with_zero_dimensional_set_is_identity():
 
 def test_matrix_set_validation():
     with pytest.raises(ValueError):
-        GeneratingMatrixSet.from_lists(4, [[[1]]])  # base not prime
+        GeneratingMatrixSet(4, [[[1]]])  # base not prime
     with pytest.raises(ValueError):
-        GeneratingMatrixSet.from_lists(2, [[[2]]])  # entry outside F_2
+        GeneratingMatrixSet(2, [[[2]]])  # entry outside F_2
     with pytest.raises(ValueError):
-        GeneratingMatrixSet.from_lists(2, [[[1, 0]], [[1]]])  # shape mismatch
-    with pytest.raises(ValueError):
-        GeneratingMatrixSet.from_lists(2, [])
+        GeneratingMatrixSet(2, [[[1, 0]], [[1]]])  # shape mismatch
+    for empty in ([], [[]], [[[]]]):  # no matrix, no rows, rows without columns
+        with pytest.raises(ValueError, match="need at least one matrix, with a row and a column"):
+            GeneratingMatrixSet(2, empty)
 
 
 def test_matrix_set_roundtrip_and_shape():
     mats = [[[1, 0], [0, 1]], [[1, 1], [0, 1]]]
-    G = GeneratingMatrixSet.from_lists(2, mats)
+    G = GeneratingMatrixSet(2, mats)
     assert (G.s, G.rows, G.cols) == (2, 2, 2)
-    assert G.as_lists() == mats
+    assert G.matrices == ((((1, 0), (0, 1)), ((1, 1), (0, 1))))
+    assert G == GeneratingMatrixSet(2, G.matrices)
 
 
 def test_digital_net_requires_square():
-    G = GeneratingMatrixSet.from_lists(2, [[[1, 0, 0], [0, 1, 0]]])
+    G = GeneratingMatrixSet(2, [[[1, 0, 0], [0, 1, 0]]])
     with pytest.raises(ValueError):
         digital_net(G)
 
 
 def test_digital_points_index_must_fit():
-    G = GeneratingMatrixSet.from_lists(2, [[[1, 0], [0, 1]]])
+    G = GeneratingMatrixSet(2, [[[1, 0], [0, 1]]])
     with pytest.raises(ValueError):
         digital_points(G, 0, 5)
     with pytest.raises(ValueError):
@@ -521,7 +531,7 @@ def digital_inputs(draw):
     s = draw(st.integers(1, 3))
     entry = st.integers(0, b - 1)
     matrix = st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
-    G = GeneratingMatrixSet.from_lists(b, draw(st.lists(matrix, min_size=s, max_size=s)))
+    G = GeneratingMatrixSet(b, draw(st.lists(matrix, min_size=s, max_size=s)))
     start = draw(st.integers(0, b ** cols - 1))
     count = draw(st.integers(1, min(64, b ** cols - start)))
     return G, start, count
@@ -545,7 +555,7 @@ def test_digital_points_wide_integers(rows, start, count):
     rng = random.Random(rows)
     mats = [[[rng.randrange(2) for _ in range(64)] for _ in range(rows)] for _ in range(2)]
     mats.append([[1] * 64] * rows)  # every row the parity of the index bits
-    G = GeneratingMatrixSet.from_lists(2, mats)
+    G = GeneratingMatrixSet(2, mats)
     ps = digital_points(G, start, count)
     _assert_same_points(ps, net_reference.digital_points(G, start, count))
     assert ps.denominators == (2 ** rows,) * 3
@@ -554,7 +564,7 @@ def test_digital_points_wide_integers(rows, start, count):
 def test_digital_points_large_base_dot_products():
     # b^rows < 2^63 but (b - 1)^2 > 2^63: the dot products must not wrap
     b = 3037000507
-    G = GeneratingMatrixSet.from_lists(b, [[[b - 1, b - 1]]])
+    G = GeneratingMatrixSet(b, [[[b - 1, b - 1]]])
     ps = digital_points(G, b - 2, 2)
     _assert_same_points(ps, net_reference.digital_points(G, b - 2, 2))
     assert ps.numerators.tolist() == [[2], [1]]
@@ -571,7 +581,7 @@ def split_index_inputs(draw):
     s = draw(st.integers(1, 3))
     entry = st.integers(0, b - 1)
     matrix = st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
-    G = GeneratingMatrixSet.from_lists(b, draw(st.lists(matrix, min_size=s, max_size=s)))
+    G = GeneratingMatrixSet(b, draw(st.lists(matrix, min_size=s, max_size=s)))
     top = b ** cols
     start = draw(st.one_of(st.integers(0, top - 1), st.just(min(3 * b ** rows + 5, top - 1))))
     count = draw(st.integers(1, min(700, top - start)))
@@ -606,7 +616,7 @@ def test_digital_points_digit_types(b, rows):
     # digits below 2^63 are int64, Python ints above; 5 points keep h = 0
     rng = random.Random(b + rows)
     mats = [[[rng.randrange(b) for _ in range(2)] for _ in range(rows)] for _ in range(2)]
-    G = GeneratingMatrixSet.from_lists(b, mats)
+    G = GeneratingMatrixSet(b, mats)
     start = rng.randrange(b ** 2 - 5)
     ref = net_reference.digital_points_by_product(G, start, 5)
     _assert_same_points(digital_points(G, start, 5), ref)
@@ -616,7 +626,7 @@ def test_digital_points_split_follows_count_not_cols():
     # 64 index digits and 4 points: a split at cols / 2 would want 2^32-entry tables
     rng = random.Random(64)
     matrix = [[rng.randrange(2) for _ in range(64)] for _ in range(64)]
-    G = GeneratingMatrixSet.from_lists(2, [matrix])
+    G = GeneratingMatrixSet(2, [matrix])
     for start in (0, 2 ** 63 - 2, 2 ** 64 - 4):
         tracemalloc.start()
         try:
@@ -630,7 +640,7 @@ def test_digital_points_split_follows_count_not_cols():
 
 def test_identity_matrix_gives_van_der_corput():
     ident = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
-    G = GeneratingMatrixSet.from_lists(2, [ident])
+    G = GeneratingMatrixSet(2, [ident])
     ps = digital_net(G)
     for k, row in enumerate(ps.numerators):
         num, den = radical_inverse(k, 2)
@@ -1030,3 +1040,109 @@ def test_csv_array_route_reads_no_saturated_integer():
     top = 10 ** 18 - 1
     ps = _canonical_exact_csv(f"x1\n{top - 1}/{top}\n", None)
     assert ps.numerators.tolist() == [[top - 1]] and ps.denominators == (top,)
+
+
+# ---------------------------------------------------------------------------
+# Provenance: fixed when the set is built, decoded by provenance_reference
+# ---------------------------------------------------------------------------
+
+@st.composite
+def built_sets(draw):
+    """(a set that one construction builds, the reference it was built from)."""
+    which = draw(st.sampled_from(["lattice", "digital", "digital_net", "niederreiter", "polylattice"]))
+    b = draw(st.sampled_from([2, 3]))
+    if which == "lattice":
+        n = draw(st.integers(1, 40))
+        a = draw(st.lists(st.integers(-100, 100), min_size=1, max_size=3))
+        return lattice_points(a, n), ([v % n for v in a], n)
+    if which == "niederreiter":
+        s, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        return niederreiter_net(b, s, m), niederreiter_matrices(b, s, m)
+    digits = st.integers(0, b - 1)
+    if which == "polylattice":
+        m = draw(st.integers(1, 3))
+        f = Poly(draw(st.lists(digits, min_size=m, max_size=m)) + [1], b)
+        g = [Poly(gj, b) for gj in draw(st.lists(st.lists(digits, max_size=m), min_size=1, max_size=3))]
+        return polynomial_lattice(f, g), polynomial_lattice_matrices(f, g)
+    rows = draw(st.integers(1, 3))
+    cols = rows if which == "digital_net" else draw(st.integers(rows, rows + 2))
+    matrix = st.lists(st.lists(digits, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+    G = GeneratingMatrixSet(b, draw(st.lists(matrix, min_size=1, max_size=3)))
+    if which == "digital_net":
+        return digital_net(G), G
+    count = draw(st.integers(1, b ** cols))
+    return digital_points(G, draw(st.integers(0, b ** cols - count)), count), G
+
+
+@given(built_sets())
+@settings(max_examples=80)
+def test_every_construction_provenance_decodes_to_its_reference(built):
+    ps, ref = built
+    assert provenance_reference(ps.provenance) == ref
+    assert provenance_reference(json.loads(json.dumps(ps.provenance))) == ref
+
+
+def test_halton_kronecker_and_hybrid_provenances_name_no_reference():
+    sets = [halton([2, 3], 5), kronecker(["sqrt(2)"], 5)]
+    sets += [hybrid(*sets), hybrid(lattice_points([1, 3], 5), niederreiter_net(5, 1, 1))]
+    for ps in sets:
+        assert provenance_reference(ps.provenance) is None
+        assert provenance_reference(json.loads(json.dumps(ps.provenance))) is None
+
+
+def test_provenance_is_read_only():
+    ps = hybrid(niederreiter_net(2, 2, 2), lattice_points([1, 3], 4))
+    writes = [
+        lambda p: operator.setitem(p, "kind", "other"),
+        lambda p: operator.delitem(p, "kind"),
+        lambda p: operator.ior(p, {"n": 5}),
+        lambda p: p.update(n=5),
+        lambda p: p.setdefault("extra", 1),
+        lambda p: p.pop("kind"),
+        lambda p: p.popitem(),
+        lambda p: p.clear(),
+        lambda p: operator.setitem(p["first"], "kind", "other"),  # nested dicts too
+        lambda p: operator.setitem(p["first"]["matrices"][0], 0, (1, 1)),  # lists are tuples
+    ]
+    for write in writes:
+        with pytest.raises(TypeError):
+            write(ps.provenance)
+    assert ps.provenance["first"]["kind"] == "niederreiter"
+    # the set keeps its own copy of the caller's dict
+    mine = {"kind": "imported", "tags": [1]}
+    ps = PointSet.exact([[0]], [1], provenance=mine)
+    mine["kind"] = "changed"
+    mine["tags"].append(2)
+    assert ps.provenance == {"kind": "imported", "tags": (1,)}
+
+
+def test_read_only_provenance_dumps_as_the_dict_it_was_built_from():
+    G = niederreiter_matrices(3, 2, 2)
+    written = {  # in the order niederreiter_net has always written its fields
+        "kind": "niederreiter", "b": 3, "rows": 2, "cols": 2, "start": 0, "n": 9,
+        "matrices": [[list(row) for row in mat] for mat in G.matrices], "m": 2, "s": 2,
+    }
+    ps = hybrid(niederreiter_net(3, 2, 2), lattice_points([1, 2], 9))
+    plain = {"kind": "hybrid", "n": 9, "first": written, "second": {"kind": "lattice", "n": 9, "a": [1, 2]}}
+    for options in ({}, {"sort_keys": True}, {"indent": 2, "sort_keys": True}):
+        assert json.dumps(ps.provenance, **options) == json.dumps(plain, **options)
+
+
+@pytest.mark.parametrize(
+    "prov,error",
+    [
+        ({"kind": "lattice", "a": [1, 3]}, 'provenance lacks "n" for its lattice'),
+        ({"kind": "lattice", "a": (1, 3.0), "n": 4}, 'field "a" must be a list of ints'),
+        ({"kind": "lattice", "a": [1, 3], "n": 4.0}, 'field "n" must be an int'),
+        ({"kind": "lattice", "a": [], "n": 4}, 'fields "a", "n": empty generating vector'),
+        ({"b": True, "matrices": [[[1]]]}, 'field "b" must be an int'),
+        ({"b": 2, "matrices": [[1]]}, 'field "matrices" must be a list of lists of lists of ints'),
+        ({"b": 2, "matrices": [[[2]]]}, 'fields "b", "matrices": entry 2 outside F_2'),
+        ({"kind": "polylattice", "b": 2, "f": "1,1", "g": [[1]]}, 'field "f" must be a list of ints'),
+        ({"kind": "polylattice", "b": 2, "f": [1, 1], "g": [1]}, 'field "g" must be a list of lists of ints'),
+        ({"kind": "polylattice", "b": 2, "f": [1, 1], "g": [[0, 1]]}, "deg g_j must be < deg f"),
+    ],
+)
+def test_provenance_reference_names_a_bad_field(prov, error):
+    with pytest.raises(ValueError, match=re.escape(error)):
+        provenance_reference(prov)

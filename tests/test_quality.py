@@ -130,7 +130,7 @@ def test_niederreiter_t_respects_degree_sum_bound():
 
 def test_zero_matrix_digital_net_has_worst_t():
     zero = [[0] * 3 for _ in range(3)]
-    G = GeneratingMatrixSet.from_lists(2, [zero, zero])
+    G = GeneratingMatrixSet(2, [zero, zero])
     ps = digital_net(G)
     assert ps.as_fractions() == [(Fraction(0), Fraction(0))] * 8
     assert minimal_t_geometric(ps, 2, 3) == 3
@@ -168,7 +168,7 @@ def net_inputs(draw, b):
     entry = st.integers(0, b - 1) if kind == "matrices" else st.just(0)
     matrix = st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m)
     mats = draw(st.lists(matrix, min_size=s, max_size=s))
-    return digital_net(GeneratingMatrixSet.from_lists(b, mats)), m
+    return digital_net(GeneratingMatrixSet(b, mats)), m
 
 
 @pytest.mark.parametrize("b", [2, 3, 5])
@@ -185,7 +185,7 @@ def test_net_property_matches_retired_counter(b, data):
     "build,b,m",
     [
         (lambda: PointSet.exact([[0, 0, 0]], [1, 1, 1]), 5, 0),
-        (lambda: digital_net(GeneratingMatrixSet.from_lists(5, [[[0] * 4] * 4] * 2)), 5, 4),
+        (lambda: digital_net(GeneratingMatrixSet(5, [[[0] * 4] * 4] * 2)), 5, 4),
         (lambda: niederreiter_net(5, 4, 4), 5, 4),
         (lambda: niederreiter_net(3, 4, 5), 3, 5),
         (lambda: niederreiter_net(2, 4, 6), 2, 6),
@@ -225,7 +225,7 @@ def test_nrt_weight_blocks():
 
 
 def test_dual_of_invertible_s1_is_trivial():
-    G = GeneratingMatrixSet.from_lists(2, [[[1, 1], [0, 1]]])
+    G = GeneratingMatrixSet(2, [[[1, 1], [0, 1]]])
     d = dual_space(G)
     assert d.dimension == 0
     assert d.delta == 3  # m + 1
@@ -234,7 +234,7 @@ def test_dual_of_invertible_s1_is_trivial():
 
 def test_dual_of_zero_matrices_is_everything():
     m = 3
-    G = GeneratingMatrixSet.from_lists(2, [[[0] * m] * m, [[0] * m] * m])
+    G = GeneratingMatrixSet(2, [[[0] * m] * m, [[0] * m] * m])
     assert minimal_t_dual(G) == m
     assert dual_space(G).delta == 1
 
@@ -265,12 +265,12 @@ def test_dual_t_equals_geometric_t_on_random_matrices():
             [[rng.randrange(b) for _ in range(m)] for _ in range(m)]
             for _ in range(s)
         ]
-        G = GeneratingMatrixSet.from_lists(b, mats)
+        G = GeneratingMatrixSet(b, mats)
         assert minimal_t_dual(G) == minimal_t_geometric(digital_net(G), b, m)
 
 
 def test_dual_needs_square_matrices():
-    G = GeneratingMatrixSet.from_lists(2, [[[1, 0, 0], [0, 1, 0]]])
+    G = GeneratingMatrixSet(2, [[[1, 0, 0], [0, 1, 0]]])
     with pytest.raises(ValueError):
         minimal_t_dual(G)
 
@@ -294,16 +294,16 @@ def square_matrix_sets(draw):
         entry = st.integers(0, b - 1) if kind == "random" else st.just(0)
         matrix = st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m)
         mats = draw(st.lists(matrix, min_size=s, max_size=s))
-    return GeneratingMatrixSet.from_lists(b, mats)
+    return GeneratingMatrixSet(b, mats)
 
 
 @settings(max_examples=150)
 @given(square_matrix_sets())
 @example(niederreiter_matrices(5, 4, 2))  # t = 0
 @example(niederreiter_matrices(2, 3, 5))  # t = 1
-@example(GeneratingMatrixSet.from_lists(3, [[[0] * 4] * 4] * 2))  # t = m
-@example(GeneratingMatrixSet.from_lists(2, [[[1, 1, 0], [1, 1, 0], [0, 0, 1]]]))  # singular, s = 1
-@example(GeneratingMatrixSet.from_lists(5, [[[0, 0], [0, 3]]]))  # first row zero, s = 1
+@example(GeneratingMatrixSet(3, [[[0] * 4] * 4] * 2))  # t = m
+@example(GeneratingMatrixSet(2, [[[1, 1, 0], [1, 1, 0], [0, 0, 1]]]))  # singular, s = 1
+@example(GeneratingMatrixSet(5, [[[0, 0], [0, 3]]]))  # first row zero, s = 1
 def test_dual_routes_match_retired_enumeration(G):
     b, m = G.b, G.rows
     d = dual_space(G)
@@ -325,7 +325,7 @@ def _level_five_matrices():
     def bits(v):
         return [(v >> (7 - k)) & 1 for k in range(8)]
 
-    return GeneratingMatrixSet.from_lists(2, [
+    return GeneratingMatrixSet(2, [
         [bits(128 + i), bits(i ^ 100), bits(i ^ 101)] + [[0] * 8] * 5 for i in range(73)
     ])
 
@@ -733,6 +733,14 @@ def test_p_alpha_rejects_n_below_1_and_empty_vector():
         p_alpha([], 5)
 
 
+@pytest.mark.parametrize("entry", [1.5, True, "3"])
+def test_lattice_routes_refuse_a_generator_entry_that_is_no_int(entry):
+    # int() would truncate 1.5 and read True as 1, silently building [1, 3]
+    for build in (lattice_points, p_alpha, lambda a, n: p2_dual_sum(a, n, 2)):
+        with pytest.raises(ValueError, match=f"entry {entry!r} is not an int"):
+            build([entry, 3], 4)
+
+
 def _p_alpha_unchunked(a, n):
     """p_alpha as one (n, s) array, its terms averaged by mean()."""
     avec = np.array([v % n for v in a], dtype=np.int64)
@@ -980,7 +988,7 @@ def test_assess_fills_p2_for_lattices_and_skips_over_budget():
 
 def _naming(ps: PointSet, G: GeneratingMatrixSet) -> PointSet:
     """ps's points under a provenance that names the matrices of G."""
-    return PointSet.exact(ps.numerators, ps.denominators, {"b": G.b, "matrices": G.as_lists()})
+    return PointSet.exact(ps.numerators, ps.denominators, {"b": G.b, "matrices": G.matrices})
 
 
 def test_assess_reads_a_net_reference_from_the_provenance():
