@@ -1,6 +1,7 @@
 """Oracle tests for exact F_p[x] arithmetic, expansion at infinity, irreducibles."""
 
 import itertools
+import json
 import math
 import random
 import timeit
@@ -22,6 +23,7 @@ from lowdisc.algebra import (
     monic_irreducibles,
     poly_gcd,
 )
+from lowdisc.cli import main
 
 PRIMES = [2, 3, 5, 7]
 
@@ -489,3 +491,50 @@ def test_pow_with_a_modulus_matches_pow_then_mod():
                 continue
             k = rng.randint(0, 12)
             assert pow(g, k, f) == g ** k % f
+
+
+# --- the text forms of a polynomial ------------------------------------------
+# A coefficient line (lowest degree first, comma-separated) and a polynomial
+# file (a p=<prime> line, then a coefficient line) are read by `lowdisc factor`;
+# its --json payload echoes the polynomial it read as "p" and "input".
+
+FACTOR_PRIMES = [2, 3, 5]  # the characteristics factor supports
+
+def _factor_reads(capsys, *argv):
+    assert main(["factor", *argv, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    return Poly(payload["input"], payload["p"])
+
+
+def _random_text_poly(rng, p):
+    coeffs = [rng.randrange(p) for _ in range(rng.randint(1, 5))] + [rng.randrange(1, p)]
+    return Poly(coeffs, p)
+
+
+def test_poly_string_roundtrip(capsys):
+    rng = random.Random(31)
+    for p in FACTOR_PRIMES:
+        for _ in range(5):
+            f = _random_text_poly(rng, p)
+            text = ",".join(map(str, f.coeffs))
+            assert _factor_reads(capsys, "--p", str(p), "--coeffs", text) == f
+    # spaces around entries are skipped and entries are reduced mod p
+    assert _factor_reads(capsys, "--p", "3", "--coeffs", " 1, 0, 5 ") == Poly([1, 0, 2], 3)
+
+
+def test_poly_file_roundtrip(tmp_path, capsys):
+    rng = random.Random(37)
+    path = tmp_path / "f.txt"
+    for p in FACTOR_PRIMES:
+        f = _random_text_poly(rng, p)
+        path.write_text(f"p={p}\n{','.join(map(str, f.coeffs))}\n")
+        assert _factor_reads(capsys, "--poly-file", str(path)) == f
+    # the header in either case, blank lines and spaces skipped, and the
+    # coefficients reduced mod p
+    for text, f in [
+        ("p=3\n1,0,2,1\n", Poly([1, 0, 2, 1], 3)),
+        ("\nP=2\n\n1,1,0,1", Poly([1, 1, 0, 1], 2)),
+        ("p=3\n 1, 0, 5 \n", Poly([1, 0, 2], 3)),
+    ]:
+        path.write_text(text)
+        assert _factor_reads(capsys, "--poly-file", str(path)) == f

@@ -634,22 +634,6 @@ def test_factor_from_poly_file(tmp_path, capsys):
     ]
 
 
-def test_factor_reads_a_poly_file(tmp_path, capsys):
-    # the header in either case, blank lines and spaces skipped, and the
-    # coefficients reduced mod p
-    path = tmp_path / "f.txt"
-    for text, p, coeffs in [
-        ("p=3\n1,0,2,1\n", 3, [1, 0, 2, 1]),
-        ("\nP=2\n\n1,1,0,1", 2, [1, 1, 0, 1]),
-        ("p=3\n 1, 0, 5 \n", 3, [1, 0, 2]),
-    ]:
-        path.write_text(text)
-        code, out = run(capsys, "factor", "--poly-file", str(path), "--json")
-        assert code == 0
-        payload = json.loads(out)
-        assert (payload["p"], payload["input"]) == (p, coeffs)
-
-
 _NO_POLY = "polynomial file needs a p=<prime> line, then a coefficient line"
 
 
