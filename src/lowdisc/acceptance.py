@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import contextlib
 import io
-import itertools
 import math
 import random
 import time
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .algebra import Poly, interpolate, is_prime
+from .algebra import Poly, interpolate, is_prime, monic_irreducibles
 from .diophantine import zaremba_search, zaremba_table
 from .factorizer import factor
 from .generators import audit_bound
@@ -142,22 +141,6 @@ def _criterion_3() -> tuple[bool, str]:
 # 4. Factorizer against a trial-division oracle
 # ---------------------------------------------------------------------------
 
-def _sieved_irreducibles(p: int, max_d: int) -> list[Poly]:
-    """The monic irreducibles over F_p of degree 1..max_d, by degree and then
-    constant-first lex order: the monic polynomials that no product of two
-    lower-degree monics hits (a reducible one has an irreducible factor of
-    at most half its degree, found earlier in the sieve)."""
-    monics = {
-        d: [Poly(tail + (1,), p) for tail in itertools.product(range(p), repeat=d)]
-        for d in range(1, max_d + 1)
-    }
-    found: list[Poly] = []
-    for d in range(1, max_d + 1):
-        hit = {g * h for g in found if 2 * g.degree <= d for h in monics[d - g.degree]}
-        found.extend(f for f in monics[d] if f not in hit)
-    return found
-
-
 def _naive_factor(f: Poly, irreducibles: list[Poly]) -> list[tuple[tuple[int, ...], int]]:
     """Trial division by monic irreducibles in degree order, each as often as
     it divides; once 2 deg g > deg(work), what is left is irreducible.  The
@@ -181,7 +164,8 @@ def _naive_factor(f: Poly, irreducibles: list[Poly]) -> list[tuple[tuple[int, ..
 
 def _criterion_4() -> tuple[bool, str]:
     rng = random.Random(4)
-    irreducibles = {p: _sieved_irreducibles(p, 6) for p in (2, 3)}  # deg f <= 12
+    # the monic irreducibles of degree <= 6, enough for deg f <= 12
+    irreducibles = {2: monic_irreducibles(2, 23), 3: monic_irreducibles(3, 196)}
     for trial in range(500):
         p = 2 if trial % 2 == 0 else 3
         deg = rng.randint(1, 12)

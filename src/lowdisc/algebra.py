@@ -8,8 +8,9 @@ trailing zeros (canonical form).  Field elements are plain ints reduced into
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 NEG_INF = float("-inf")
 
@@ -45,11 +46,11 @@ _KNOWN_PRIMES: set[int] = set()
 
 
 def check_prime(p: int) -> int:
-    """Return p if prime, else raise ValueError.  Caches positives."""
-    if p not in _KNOWN_PRIMES:
-        if not isinstance(p, int) or not is_prime(p):
-            raise ValueError(f"modulus must be prime, got {p!r}")
-        _KNOWN_PRIMES.add(p)
+    """Return p if it is a prime int, else raise ValueError.  Caches
+    positives; the type is checked first, cached or not."""
+    if not isinstance(p, int) or (p not in _KNOWN_PRIMES and not is_prime(p)):
+        raise ValueError(f"modulus must be prime, got {p!r}")
+    _KNOWN_PRIMES.add(p)
     return p
 
 
@@ -75,7 +76,7 @@ class Poly:
 
     def __init__(self, coeffs: Iterable[int], p: int):
         check_prime(p)
-        self._fill([int(x) % p for x in coeffs], p)
+        self._fill([operator.index(x) % p for x in coeffs], p)
 
     @classmethod
     def _reduced(cls, c: list[int], p: int) -> "Poly":
@@ -338,12 +339,6 @@ def laurent_expand(num: Poly, den: Poly, order: int) -> tuple[int, ...]:
 # Irreducible enumeration
 # ---------------------------------------------------------------------------
 
-def _monic_polys(p: int, d: int) -> Iterator[Poly]:
-    """All monic polynomials of degree d, ascending constant-first lex order."""
-    for tail in itertools.product(range(p), repeat=d):
-        yield Poly(tail + (1,), p)
-
-
 def is_irreducible(f: Poly) -> bool:
     """Rabin's test: f of degree d >= 1 is irreducible iff x^(p^d) = x mod f
     and gcd(x^(p^(d/r)) - x, f) = 1 for every prime r dividing d."""
@@ -368,17 +363,27 @@ def monic_irreducibles(p: int, count: int) -> list[Poly]:
 
     Order: by degree, then lexicographic on (a_0, a_1, ...), constant term
     first.  For p = 2 this starts x, x+1, x^2+x+1, x^3+x+1, x^3+x^2+1, ...
+
+    Sieved one degree d >= 2 and one constant term c != 0 at a time (x
+    divides the rest): such a monic is reducible iff it is g h, g found
+    earlier with 2 deg g <= d and g(0) != 0, h monic with h(0) = c / g(0).
     """
     check_prime(p)
     if count < 1:
         raise ValueError("count must be >= 1")
-    out: list[Poly] = []
-    for d in itertools.count(1):
-        for f in _monic_polys(p, d):
-            half = d // 2
-            if any((f % g).is_zero for g in out if g.degree <= half):
-                continue
-            out.append(f)
+    out = [Poly._reduced([c, 1], p) for c in range(min(p, count))]
+    for d in itertools.count(2):
+        for c in range(1, p):
             if len(out) == count:
                 return out
-
+            hit = {
+                (g * Poly._reduced([c * inv_mod(g.coeffs[0], p) % p, *tail, 1], p)).coeffs
+                for g in out
+                if 2 * g.degree <= d and g.coeffs[0]
+                for tail in itertools.product(range(p), repeat=d - g.degree - 1)
+            }
+            for tail in itertools.product(range(p), repeat=d - 1):
+                if (c, *tail, 1) not in hit:
+                    out.append(Poly._reduced([c, *tail, 1], p))
+                    if len(out) == count:
+                        return out

@@ -385,7 +385,11 @@ class GeneratingMatrixSet:
 
     def __post_init__(self):
         check_prime(self.b)
-        mats = tuple(tuple(tuple(int(v) for v in row) for row in mat) for mat in self.matrices)
+        mats = tuple(tuple(tuple(row) for row in mat) for mat in self.matrices)
+        bad = [v for mat in mats for row in mat for v in row if not _nested_ints(v, 0)]
+        if bad:
+            raise ValueError(f"entry {bad[0]!r} is not an int")
+        mats = tuple(tuple(tuple(map(int, row)) for row in mat) for mat in mats)
         object.__setattr__(self, "matrices", mats)  # any nested iterables, stored as tuples
         shapes = {(len(mat), len(mat[0]) if mat else 0) for mat in mats}
         if len(shapes) > 1:

@@ -9,9 +9,14 @@ definition N_f(h) = f^p H^(p-1)(h/f) - h^p term by term; the tests compare
 the production matrix and kernel against it.
 
 `trial_divide_by_all_monics` is the trial division that criterion 4 ran
-before it divided by sieved irreducibles only: it tries every monic
-polynomial of degree up to deg/2; the tests compare the sieved oracle
-against it.
+before it divided by irreducibles only: it tries every monic polynomial
+of degree up to deg/2; the tests compare criterion 4's oracle against it.
+
+`trial_division_irreducibles` is the lister that `algebra` ran before its
+sieve: every monic in the production order, kept unless an irreducible
+kept before it of at most half its degree divides it.  The tests compare
+`monic_irreducibles` against it, and the reference Niederreiter matrices
+(`net_reference`) take their polynomials from it.
 """
 
 import itertools
@@ -144,3 +149,17 @@ def trial_divide_by_all_monics(f: Poly) -> list[tuple[tuple[int, ...], int]]:
             work = Poly.one(p)
         factors[hit.coeffs] = factors.get(hit.coeffs, 0) + 1
     return sorted(factors.items(), key=lambda kv: (len(kv[0]), kv[0]))
+
+
+def trial_division_irreducibles(p: int, count: int) -> list[Poly]:
+    """First `count` monic irreducibles over F_p, by degree and then
+    constant-first lex order, by trial division."""
+    out: list[Poly] = []
+    for d in itertools.count(1):
+        for tail in itertools.product(range(p), repeat=d):
+            f = Poly(tail + (1,), p)
+            if any((f % g).is_zero for g in out if 2 * g.degree <= d):
+                continue
+            out.append(f)
+            if len(out) == count:
+                return out

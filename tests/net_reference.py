@@ -6,7 +6,9 @@ used before the rank walk, and the
 dense dual-lattice grid that P_2's dual sum used before the residue fold,
 kept verbatim as reference implementations.  Also the row-by-row
 Niederreiter matrices: one expansion per row, where the production route
-reads the rows of one power of p_j as windows of one expansion.
+reads the rows of one power of p_j as windows of one expansion, with the
+p_j listed by trial division (`factorizer_reference`), not by the
+production sieve.
 
 Each builds or counts one point (or one dual vector or row) at a time, or
 materialises the whole box, so these are slow but straightforward; the
@@ -18,9 +20,10 @@ import math
 from typing import Sequence
 
 import numpy as np
+from factorizer_reference import trial_division_irreducibles
 from polys import monomial
 
-from lowdisc.algebra import Poly, laurent_expand, monic_irreducibles, nullspace_mod_p
+from lowdisc.algebra import Poly, laurent_expand, nullspace_mod_p
 from lowdisc.pointsets import GeneratingMatrixSet, PointSet, _index_range
 from lowdisc.quality import BudgetError, DualSpace, _check_net_input, _compositions
 
@@ -151,7 +154,7 @@ def niederreiter_matrices(b: int, s: int, rows: int, cols: int) -> GeneratingMat
     e = deg p_j and i - 1 = Q e + u, row i of C_j holds the coefficients of
     x^-1, ..., x^-cols in x^u / p_j(x)^(Q+1)."""
     mats = []
-    for pj in monic_irreducibles(b, s):
+    for pj in trial_division_irreducibles(b, s):
         mat = []
         for i in range(1, rows + 1):
             Q, u = divmod(i - 1, pj.degree)

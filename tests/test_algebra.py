@@ -15,6 +15,7 @@ from polys import monomial
 from lowdisc.algebra import (
     NEG_INF,
     Poly,
+    check_prime,
     interpolate,
     inv_mod,
     is_irreducible,
@@ -62,9 +63,18 @@ def test_equal_polys_hash_alike_and_ints_are_not_polys():
 
 
 def test_modulus_must_be_prime():
-    for bad in (0, 1, 4, 6, 9, 100):
+    assert check_prime(2) == 2  # cached, yet no other type passes for it
+    for bad in (0, 1, 4, 6, 9, 100, 2.0, True):
         with pytest.raises(ValueError):
             Poly([1], bad)
+        with pytest.raises(ValueError, match="modulus must be prime"):
+            check_prime(bad)
+
+
+def test_coefficients_are_ints_never_truncated():
+    for coeffs in ([1.5, 2.9], [1.0], [1, 2, 3.0]):
+        with pytest.raises(TypeError):
+            Poly(coeffs, 3)
 
 
 def test_mixed_moduli_rejected():

@@ -10,12 +10,13 @@ from factorizer_reference import (
     operator_rows,
     reference_kernel_basis,
     trial_divide_by_all_monics,
+    trial_division_irreducibles,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from polys import monomial
 
-from lowdisc.acceptance import _naive_factor, _sieved_irreducibles
+from lowdisc.acceptance import _naive_factor
 from lowdisc.algebra import NEG_INF, Poly, is_prime, monic_irreducibles, poly_gcd
 from lowdisc.factorizer import (
     FactorizationResult,
@@ -293,21 +294,24 @@ def gauss_count(p, d):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_sieve_finds_gauss_count_per_degree(p):
-    degrees = [g.degree for g in _sieved_irreducibles(p, 6)]
+    counts = [gauss_count(p, d) for d in range(1, 7)]
+    degrees = [g.degree for g in monic_irreducibles(p, sum(counts))]
     assert degrees == sorted(degrees)
-    assert [degrees.count(d) for d in range(1, 7)] == [gauss_count(p, d) for d in range(1, 7)]
+    assert [degrees.count(d) for d in range(1, 7)] == counts
 
 
-@pytest.mark.parametrize("p,count", [(2, 23), (3, 196)])
+# criterion 4's lists (degree <= 6), degree <= 5 over F_5, and counts past
+# the degree-1 monics at larger p
+@pytest.mark.parametrize(
+    "p,count", [(2, 23), (3, 196), (5, 829), (17, 18), (101, 102), (1009, 1010)]
+)
 def test_sieve_lists_the_monic_irreducibles_in_order(p, count):
-    sieved = _sieved_irreducibles(p, 6)
-    assert len(sieved) == count
-    assert sieved == monic_irreducibles(p, count)
+    assert monic_irreducibles(p, count) == trial_division_irreducibles(p, count)
 
 
 @pytest.mark.parametrize("p,max_deg", [(2, 8), (3, 5)])
 def test_sieved_oracle_matches_division_by_every_monic(p, max_deg):
-    irreducibles = _sieved_irreducibles(p, max_deg // 2)
+    irreducibles = monic_irreducibles(p, sum(gauss_count(p, d) for d in range(1, max_deg // 2 + 1)))
     for d in range(1, max_deg + 1):
         for tail in itertools.product(range(p), repeat=d):
             f = Poly(tail + (1,), p)

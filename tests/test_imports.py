@@ -18,11 +18,14 @@ attributes they read off its result, since the tracer finds all of them
 by name and a rename would break a traced run without failing anything
 else.
 
-Criterion 4's trial-division oracle names no factorizer code, so it stays
-independent of the route it checks.
+Criterion 4's trial-division oracle, and the lister of irreducibles it
+divides by, name no factorizer code, so it stays independent of the route
+it checks.
 
 Also: cli.py splits text only inside its one list reader, so a new list
-option cannot bring back a second decoder with rules of its own.
+option cannot bring back a second decoder with rules of its own; and no
+package code calls itertools.product outside algebra.monic_irreducibles,
+so a second lister of monic polynomials cannot grow back.
 
 Last: no code of the package reads a provenance's fields outside the one
 decoder, pointsets.provenance_reference, or writes into a provenance, so
@@ -389,10 +392,10 @@ def test_tracer_names_resolve_in_the_package():
 def test_criterion_4_oracle_uses_no_factorizer_code():
     # the oracle must reach its answer by trial division alone, or it would
     # agree with `factor` by construction
-    from lowdisc import acceptance
+    from lowdisc import acceptance, algebra
 
-    banned = {"is_irreducible", "monic_irreducibles", "factor", "kernel_basis", "factorizer"}
-    for fn in (acceptance._naive_factor, acceptance._sieved_irreducibles):
+    banned = {"is_irreducible", "factor", "kernel_basis", "factorizer"}
+    for fn in (acceptance._naive_factor, algebra.monic_irreducibles):
         named = set()
         for node in ast.walk(ast.parse(inspect.getsource(fn))):
             if isinstance(node, ast.Name):
@@ -406,18 +409,20 @@ def test_criterion_4_oracle_uses_no_factorizer_code():
         assert not named & banned, fn.__name__
 
 
-def splits_outside(source: str, reader: str) -> list[str]:
-    """"function:line" (or "<module>:line") of each `.split(` call in source
-    outside the top-level function named reader."""
+def calls_outside(source: str, callee: str, inside: str | None) -> list[str]:
+    """"function:line" (or "<module>:line") of each call of callee, as a
+    method or attribute (`x.callee(`) or as a bare name, in source outside
+    the top-level function named inside."""
     found = []
     for node in ast.parse(source).body:
-        if isinstance(node, ast.FunctionDef) and node.name == reader:
+        if isinstance(node, ast.FunctionDef) and node.name == inside:
             continue
         where = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
         found += [
             f"{where}:{call.lineno}"
             for call in ast.walk(node)
-            if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "split"
+            if isinstance(call, ast.Call)
+            and callee in (getattr(call.func, "attr", None), getattr(call.func, "id", None))
         ]
     return found
 
@@ -432,19 +437,41 @@ def test_split_checker_finds_a_second_decoder():
         "def other(path):\n"
         "    return os.path.splitext(path)\n"
     )
-    assert splits_outside(source, "_read") == ["handler:4", "<module>:5"]
+    assert calls_outside(source, "split", "_read") == ["handler:4", "<module>:5"]
     cli = (SRC / "cli.py").read_text()
     planted = cli.replace(
         "y = _list_option(args.y, float)", 'y = [float(tok) for tok in args.y.split(",")]', 1
     )
     assert planted != cli
-    assert [where.partition(":")[0] for where in splits_outside(planted, "_list_option")] == [
+    assert [where.partition(":")[0] for where in calls_outside(planted, "split", "_list_option")] == [
         "cmd_integrate"
     ]
 
 
 def test_cli_splits_text_only_in_its_list_reader():
-    assert splits_outside((SRC / "cli.py").read_text(), "_list_option") == []
+    assert calls_outside((SRC / "cli.py").read_text(), "split", "_list_option") == []
+
+
+def test_product_checker_finds_a_second_lister():
+    source = "from itertools import product\nMONICS = list(product(range(2), repeat=3))\n"
+    assert calls_outside(source, "product", None) == ["<module>:2"]
+    algebra = (SRC / "algebra.py").read_text()
+    planted = algebra.replace(
+        "    d = f.degree\n",
+        "    d = f.degree\n    monics = list(itertools.product(range(f.p), repeat=d))\n",
+        1,
+    )
+    assert planted != algebra
+    found = calls_outside(planted, "product", "monic_irreducibles")
+    assert [where.partition(":")[0] for where in found] == ["is_irreducible"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_monic_irreducibles_lists_monics(path):
+    # itertools.product over coefficient tuples is how a second lister of
+    # monic polynomials would start
+    inside = "monic_irreducibles" if path.name == "algebra.py" else None
+    assert calls_outside(path.read_text(), "product", inside) == []
 
 
 # where package code may touch a provenance's fields: the decoder, the

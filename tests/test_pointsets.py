@@ -490,6 +490,11 @@ def test_matrix_set_validation():
     for empty in ([], [[]], [[[]]]):  # no matrix, no rows, rows without columns
         with pytest.raises(ValueError, match="need at least one matrix, with a row and a column"):
             GeneratingMatrixSet(2, empty)
+    for entry in (1.7, 1.0, True, np.float64(1)):  # never truncated into an int
+        with pytest.raises(ValueError, match=r"^entry .* is not an int$"):
+            GeneratingMatrixSet(2, [[[entry, 0], [0, 1]]])
+    G = GeneratingMatrixSet(2, np.eye(2, dtype=np.int64)[None])
+    assert G.matrices == (((1, 0), (0, 1)),) and type(G.matrices[0][0][0]) is int
 
 
 def test_matrix_set_roundtrip_and_shape():
