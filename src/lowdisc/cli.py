@@ -55,6 +55,7 @@ from .permutations import fb_sweep, isbn10_weighted_sum
 from .pointsets import (
     GeneratingMatrixSet,
     PointSet,
+    csv_blocks,
     digital_net,
     digital_points,
     halton,
@@ -63,7 +64,7 @@ from .pointsets import (
     lattice_points,
     niederreiter_net,
     polynomial_lattice,
-    pointset_from_csv,
+    pointset_from_csv_file,
     pointset_to_csv,
     provenance_reference,
 )
@@ -81,23 +82,24 @@ def _json_file(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 # parsed options that are not parameters of the run; verify's --sidecar has
 # never been recorded, and leaving it out keeps verify manifests unchanged
 _UNRECORDED = {"command", "json", "out", "sidecar"}
 
 
 def _write_artifacts(args, files: dict) -> dict:
-    """Write the named files plus manifest.json under --out; returns name -> digest."""
+    """Write the named files plus manifest.json under --out; returns name ->
+    digest.  A file's content is a str or an iterable of str pieces, each
+    written and hashed as it comes, so a file in pieces is never joined."""
     os.makedirs(args.out, exist_ok=True)
     digests = {}
     for name, content in files.items():
-        with open(os.path.join(args.out, name), "w") as fh:
-            fh.write(content)
-        digests[name] = _sha256(content)
+        digest = hashlib.sha256()
+        with open(os.path.join(args.out, name), "wb") as fh:
+            for data in map(str.encode, [content] if isinstance(content, str) else content):
+                fh.write(data)
+                digest.update(data)
+        digests[name] = digest.hexdigest()
     # the manifest: what was run and what came out, with content checksums
     manifest = {
         "command": args.command,
@@ -152,8 +154,8 @@ def _poly_pretty(f: Poly) -> str:
 
 
 def _read_points(path: str, provenance: Optional[dict] = None) -> PointSet:
-    with open(path) as fh:
-        return pointset_from_csv(fh.read(), provenance)
+    with open(path, "rb") as fh:
+        return pointset_from_csv_file(fh, provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +221,6 @@ def cmd_gen(args) -> int:
     if missing:
         raise ValueError(f"gen --kind {args.kind} needs {', '.join(missing)}")
     ps = build(args)
-    csv_text = pointset_to_csv(ps, force_float=args.float)
     described = {
         "n": ps.count,
         "s": ps.dim,
@@ -227,10 +228,11 @@ def cmd_gen(args) -> int:
         "provenance": ps.provenance,
     }
     # gen prints by itself: with --out its payload carries the digests of
-    # what it wrote, and without --out the points themselves are the output
+    # what it wrote, and without --out the points themselves are the output.
+    # The CSV goes out in blocks; only --json without --out joins them.
     if args.out:
         digests = _write_artifacts(
-            args, {"points.csv": csv_text, "points.json": _json_file(described)}
+            args, {"points.csv": csv_blocks(ps, args.float), "points.json": _json_file(described)}
         )
         payload = {"kind": args.kind, "n": ps.count, "s": ps.dim, "outputs": digests}
         human = (
@@ -239,9 +241,10 @@ def cmd_gen(args) -> int:
         )
         print(json.dumps(payload, sort_keys=True) if args.json else human)
     elif args.json:
+        csv_text = pointset_to_csv(ps, force_float=args.float)
         print(json.dumps({"kind": args.kind, **described, "csv": csv_text}, sort_keys=True))
     else:
-        sys.stdout.write(csv_text)
+        sys.stdout.writelines(csv_blocks(ps, args.float))
     return 0
 
 

@@ -11,11 +11,13 @@ generating matrix feeds the most significant digit b^(-1).
 
 from __future__ import annotations
 
+import io
 import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from functools import partial
+from typing import BinaryIO, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -37,11 +39,14 @@ __all__ = [
     "polynomial_lattice",
     "provenance_reference",
     "pointset_to_csv",
+    "csv_blocks",
     "pointset_from_csv",
+    "pointset_from_csv_file",
 ]
 
 FIXED_POINT_BITS = 128
 CSV_BLOCK = 1 << 12  # rows of an exact CSV formatted per str.format call
+CSV_READ_BLOCK = 1 << 16  # bytes of a CSV file read, checked and converted at a time
 
 
 def _int_dtype(bound: int):
@@ -112,7 +117,8 @@ class PointSet:
     denominator is below 2^63 and holds Python ints (dtype object)
     otherwise.  A float set stores an (N, s) float64 array, float_rows.
     Both arrays are read-only copies of what the caller passed, validated
-    as whole arrays by the only constructors, exact and floating.
+    as whole arrays by the constructors exact and floating; only the CSV
+    reader fills an instance with the array it checked block by block.
     Provenance is a small JSON-ready dict recording how the set was built,
     fixed with it (read-only dicts, lists as tuples).
     """
@@ -208,12 +214,14 @@ def _lattice_generator(a: Sequence[int], n: int) -> list[int]:
 def lattice_points(a: Sequence[int], n: int) -> PointSet:
     """Rank-1 lattice {({k a_1/n}, ..., {k a_s/n}) : k = 0..n-1}, exact."""
     avec = _lattice_generator(a, n)
-    k = _index_range(0, n, n * n)  # k * a_j stays below n^2
-    return PointSet.exact(
-        k[:, None] * np.array(avec, dtype=k.dtype) % n,
-        [n] * len(avec),
-        provenance={"kind": "lattice", "n": n, "a": list(avec)},
-    )
+    provenance = {"kind": "lattice", "n": n, "a": list(avec)}
+    return PointSet.exact(_lattice_numerators(avec, n, 0, n), [n] * len(avec), provenance=provenance)
+
+
+def _lattice_numerators(avec: list[int], n: int, start: int, count: int) -> np.ndarray:
+    """The numerators k a mod n of lattice points k = start..start+count-1, a reduced mod n."""
+    k = _index_range(start, count, n * n)  # k * a_j stays below n^2
+    return k[:, None] * np.array(avec, dtype=k.dtype) % n
 
 
 # ---------------------------------------------------------------------------
@@ -645,22 +653,27 @@ def _nested_ints(value, depth: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def pointset_to_csv(ps: PointSet, force_float: bool = False) -> str:
-    """Render as CSV, one column per coordinate, header x1..xs.
+    """Render as CSV, one column per coordinate, header x1..xs: the pieces
+    of csv_blocks joined."""
+    return "".join(csv_blocks(ps, force_float))
 
-    Exact sets write num/den tokens unless force_float, CSV_BLOCK rows per
-    str.format call over the block's numerators, so only one block's Python
-    ints exist at a time; float sets write repr() so the round trip is
-    bit-exact.
+
+def csv_blocks(ps: PointSet, force_float: bool) -> Iterator[str]:
+    """pointset_to_csv's text in pieces, so a writer never holds all of it.
+
+    Exact sets write num/den tokens unless force_float, CSV_BLOCK rows a
+    piece, each one str.format call over the block's numerators, so only
+    one block's Python ints exist at a time; float sets write repr() so the
+    round trip is bit-exact, in one piece, as as_floats holds every row.
     """
-    parts = [_csv_header(ps.dim) + "\n"]
+    yield _csv_header(ps.dim) + "\n"
     if ps.is_exact and not force_float:
         row_format = ",".join(f"{{}}/{d}" for d in ps.denominators) + "\n"
         for lo in range(0, ps.count, CSV_BLOCK):
             block = ps.numerators[lo : lo + CSV_BLOCK]
-            parts.append((row_format * len(block)).format(*block.ravel().tolist()))
+            yield (row_format * len(block)).format(*block.ravel().tolist())
     else:
-        parts += [",".join(map(repr, row)) + "\n" for row in ps.as_floats()]
-    return "".join(parts)
+        yield "".join(",".join(map(repr, row)) + "\n" for row in ps.as_floats())
 
 
 def _csv_header(dim: int) -> str:
@@ -673,57 +686,85 @@ _INT64_DIGITS = 18
 _SEPARATORS_TO_COMMAS = bytes.maketrans(b"/\n", b",,")
 
 
-def pointset_from_csv(text: str, provenance: Optional[dict] = None) -> PointSet:
-    """Parse the CSV format back.  num/den tokens rebuild an exact set
-    (one denominator per column, the lcm of those written in it); plain
-    decimals rebuild floats.  The text pointset_to_csv writes for an exact
-    set is read as one array; any other text goes through the general line
+def pointset_from_csv(text: str, provenance: Optional[dict]) -> PointSet:
+    """pointset_from_csv_file of the text's bytes; a text that is not ASCII
+    goes straight to the general line parser."""
+    if not text.isascii():
+        return _general_csv(text, provenance)
+    return pointset_from_csv_file(io.BytesIO(text.encode()), provenance)
+
+
+def pointset_from_csv_file(fh: BinaryIO, provenance: Optional[dict]) -> PointSet:
+    """Parse the CSV format back from a binary file: num/den tokens rebuild
+    an exact set (one denominator per column, the lcm of those written in
+    it), plain decimals rebuild floats.  The exact layout pointset_to_csv
+    writes is read a block at a time; other text is decoded for the line
     parser."""
-    ps = _canonical_exact_csv(text, provenance)
-    return _general_csv(text, provenance) if ps is None else ps
+    if not fh.seekable():  # a pipe: the exact route reads the text twice
+        fh = io.BytesIO(fh.read())
+    ps = _exact_csv(fh, provenance)
+    if ps is None:
+        fh.seek(0)
+        return _general_csv(fh.read().decode(), provenance)
+    return ps
 
 
-def _canonical_exact_csv(text: str, provenance: Optional[dict]) -> Optional[PointSet]:
-    """The set in `text` when it is laid out exactly as pointset_to_csv
-    writes an exact set, else None: header x1..xs, then rows
-    d/d,...,d/d ending in a newline, each writing the first row's
-    denominators, each token 1 to 18 ASCII digits.  The checks run on the
-    bytes of the text, so no per-line or per-token Python object is made,
-    and the general parser reads any text that fails one of them."""
-    body_start = text.find("\n") + 1
-    if not body_start or not text.endswith("\n") or not text.isascii():
+def _exact_csv(fh: BinaryIO, provenance: Optional[dict]) -> Optional[PointSet]:
+    """The set in fh when its text is laid out exactly as pointset_to_csv
+    writes an exact set, else None: header x1..xs, then rows d/d,...,d/d
+    ending in a newline, each writing the first row's denominators, each
+    token 1 to 18 ASCII digits.  A first pass counts the rows for one int64
+    array of exactly the numerators; the second runs every check on the
+    bytes of each CSV_READ_BLOCK of whole rows (no per-line or per-token
+    Python object), and a check failing in any block gives None."""
+    header = fh.readline()
+    dim = header.count(b",") + 1
+    if header != (_csv_header(dim) + "\n").encode():
         return None
-    data = text.encode("ascii")
-    raw = np.frombuffer(data, dtype=np.uint8, offset=body_start)
-    if raw.size == 0 or raw.max() > ord("9"):
-        return None
-    # every other byte sorts below the digits; the layout check below
-    # admits only '/', ',' and '\n' among them
-    seps = np.flatnonzero(raw < ord("0"))
-    marks = raw[seps]
-    width = int(np.argmax(marks == ord("\n"))) + 1  # separators per row
-    dim, rows = width // 2, marks.size // width
-    if width % 2 or text[:body_start - 1] != _csv_header(dim) or rows * width != marks.size:
-        return None
+    body, more = fh.tell(), lambda: iter(partial(fh.read, CSV_READ_BLOCK), b"")
+    first = fh.read(CSV_READ_BLOCK)
+    count = first.count(b"\n") + sum(block.count(b"\n") for block in more())
+    nums = np.empty((count, dim), dtype=np.int64)
+    if len(first) < CSV_READ_BLOCK:  # a text shorter than one block is read once
+        blocks = [first]
+    else:
+        fh.seek(body)
+        blocks = more()
     layout = np.frombuffer(b"/," * (dim - 1) + b"/\n", dtype=np.uint8)
-    if not (marks.reshape(rows, width) == layout).all():
+    dens, done, tail = None, 0, b""
+    for block in blocks:
+        cut = block.rfind(b"\n") + 1  # a block ends after a row, so no token spans two
+        if not cut:
+            tail += block
+            continue
+        rows, tail = tail + block[:cut], block[cut:]
+        raw = np.frombuffer(rows, dtype=np.uint8)
+        if raw.max() > ord("9"):
+            return None
+        # every other byte sorts below the digits; the layout check below
+        # admits only '/', ',' and '\n' among them
+        seps = np.flatnonzero(raw < ord("0"))
+        if seps.size % layout.size or not (raw[seps].reshape(-1, layout.size) == layout).all():
+            return None
+        gaps = np.diff(seps)  # each token's length plus one, after the first token
+        if not 1 <= seps[0] <= _INT64_DIGITS or gaps.min() < 2 or gaps.max() > _INT64_DIGITS + 1:
+            return None
+        tokens = seps.size
+        del seps, gaps  # 16 bytes a separator: free them before the integers are read
+        # the checks fix the token count; given it, numpy allocates the array
+        # once instead of growing it (and a short read would leave garbage)
+        values = np.fromstring(rows.translate(_SEPARATORS_TO_COMMAS), np.int64, tokens, ",")
+        values = values.reshape(-1, layout.size)
+        dens = values[0, 1::2].copy() if dens is None else dens
+        # digits are never negative, so numerators below the denominators make those >= 1
+        if not ((values[:, 1::2] == dens).all() and (values[:, 0::2] < dens).all()):
+            return None
+        nums[done : done + len(values)] = values[:, 0::2]
+        done += len(values)
+    if tail or dens is None:  # no final newline, or no rows
         return None
-    gaps = np.diff(seps)  # each token's length plus one, after the first token
-    if not 1 <= seps[0] <= _INT64_DIGITS or gaps.min() < 2 or gaps.max() > _INT64_DIGITS + 1:
-        return None
-    del seps, gaps  # 16 bytes a separator: free them before the integers are read
-    # the checks fix the token count; given it, numpy allocates the array
-    # once instead of growing it (and a short read would leave garbage)
-    values = np.fromstring(
-        data[body_start:].translate(_SEPARATORS_TO_COMMAS),
-        dtype=np.int64,
-        count=marks.size,
-        sep=",",
-    ).reshape(rows, width)
-    dens = values[0, 1::2]
-    if dens.min() < 1 or not (values[:, 1::2] == dens).all():
-        return None
-    return PointSet.exact(values[:, 0::2], dens.tolist(), provenance=provenance)
+    nums.flags.writeable = False
+    return PointSet()._fill(nums, tuple(dens.tolist()), None, provenance)
 
 
 def _general_csv(text: str, provenance: Optional[dict]) -> PointSet:
@@ -762,7 +803,6 @@ def _general_csv(text: str, provenance: Optional[dict]) -> PointSet:
         if written[key] != dens:
             row[:] = [v * (den // d) for v, den, d in zip(row, dens, written[key])]
     return PointSet.exact(nums, dens, provenance=provenance)
-
 
 
 def _csv_token(tok: str, kind: type):

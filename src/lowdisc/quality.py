@@ -32,8 +32,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .algebra import nullspace_mod_p
-from .pointsets import GeneratingMatrixSet, PointSet, digital_net, lattice_points
-from .pointsets import _index_range, _lattice_generator, provenance_reference
+from .pointsets import GeneratingMatrixSet, PointSet, digital_points, provenance_reference
+from .pointsets import _index_range, _lattice_generator, _lattice_numerators
 
 __all__ = [
     "BudgetError",
@@ -67,6 +67,8 @@ COMPOSITION_BUDGET = 1 << 16
 SAMPLE_CHUNK = 1 << 22
 # p_alpha takes about this many products k * a_j at a time
 P_ALPHA_CHUNK = 1 << 16
+# assess builds and compares this many points of a reference set at a time
+REFERENCE_BLOCK = 1 << 16
 # p2_dual_sum folds at most this many terms, which caps its arrays at a few
 # tens of MB; criterion 10 (s = 2, H = 1000, N <= 144) needs about 45,000
 P2_FOLD_BUDGET = 1 << 22
@@ -471,15 +473,23 @@ def qmc_integrate(f: Callable[[tuple[float, ...]], float], ps: PointSet) -> floa
     return math.fsum(total) / ps.count
 
 
-def _holds(ps: PointSet, count: int, build: Callable[[], PointSet]) -> bool:
-    """Does ps hold, in order, the `count` points that build() makes?  A set
-    of another size builds nothing."""
+def _holds(ps: PointSet, count: int, build: Callable[[int, int], PointSet]) -> bool:
+    """Does ps hold, in order, the `count` points of which build(lo, k)
+    makes the k from index lo?  Built and compared REFERENCE_BLOCK points
+    at a time, so the whole reference never exists; a set of another size
+    builds nothing."""
     if ps.count != count:
         return False
-    ref = build()
-    if not ps.is_exact:
-        return ps.as_floats() == ref.as_floats()
-    return ps.denominators == ref.denominators and np.array_equal(ps.numerators, ref.numerators)
+    for lo in range(0, count, REFERENCE_BLOCK):
+        ref = build(lo, min(REFERENCE_BLOCK, count - lo))
+        if ps.is_exact:
+            mine = ps.numerators[lo : lo + ref.count]
+            same = ps.denominators == ref.denominators and np.array_equal(mine, ref.numerators)
+        else:
+            same = list(map(tuple, ps.float_rows[lo : lo + ref.count].tolist())) == ref.as_floats()
+        if not same:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +545,8 @@ def assess(
             t_dual = minimal_t_dual(ref)
         except BudgetError:
             t_dual = None
-        if t_dual is not None and not _holds(ps, ref.b ** ref.rows, lambda: digital_net(ref)):
+        net = ref.b ** ref.rows
+        if t_dual is not None and not _holds(ps, net, lambda lo, k: digital_points(ref, lo, k)):
             t_dual = None
     d_star = None
     try:
@@ -543,8 +554,10 @@ def assess(
     except BudgetError:
         d_star = None
     p2 = None
-    if isinstance(ref, tuple) and _holds(ps, ref[1], lambda: lattice_points(*ref)):
-        p2 = p_alpha(*ref)
+    if isinstance(ref, tuple):
+        a, n = ref
+        if _holds(ps, n, lambda lo, k: PointSet.exact(_lattice_numerators(a, n, lo, k), [n] * len(a))):
+            p2 = p_alpha(a, n)
     diag = None
     # a geometric t implies b and m were given
     if t_geo is not None and d_star is not None and m >= 2:

@@ -1,10 +1,19 @@
-"""The row-by-row CSV render that pointset_to_csv used before it formatted
-a block of rows per str.format call, kept verbatim as a reference: the
-exact branch formats one row at a time over s whole-column lists of Python
-ints, and the tests compare the production render against it byte for
-byte."""
+"""Two CSV routes the package replaced, kept verbatim as references.
 
-from lowdisc.pointsets import PointSet, _csv_header
+The row-by-row render that pointset_to_csv used before it formatted a
+block of rows per str.format call: the exact branch formats one row at a
+time over s whole-column lists of Python ints, and the tests compare the
+production render against it byte for byte.
+
+The whole-text parse of the exact layout that pointset_from_csv used before
+the file reader checked and converted one block of rows at a time: the
+tests compare the block reader with it and with the general line parser."""
+
+from typing import Optional
+
+import numpy as np
+
+from lowdisc.pointsets import _INT64_DIGITS, _SEPARATORS_TO_COMMAS, PointSet, _csv_header
 
 
 def pointset_to_csv(ps: PointSet, force_float: bool = False) -> str:
@@ -23,3 +32,46 @@ def pointset_to_csv(ps: PointSet, force_float: bool = False) -> str:
         lines += [",".join(map(repr, row)) for row in ps.as_floats()]
     lines.append("")  # the final newline, without copying the whole text again
     return "\n".join(lines)
+
+
+def canonical_exact_csv(text: str, provenance: Optional[dict]) -> Optional[PointSet]:
+    """The set in `text` when it is laid out exactly as pointset_to_csv
+    writes an exact set, else None: header x1..xs, then rows
+    d/d,...,d/d ending in a newline, each writing the first row's
+    denominators, each token 1 to 18 ASCII digits.  The checks run on the
+    bytes of the text, so no per-line or per-token Python object is made,
+    and the general parser reads any text that fails one of them."""
+    body_start = text.find("\n") + 1
+    if not body_start or not text.endswith("\n") or not text.isascii():
+        return None
+    data = text.encode("ascii")
+    raw = np.frombuffer(data, dtype=np.uint8, offset=body_start)
+    if raw.size == 0 or raw.max() > ord("9"):
+        return None
+    # every other byte sorts below the digits; the layout check below
+    # admits only '/', ',' and '\n' among them
+    seps = np.flatnonzero(raw < ord("0"))
+    marks = raw[seps]
+    width = int(np.argmax(marks == ord("\n"))) + 1  # separators per row
+    dim, rows = width // 2, marks.size // width
+    if width % 2 or text[:body_start - 1] != _csv_header(dim) or rows * width != marks.size:
+        return None
+    layout = np.frombuffer(b"/," * (dim - 1) + b"/\n", dtype=np.uint8)
+    if not (marks.reshape(rows, width) == layout).all():
+        return None
+    gaps = np.diff(seps)  # each token's length plus one, after the first token
+    if not 1 <= seps[0] <= _INT64_DIGITS or gaps.min() < 2 or gaps.max() > _INT64_DIGITS + 1:
+        return None
+    del seps, gaps  # 16 bytes a separator: free them before the integers are read
+    # the checks fix the token count; given it, numpy allocates the array
+    # once instead of growing it (and a short read would leave garbage)
+    values = np.fromstring(
+        data[body_start:].translate(_SEPARATORS_TO_COMMAS),
+        dtype=np.int64,
+        count=marks.size,
+        sep=",",
+    ).reshape(rows, width)
+    dens = values[0, 1::2]
+    if dens.min() < 1 or not (values[:, 1::2] == dens).all():
+        return None
+    return PointSet.exact(values[:, 0::2], dens.tolist(), provenance=provenance)

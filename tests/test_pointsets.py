@@ -1,11 +1,14 @@
 """Tests for point-set constructions: lattices, Kronecker, Halton, hybrid,
 digital nets, Niederreiter matrices, polynomial lattices, CSV round trips."""
 
+import io
 import json
 import math
 import operator
+import os
 import random
 import re
+import tempfile
 import tracemalloc
 from fractions import Fraction
 
@@ -13,7 +16,7 @@ import csv_reference
 import net_reference
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from net_reference import radical_inverse
 from polys import monomial
@@ -40,7 +43,8 @@ from lowdisc.pointsets import (
     polynomial_lattice_matrices,
     provenance_reference,
 )
-from lowdisc.pointsets import _canonical_exact_csv, _general_csv
+from lowdisc.cli import _read_points
+from lowdisc.pointsets import _exact_csv, _general_csv
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +134,7 @@ def test_storage_dtype_around_2_63(den, dtype):
     assert all(type(v) is int for row in ps.numerators.tolist() for v in row)
     text = pointset_to_csv(ps)
     assert text.splitlines()[2] == f"{den - 1}/{den},2/3"
-    back = pointset_from_csv(text)
+    back = pointset_from_csv(text, None)
     assert back.numerators.dtype == dtype
     assert back.numerators.tolist() == ps.numerators.tolist()
     assert back.denominators == ps.denominators
@@ -785,14 +789,14 @@ def test_csv_roundtrip_exact():
     text = pointset_to_csv(ps)
     assert text.splitlines()[0] == "x1,x2"
     assert "/" in text.splitlines()[1]
-    back = pointset_from_csv(text)
+    back = pointset_from_csv(text, None)
     assert back.is_exact
     assert back.as_fractions() == ps.as_fractions()
 
 
 def test_csv_roundtrip_float_is_bit_exact():
     ps = kronecker(["sqrt(2)", "sqrt(3)"], 9)
-    back = pointset_from_csv(pointset_to_csv(ps))
+    back = pointset_from_csv(pointset_to_csv(ps), None)
     assert not back.is_exact
     assert back.float_rows.tolist() == ps.float_rows.tolist()
 
@@ -801,12 +805,12 @@ def test_csv_force_float():
     ps = lattice_points([1, 3], 4)
     text = pointset_to_csv(ps, force_float=True)
     assert "/" not in text
-    back = pointset_from_csv(text)
+    back = pointset_from_csv(text, None)
     assert back.as_floats() == ps.as_floats()
 
 
 def test_csv_without_header_and_empty():
-    back = pointset_from_csv("1/4,1/2\n3/4,0/2\n")
+    back = pointset_from_csv("1/4,1/2\n3/4,0/2\n", None)
     assert back.as_fractions() == [
         (Fraction(1, 4), Fraction(1, 2)),
         (Fraction(3, 4), Fraction(0)),
@@ -814,16 +818,16 @@ def test_csv_without_header_and_empty():
     # a column's denominator is the lcm of the denominators written in it
     assert back.denominators == (4, 2)
     with pytest.raises(ValueError):
-        pointset_from_csv("\n\n")
+        pointset_from_csv("\n\n", None)
 
 
 def test_csv_keeps_written_denominators():
-    back = pointset_from_csv("1/2,2/4\n1/4,0/4\n")
+    back = pointset_from_csv("1/2,2/4\n1/4,0/4\n", None)
     assert back.denominators == (4, 4)
     assert back.numerators.tolist() == [[2, 2], [1, 0]]
     for bad in ("1/4,1/2\n3/4\n", "1/0\n"):
         with pytest.raises(ValueError):
-            pointset_from_csv(bad)
+            pointset_from_csv(bad, None)
 
 
 @pytest.mark.parametrize("b,s,m", [(2, 3, 9), (2, 4, 13), (3, 4, 9)])
@@ -831,7 +835,7 @@ def test_csv_roundtrip_keeps_net_denominators(b, s, m):
     # each of these nets has a column whose numerators all share a factor
     # with b^m; the reduced fractions would shrink its denominator
     ps = niederreiter_net(b, s, m)
-    back = pointset_from_csv(pointset_to_csv(ps))
+    back = pointset_from_csv(pointset_to_csv(ps), None)
     assert back.denominators == ps.denominators == (b ** m,) * s
     assert back.numerators.tolist() == ps.numerators.tolist()
 
@@ -898,6 +902,28 @@ def _outcome(parse, text):
     return "float", ps.float_rows.tolist()
 
 
+def _read_file(text, provenance):
+    """cli._read_points of a file holding the text's UTF-8 bytes as they are."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "points.csv")
+        with open(path, "wb") as fh:
+            fh.write(text.encode())
+        return _read_points(path, provenance)
+
+
+def _block_route(text, provenance):
+    """The block reader alone: the set, or None where the general parser reads the text."""
+    return _exact_csv(io.BytesIO(text.encode()), provenance)
+
+
+def _whole_text_route(text, provenance):
+    """The whole-text parse the block reader replaced, None where it raised."""
+    try:
+        return csv_reference.canonical_exact_csv(text, provenance)
+    except ValueError:  # a numerator outside its denominator; the block reader defers it
+        return None
+
+
 _DENOMINATORS = st.one_of(
     st.integers(1, 64),
     st.integers(1, 10 ** 18 - 1),  # at most 18 digits: the array route's range
@@ -906,32 +932,33 @@ _DENOMINATORS = st.one_of(
 
 
 @st.composite
-def _exact_sets(draw):
+def _exact_sets(draw, max_rows):
     dens = draw(st.lists(_DENOMINATORS, min_size=1, max_size=4))
     rows = draw(st.lists(
-        st.tuples(*[st.integers(0, d - 1) for d in dens]), min_size=1, max_size=12,
+        st.tuples(*[st.integers(0, d - 1) for d in dens]), min_size=1, max_size=max_rows,
     ))
     return PointSet.exact(rows, dens)
 
 
-@settings(max_examples=300)
-@given(ps=_exact_sets())
+@settings(max_examples=300, deadline=None)
+@given(ps=_exact_sets(12))
 def test_csv_array_route_matches_general_parser(ps):
     text = pointset_to_csv(ps)
-    fast = _canonical_exact_csv(text, None)
+    fast = _block_route(text, None)
     # every token of at most 18 digits, which needs every denominator below 10^18
     assert (fast is not None) == (max(ps.denominators) < 10 ** 18)
     oracle = _outcome(_general_csv, text)
-    assert _outcome(pointset_from_csv, text) == oracle
+    assert _outcome(pointset_from_csv, text) == _outcome(_read_file, text) == oracle
     assert oracle[:3] == ("exact", ps.denominators, ps.numerators.dtype)
     assert oracle[3] == ps.numerators.tolist()
     if fast is not None:
         assert _outcome(lambda t, p: fast, text) == oracle
+        assert _outcome(csv_reference.canonical_exact_csv, text) == oracle
 
 
-@settings(max_examples=400)
+@settings(max_examples=400, deadline=None)
 @given(
-    ps=_exact_sets(),
+    ps=_exact_sets(12),
     edits=st.lists(
         st.tuples(
             st.integers(0, 10 ** 6),
@@ -947,7 +974,13 @@ def test_mutated_csvs_read_alike_through_both_routes(ps, edits):
     for pos, kind, char in edits:
         i = pos % (len(text) + 1)
         text = text[:i] + ("" if kind == "d" else char) + text[i + (kind != "i"):]
-    assert _outcome(pointset_from_csv, text) == _outcome(_general_csv, text)
+    oracle = _outcome(_general_csv, text)
+    assert _outcome(pointset_from_csv, text) == _outcome(_read_file, text) == oracle
+    # the block reader takes exactly the texts the whole-text parse took, and reads them alike
+    fast, whole = _block_route(text, None), _whole_text_route(text, None)
+    assert (fast is None) == (whole is None)
+    if fast is not None:
+        assert _outcome(lambda t, p: fast, text) == _outcome(lambda t, p: whole, text) == oracle
 
 
 @pytest.mark.parametrize(
@@ -1000,7 +1033,8 @@ def test_mutated_csvs_read_alike_through_both_routes(ps, edits):
     ],
 )
 def test_csv_edge_texts_read_alike_through_both_routes(text):
-    assert _outcome(pointset_from_csv, text) == _outcome(_general_csv, text)
+    oracle = _outcome(_general_csv, text)
+    assert _outcome(pointset_from_csv, text) == _outcome(_read_file, text) == oracle
 
 
 @pytest.mark.parametrize(
@@ -1027,24 +1061,75 @@ def test_csv_tokens_int_or_float_would_misread_are_errors(text, token):
 
 def test_csv_tokens_keep_their_surrounding_whitespace():
     for text in ("x1\n 1 /4\n", "x1\n1/ 4\t\n", "x1,x2\n1/4, 3/4\n"):
-        assert pointset_from_csv(text).numerators.tolist()[0][0] == 1
-    assert pointset_from_csv("x1\n 0.25 \n").as_floats() == [(0.25,)]
+        assert pointset_from_csv(text, None).numerators.tolist()[0][0] == 1
+    assert pointset_from_csv("x1\n 0.25 \n", None).as_floats() == [(0.25,)]
 
 
 def test_csv_array_route_reads_no_saturated_integer():
     for digits in (19, 20, 30):
         text = f"x1\n{'9' * digits}/4\n"
-        assert _canonical_exact_csv(text, None) is None
+        assert _block_route(text, None) is None
         with pytest.raises(ValueError, match=f"numerator {'9' * digits} outside"):
-            pointset_from_csv(text)
-    big = pointset_from_csv("x1\n9223372036854775807/9223372036854775808\n")
+            pointset_from_csv(text, None)
+    big = pointset_from_csv("x1\n9223372036854775807/9223372036854775808\n", None)
     assert big.numerators.dtype == object
     assert big.numerators.tolist() == [[2 ** 63 - 1]]
     assert big.denominators == (2 ** 63,)
     # 18 digits is the largest token the array route reads
     top = 10 ** 18 - 1
-    ps = _canonical_exact_csv(f"x1\n{top - 1}/{top}\n", None)
+    ps = _block_route(f"x1\n{top - 1}/{top}\n", None)
     assert ps.numerators.tolist() == [[top - 1]] and ps.denominators == (top,)
+
+
+# a fault in the last row of a CSV that the block reader spreads over many blocks
+_LAST_ROW_FAULTS = {
+    "byte": lambda row: row + " ",  # the general parser strips it
+    "denominator": lambda row: re.sub(r"/(\d+)", lambda m: f"/{int(m[1]) + 1}", row, count=1),
+    "digits": lambda row: row.zfill(len(row) + 19 - len(row.partition("/")[0])),  # 19 digits
+    "newline": lambda row: row[:-1],
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ps=_exact_sets(40),
+    block=st.integers(1, 64),
+    fault=st.sampled_from(sorted(_LAST_ROW_FAULTS)),
+)
+def test_a_fault_in_the_last_block_gives_the_general_parsers_outcome(ps, block, fault):
+    # the faultless text takes the block route, and rows come before the faulty one
+    assume(max(ps.denominators) < 10 ** 18 and ps.count > 1)
+    text = pointset_to_csv(ps)
+    head, last = text[:-1].rsplit("\n", 1)
+    faulty = f"{head}\n{_LAST_ROW_FAULTS[fault](last + chr(10))}"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pointsets, "CSV_READ_BLOCK", block)
+        assert _block_route(text, None) is not None
+        assert _block_route(faulty, None) is None  # never the rows before the fault
+        oracle = _outcome(_general_csv, faulty)
+        assert _outcome(pointset_from_csv, faulty) == _outcome(_read_file, faulty) == oracle
+
+
+@settings(max_examples=100, deadline=None)
+@given(ps=_exact_sets(40), block=st.integers(1, 64))
+def test_a_crlf_file_reads_as_its_lf_form(ps, block):
+    # text mode translated CRLF for the parse; the bytes go to the general parser
+    text = pointset_to_csv(ps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pointsets, "CSV_READ_BLOCK", block)
+        crlf = _outcome(_read_file, text.replace("\n", "\r\n"))
+        assert crlf == _outcome(_read_file, text) == _outcome(_general_csv, text)
+
+
+def test_a_token_ending_on_a_block_edge_reads_whole(monkeypatch):
+    ps = halton([2, 3, 5], 40)
+    text = pointset_to_csv(ps)
+    row = len(text.splitlines()[1]) + 1
+    for block in range(1, 3 * row + 2):  # each read ends after a digit, a separator or a newline
+        monkeypatch.setattr(pointsets, "CSV_READ_BLOCK", block)
+        back = _block_route(text, None)
+        assert back.denominators == ps.denominators
+        assert back.numerators.tolist() == ps.numerators.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -1021,6 +1021,6 @@ def test_assess_builds_no_reference_for_a_refused_dual(monkeypatch):
     G = _level_five_matrices()  # 256 points, but a walk over the budget
     # 256 points too, so a dual t would be checked
     ps = _naming(niederreiter_net(2, 2, 8), G)
-    monkeypatch.setattr(quality, "digital_net", must_not_build)
+    monkeypatch.setattr(quality, "digital_points", must_not_build)
     rep = assess(ps, b=2, m=8)
     assert rep.t_dual is None and rep.t_geometric is not None
