@@ -16,7 +16,7 @@ payload, human text and exit code and passes them to _finish, which prints
 one or the other and, with --out, writes the artifacts (report.json unless
 the handler names its files) and a manifest of the parsed options.  gen
 prints by itself (its --out payload carries the files' digests) and builds
-its point sets from a second table, kind -> (needed options, builder).
+its point sets from a second table, kind -> (options needed, others read, builder).
 gen --kind digital and verify read provenance files through one reader,
 _provenance_file, which has pointsets.provenance_reference name a field
 that is missing, mistyped or out of range; verify passes the provenance to
@@ -139,8 +139,6 @@ def _list_option(text: str, kind: Callable = int, sep: str = ",") -> list:
 
 
 def _poly_pretty(f: Poly) -> str:
-    if f.is_zero:
-        return "0"
     terms = []
     for e, c in reversed(list(enumerate(f.coeffs))):
         if c == 0:
@@ -182,6 +180,8 @@ def _gen_digital(args) -> PointSet:
     if not isinstance(G, GeneratingMatrixSet):
         raise ValueError(f"{args.matrices} holds no generating matrices")
     if args.n is None:
+        if args.start:
+            raise ValueError("gen --kind digital reads --start only with --n")
         return digital_net(G)
     return digital_points(G, args.start, args.n)
 
@@ -192,34 +192,45 @@ def _gen_polylattice(args) -> PointSet:
     return polynomial_lattice(f, g)
 
 
-# kind -> (options it needs, builder).  The builders name each construction
-# at call time: a profiler or tracer that rebinds the module attribute (as
-# perfbench does) must see the call, which a stored function object hides.
+# kind -> (options it needs, others it reads, builder).  The builders name
+# each construction at call time: a profiler or tracer that rebinds the
+# module attribute (as perfbench does) must see the call, which a stored
+# function object hides.
 _GEN_KINDS = {
-    "lattice": (("a", "n"), lambda args: lattice_points(_list_option(args.a), args.n)),
+    "lattice": (("a", "n"), (), lambda args: lattice_points(_list_option(args.a), args.n)),
     "kronecker": (
         ("alphas", "n"),
+        ("start",),
         lambda args: kronecker(_list_option(args.alphas, str), args.n, start=args.start),
     ),
     "halton": (
         ("bases", "n"),
+        ("start",),
         lambda args: halton(_list_option(args.bases), args.n, start=args.start),
     ),
     "hybrid": (
         ("first", "second"),
+        (),
         lambda args: hybrid(_read_points(args.first), _read_points(args.second)),
     ),
-    "digital": (("matrices",), _gen_digital),
-    "niederreiter": (("b", "s", "m"), lambda args: niederreiter_net(args.b, args.s, args.m)),
-    "polylattice": (("b", "f", "g"), _gen_polylattice),
+    "digital": (("matrices",), ("n", "start"), _gen_digital),
+    "niederreiter": (("b", "s", "m"), (), lambda args: niederreiter_net(args.b, args.s, args.m)),
+    "polylattice": (("b", "f", "g"), (), _gen_polylattice),
 }
 
 
 def cmd_gen(args) -> int:
-    needs, build = _GEN_KINDS[args.kind]
+    needs, reads, build = _GEN_KINDS[args.kind]
     missing = [f"--{name}" for name in needs if getattr(args, name) is None]
     if missing:
         raise ValueError(f"gen --kind {args.kind} needs {', '.join(missing)}")
+    # an option is set when it differs from its default (--start's is 0);
+    # --float applies to every kind
+    read = (*needs, *reads, "kind", "float")
+    defaults = {flags[0][2:]: kwargs.get("default") for flags, kwargs in SUBCOMMANDS["gen"][2]}
+    unread = [f"--{k}" for k, v in defaults.items() if k not in read and getattr(args, k) != v]
+    if unread:
+        raise ValueError(f"gen --kind {args.kind} does not read {', '.join(unread)}")
     ps = build(args)
     described = {
         "n": ps.count,

@@ -16,7 +16,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import BinaryIO, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -57,39 +56,40 @@ def _int_dtype(bound: int):
 def _frozen_rows(rows, dtype, width: Optional[int], ragged: str) -> np.ndarray:
     """A fresh read-only (N, width) array of the rows; width None accepts
     the rows' own, and ragged rows fail on their shape.  Integer rows
-    (dtype int64 or object) that numpy does not read as integers are read
-    again one Python value at a time: a value that is not an integer raises
-    ValueError naming it, and one beyond int64 stays a Python int that fails
-    the caller's range check with its own message."""
+    (dtype int64 or object) come from a numpy integer array that int64
+    holds, or else are each an int as _ints reads it; one beyond int64
+    stays a Python int that fails the caller's range check with its own
+    message."""
     exact = dtype is not np.float64
+    fast = isinstance(rows, np.ndarray) and rows.dtype.kind in "iu" and rows.dtype != np.uint64
     try:
-        arr = np.array(rows, dtype=None if exact else dtype)
+        arr = np.array(rows, dtype=object if exact and not fast else dtype)
     except (OverflowError, ValueError):
         arr = np.array(rows, dtype=object)
     if arr.shape == (0,):
         arr = arr.reshape(0, width or 0)
     if arr.ndim != 2 or width is not None and arr.shape[1] != width:
         raise ValueError(ragged)
-    if exact:
-        if not np.can_cast(arr.dtype, np.int64):
-            values = np.array(rows, dtype=object).ravel().tolist()
-            arr = np.array([_integer(v) for v in values], dtype=object).reshape(arr.shape)
+    if exact and not fast:
+        values = _ints(arr.ravel().tolist(), "numerator {!r} is not an integer")
         try:
-            arr = arr.astype(dtype, copy=False)
+            arr = np.array(values, dtype=dtype).reshape(arr.shape)
         except OverflowError:
-            pass
+            arr = np.array(values, dtype=object).reshape(arr.shape)
     arr.flags.writeable = False
     return arr
 
 
-def _integer(v) -> int:
-    """v as a Python int when its value is an integer (2, 2.0, Fraction(4, 2))."""
-    try:
-        if v == int(v):
-            return int(v)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"numerator {v!r} is not an integer")
+def _ints(values: Iterable, message: str) -> list[int]:
+    """The values as Python ints when each is an int, never a bool, float,
+    Fraction or string; else ValueError(message.format(the first that is not))."""
+    values = list(values)
+    if set(map(type, values)) - {int}:  # the type test alone keeps plain ints fast
+        bad = [v for v in values if not _nested_ints(v, 0)]
+        if bad:
+            raise ValueError(message.format(bad[0]))
+        values = [int(v) for v in values]
+    return values
 
 
 class _ReadOnlyDict(dict):
@@ -125,7 +125,7 @@ class PointSet:
 
     @classmethod
     def exact(cls, numerators, denominators, provenance=None) -> "PointSet":
-        dens = tuple(int(d) for d in denominators)
+        dens = tuple(_ints(denominators, "denominator {!r} is not an int"))
         if any(d < 1 for d in dens):
             raise ValueError("denominators must be >= 1")
         nums = _frozen_rows(
@@ -200,15 +200,12 @@ class PointSet:
 # ---------------------------------------------------------------------------
 
 def _lattice_generator(a: Sequence[int], n: int) -> list[int]:
-    """The generating vector a reduced mod n, for n >= 1 and a nonempty a of ints (no bools)."""
-    if n < 1:
+    """The generating vector a reduced mod n, for an int n >= 1 and a nonempty a of ints."""
+    if _ints([n], "n {!r} is not an int")[0] < 1:
         raise ValueError("need n >= 1")
     if not a:
         raise ValueError("empty generating vector")
-    bad = [v for v in a if not _nested_ints(v, 0)]
-    if bad:
-        raise ValueError(f"generating vector entry {bad[0]!r} is not an int")
-    return [int(v) % n for v in a]
+    return [v % n for v in _ints(a, "generating vector entry {!r} is not an int")]
 
 
 def lattice_points(a: Sequence[int], n: int) -> PointSet:
@@ -306,7 +303,7 @@ def halton(bases: Sequence[int], n: int, start: int = 0) -> PointSet:
         raise ValueError("need start >= 0")
     if not bases:
         raise ValueError("empty list of bases")
-    blist = [int(b) for b in bases]
+    blist = _ints(bases, "base {!r} is not an int")
     if any(b < 2 for b in blist):
         raise ValueError("bases must be >= 2")
     for i in range(len(blist)):
@@ -393,11 +390,10 @@ class GeneratingMatrixSet:
 
     def __post_init__(self):
         check_prime(self.b)
-        mats = tuple(tuple(tuple(row) for row in mat) for mat in self.matrices)
-        bad = [v for mat in mats for row in mat for v in row if not _nested_ints(v, 0)]
-        if bad:
-            raise ValueError(f"entry {bad[0]!r} is not an int")
-        mats = tuple(tuple(tuple(map(int, row)) for row in mat) for mat in mats)
+        mats = tuple(
+            tuple(tuple(_ints(row, "entry {!r} is not an int")) for row in mat)
+            for mat in self.matrices
+        )
         object.__setattr__(self, "matrices", mats)  # any nested iterables, stored as tuples
         shapes = {(len(mat), len(mat[0]) if mat else 0) for mat in mats}
         if len(shapes) > 1:
@@ -687,10 +683,7 @@ _SEPARATORS_TO_COMMAS = bytes.maketrans(b"/\n", b",,")
 
 
 def pointset_from_csv(text: str, provenance: Optional[dict]) -> PointSet:
-    """pointset_from_csv_file of the text's bytes; a text that is not ASCII
-    goes straight to the general line parser."""
-    if not text.isascii():
-        return _general_csv(text, provenance)
+    """pointset_from_csv_file of the text's bytes."""
     return pointset_from_csv_file(io.BytesIO(text.encode()), provenance)
 
 
@@ -715,29 +708,22 @@ def _exact_csv(fh: BinaryIO, provenance: Optional[dict]) -> Optional[PointSet]:
     ending in a newline, each writing the first row's denominators, each
     token 1 to 18 ASCII digits.  A first pass counts the rows for one int64
     array of exactly the numerators; the second runs every check on the
-    bytes of each CSV_READ_BLOCK of whole rows (no per-line or per-token
-    Python object), and a check failing in any block gives None."""
+    bytes of each block of whole rows, CSV_READ_BLOCK bytes and the rest of
+    the row they end in (no per-line or per-token Python object), and a
+    check failing in any block gives None."""
     header = fh.readline()
     dim = header.count(b",") + 1
     if header != (_csv_header(dim) + "\n").encode():
         return None
-    body, more = fh.tell(), lambda: iter(partial(fh.read, CSV_READ_BLOCK), b"")
-    first = fh.read(CSV_READ_BLOCK)
-    count = first.count(b"\n") + sum(block.count(b"\n") for block in more())
+    body = fh.tell()
+    count = sum(block.count(b"\n") for block in iter(lambda: fh.read(CSV_READ_BLOCK), b""))
+    fh.seek(body)
     nums = np.empty((count, dim), dtype=np.int64)
-    if len(first) < CSV_READ_BLOCK:  # a text shorter than one block is read once
-        blocks = [first]
-    else:
-        fh.seek(body)
-        blocks = more()
     layout = np.frombuffer(b"/," * (dim - 1) + b"/\n", dtype=np.uint8)
-    dens, done, tail = None, 0, b""
-    for block in blocks:
-        cut = block.rfind(b"\n") + 1  # a block ends after a row, so no token spans two
-        if not cut:
-            tail += block
-            continue
-        rows, tail = tail + block[:cut], block[cut:]
+    dens, done = None, 0
+    for rows in iter(lambda: fh.read(CSV_READ_BLOCK) + fh.readline(), b""):
+        if not rows.endswith(b"\n"):  # the last row has no newline
+            return None
         raw = np.frombuffer(rows, dtype=np.uint8)
         if raw.max() > ord("9"):
             return None
@@ -761,7 +747,7 @@ def _exact_csv(fh: BinaryIO, provenance: Optional[dict]) -> Optional[PointSet]:
             return None
         nums[done : done + len(values)] = values[:, 0::2]
         done += len(values)
-    if tail or dens is None:  # no final newline, or no rows
+    if dens is None:  # no rows
         return None
     nums.flags.writeable = False
     return PointSet()._fill(nums, tuple(dens.tolist()), None, provenance)

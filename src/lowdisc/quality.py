@@ -33,7 +33,7 @@ import numpy as np
 
 from .algebra import nullspace_mod_p
 from .pointsets import GeneratingMatrixSet, PointSet, digital_points, provenance_reference
-from .pointsets import _index_range, _lattice_generator, _lattice_numerators
+from .pointsets import _lattice_generator, _lattice_numerators
 
 __all__ = [
     "BudgetError",
@@ -129,7 +129,8 @@ def _cells_balanced(cols: np.ndarray, b: int, m: int, shape: tuple) -> bool:
     key = np.zeros(cols.shape[1], dtype=np.int64)
     for v, d in zip(cols, shape):
         if d:
-            key = key * b ** d + v // b ** (m - d)
+            key *= b ** d
+            key += v // b ** (m - d)
     return bool((np.bincount(key, minlength=b ** w) == b ** (m - w)).all())
 
 
@@ -419,8 +420,7 @@ def p_alpha(a: Sequence[int], n: int) -> float:
     step = max(1, P_ALPHA_CHUNK // len(avec))
     total = 0.0  # a single chunk sums its terms exactly as their mean does
     for lo in range(0, n, step):
-        k = _index_range(lo, min(step, n - lo), n * n)  # k * a_j stays below n^2
-        x = np.asarray(k[:, None] * np.array(avec, dtype=k.dtype) % n / n, dtype=np.float64)
+        x = np.asarray(_lattice_numerators(avec, n, lo, min(step, n - lo)) / n, dtype=np.float64)
         total += (1.0 + 2.0 * math.pi ** 2 * (x * x - x + 1.0 / 6.0)).prod(axis=1).sum()
     return float(total / n - 1.0)
 

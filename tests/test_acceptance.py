@@ -4,6 +4,8 @@ The experiments themselves live in lowdisc.acceptance so the command line
 (`lowdisc reproduce <n>`) runs exactly the code being tested here.
 """
 
+import re
+
 import pytest
 
 from lowdisc.acceptance import ALL_CRITERIA, format_result_line, run_criterion
@@ -44,3 +46,13 @@ def test_registry_is_complete():
     assert sorted(DETAILS) == sorted(ALL_CRITERIA)
     names = [name for name, _, _ in ALL_CRITERIA.values()]
     assert len(set(names)) == len(names)
+
+
+def test_a_criterion_over_its_budget_fails(monkeypatch):
+    name, _, fn = ALL_CRITERIA[1]
+    monkeypatch.setitem(ALL_CRITERIA, 1, (name, 0, fn))
+    result = run_criterion(1)
+    assert result.passed is False
+    head, suffix = result.detail.split(" -- ")
+    assert head == DETAILS[1]
+    assert re.fullmatch(r"but took \d+\.\ds, over the 0s budget", suffix)

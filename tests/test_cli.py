@@ -235,6 +235,30 @@ def test_gen_hybrid_concatenates_csvs(tmp_path, capsys):
         assert got.startswith(left + ",")
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["--kind", "lattice", "--a", "1,3", "--n", "4", "--start", "2"], "gen --kind lattice does not read --start"),
+    (
+        ["--kind", "niederreiter", "--b", "2", "--s", "2", "--m", "2", "--n", "2"],
+        "gen --kind niederreiter does not read --n",
+    ),
+    (["--kind", "digital", "--matrices", "MATS", "--start", "3"], "gen --kind digital reads --start only with --n"),
+])
+def test_gen_refuses_an_option_its_kind_does_not_read(tmp_path, capsys, argv, error):
+    # going on would write points as if the option were not there
+    mats = tmp_path / "mats.json"
+    mats.write_text(json.dumps({"b": 2, "matrices": [[[1, 0], [0, 1]]]}))
+    code, out = run(capsys, "gen", *[str(mats) if arg == "MATS" else arg for arg in argv])
+    assert code == 1
+    assert json.loads(out) == {"error": error}
+
+
+def test_gen_lattice_takes_float_and_a_zero_start(capsys):
+    # --float applies to every kind, and --start 0 is its default
+    code, out = run(capsys, "gen", "--kind", "lattice", "--a", "1,3", "--n", "2", "--start", "0", "--float")
+    assert code == 0
+    assert out.splitlines() == ["x1,x2", "0.0,0.0", "0.5,0.5"]
+
+
 def test_gen_digital_needs_matrices(capsys):
     code, out = run(capsys, "gen", "--kind", "digital")
     assert code == 1

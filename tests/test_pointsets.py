@@ -45,6 +45,7 @@ from lowdisc.pointsets import (
 )
 from lowdisc.cli import _read_points
 from lowdisc.pointsets import _exact_csv, _general_csv
+from lowdisc.quality import p_alpha
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +175,7 @@ def test_storage_is_a_read_only_copy():
         ([[0.5, 2.9]], [2, 3], r"numerator 0\.5 is not an integer"),
         ([[1, 2.9]], [2, 3], r"numerator 2\.9 is not an integer"),
         ([[Fraction(1, 2)]], [2], r"numerator Fraction\(1, 2\) is not an integer"),
-        (np.array([[0.0, 1.5]]), [2, 2], r"numerator 1\.5 is not an integer"),
+        (np.array([[0.0, 1.5]]), [2, 2], r"numerator 0\.0 is not an integer"),
         ([[float("nan")]], [2], "numerator nan is not an integer"),
         ([[2 ** 64, 0.5]], [2 ** 65, 2], r"numerator 0\.5 is not an integer"),
     ],
@@ -195,10 +196,38 @@ def test_exact_validation_messages(nums, dens, message):
     ],
 )
 def test_integral_numerators_of_any_type_are_ints(nums, dens):
+    # only an int or a numpy integer array is read as ints: 2.0,
+    # Fraction(4, 2) and True are refused and named, never truncated
+    if not isinstance(nums, np.ndarray) or nums.dtype.kind not in "iu":
+        with pytest.raises(ValueError, match=r"numerator (2\.0|Fraction\(2, 1\)) is not an integer"):
+            PointSet.exact(nums, dens)
+        return
     ps = PointSet.exact(nums, dens)
     assert ps.numerators.tolist() == [[2, 1]]
     assert all(type(v) is int for v in ps.numerators.ravel().tolist())
     assert ps.as_fractions() == [(Fraction(2, dens[0]), Fraction(1, 2))]
+
+
+# (argument, call with a value in its place): each argument is an int or fails
+_INT_ARGUMENTS = {
+    "numerator": lambda v: PointSet.exact([[v]], [4]),
+    "denominator": lambda v: PointSet.exact([[1]], [v]),
+    "base": lambda v: halton([v, 3], 4),
+    "n": lambda v: lattice_points([1, 3], v),
+    "p_alpha n": lambda v: p_alpha([1, 3], v),
+}
+
+
+@pytest.mark.parametrize(
+    "argument,value",
+    [(argument, value) for argument in _INT_ARGUMENTS for value in (2.0, True, "2", Fraction(4, 2))]
+    # read as ints, these built the point 1/4, the base-2 Halton set and a
+    # lattice whose own provenance assess refuses
+    + [("denominator", 4.5), ("base", 2.9), ("n", 8.0)],
+)
+def test_a_value_that_is_not_an_int_is_refused_by_name(argument, value):
+    with pytest.raises(ValueError, match=f"{re.escape(repr(value))} is not an int"):
+        _INT_ARGUMENTS[argument](value)
 
 
 @pytest.mark.parametrize(
@@ -1119,6 +1148,21 @@ def test_a_crlf_file_reads_as_its_lf_form(ps, block):
         mp.setattr(pointsets, "CSV_READ_BLOCK", block)
         crlf = _outcome(_read_file, text.replace("\n", "\r\n"))
         assert crlf == _outcome(_read_file, text) == _outcome(_general_csv, text)
+
+
+class _Pipe(io.BytesIO):
+    """Bytes that read like a pipe: no seek."""
+
+    def seekable(self):
+        return False
+
+
+@pytest.mark.parametrize("text,block", [(pointset_to_csv(halton([2, 3], 9)), True), ("x1\n 1/4\n1/2\n", False)])
+def test_a_file_that_cannot_seek_reads_as_one_that_can(text, block):
+    assert (_block_route(text, None) is not None) == block
+    assert _outcome(pointsets.pointset_from_csv_file, _Pipe(text.encode())) == (
+        _outcome(pointset_from_csv, text)
+    )
 
 
 def test_a_token_ending_on_a_block_edge_reads_whole(monkeypatch):

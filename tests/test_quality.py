@@ -4,6 +4,7 @@ discrepancy, P_2, and the integration harness."""
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -107,6 +108,18 @@ def test_repeated_origin_has_worst_t():
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_niederreiter_b2_s2_is_a_0_net(m):
     assert minimal_t_geometric(niederreiter_net(2, 2, m), 2, m) == 0
+
+
+def test_geometric_walk_builds_its_cell_keys_in_place():
+    # one key and one digit array at a time: about the s = 2 numerators
+    ps = niederreiter_net(2, 2, 16)
+    tracemalloc.start()
+    try:
+        assert minimal_t_geometric(ps, 2, 16) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * ps.numerators.nbytes
 
 
 def test_niederreiter_b2_s3_needs_t_1():
@@ -751,6 +764,7 @@ def _p_alpha_unchunked(a, n):
 
 
 def test_p_alpha_in_chunks(monkeypatch):
+    import lowdisc.pointsets as pointsets
     import lowdisc.quality as quality
 
     cases = [([1, 34], 55), ([1, 89], 10000), ([1, 3, 5], 997), ([7], 1), ([0, 0], 4)]
@@ -763,7 +777,7 @@ def test_p_alpha_in_chunks(monkeypatch):
     def wide(start, count, bound):
         return np.arange(start, start + count, dtype=object)
 
-    monkeypatch.setattr(quality, "_index_range", wide)
+    monkeypatch.setattr(pointsets, "_index_range", wide)
     for a, n in cases:
         assert abs(p_alpha(a, n) - _p_alpha_unchunked(a, n)) < 1e-12
 
