@@ -263,6 +263,7 @@ def kronecker(alphas: Sequence, n: int, start: int = 0) -> PointSet:
     final division to a float rounds (error < 2^-52, far below the 2^-128
     grid).  Irrational alphas come in as "sqrt(d)" strings.
     """
+    n, start = _ints([n, start], "n and start must be ints, not {!r}")
     if n < 1:
         raise ValueError("need n >= 1")
     if not alphas:
@@ -297,6 +298,7 @@ def halton(bases: Sequence[int], n: int, start: int = 0) -> PointSet:
     pairwise coprime.  Each coordinate's denominator is the power b_j^L
     needed for the largest index, so a column shares one denominator.
     """
+    n, start = _ints([n, start], "n and start must be ints, not {!r}")
     if n < 1:
         raise ValueError("need n >= 1")
     if start < 0:
@@ -447,7 +449,7 @@ def digital_points(G: GeneratingMatrixSet, start: int, count: int) -> PointSet:
     rows give base-b digits of the coordinate, row 1 being the most
     significant.  Denominator is b^rows for every coordinate.
     """
-    return _digital_set(G, start, count)
+    return _digital_set(G, *_ints([start, count], "start and count must be ints, not {!r}"))
 
 
 def _digital_set(G: GeneratingMatrixSet, start: int, count: int, **fields) -> PointSet:
@@ -707,10 +709,10 @@ def _exact_csv(fh: BinaryIO, provenance: Optional[dict]) -> Optional[PointSet]:
     writes an exact set, else None: header x1..xs, then rows d/d,...,d/d
     ending in a newline, each writing the first row's denominators, each
     token 1 to 18 ASCII digits.  A first pass counts the rows for one int64
-    array of exactly the numerators; the second runs every check on the
-    bytes of each block of whole rows, CSV_READ_BLOCK bytes and the rest of
-    the row they end in (no per-line or per-token Python object), and a
-    check failing in any block gives None."""
+    array of exactly the numerators, column-major as the builders make it;
+    the second runs every check on the bytes of each block of whole rows,
+    CSV_READ_BLOCK bytes and the rest of the row they end in (no per-line or
+    per-token Python object), and a check failing in any block gives None."""
     header = fh.readline()
     dim = header.count(b",") + 1
     if header != (_csv_header(dim) + "\n").encode():
@@ -718,7 +720,7 @@ def _exact_csv(fh: BinaryIO, provenance: Optional[dict]) -> Optional[PointSet]:
     body = fh.tell()
     count = sum(block.count(b"\n") for block in iter(lambda: fh.read(CSV_READ_BLOCK), b""))
     fh.seek(body)
-    nums = np.empty((count, dim), dtype=np.int64)
+    nums = np.empty((count, dim), dtype=np.int64, order="F")
     layout = np.frombuffer(b"/," * (dim - 1) + b"/\n", dtype=np.uint8)
     dens, done = None, 0
     for rows in iter(lambda: fh.read(CSV_READ_BLOCK) + fh.readline(), b""):

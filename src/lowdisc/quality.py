@@ -11,7 +11,9 @@ whether the first d_j rows of the C_j are linearly independent over F_b.
 A nonzero vector orthogonal to the image of T = (C_1, ..., C_s) : F_b^m ->
 F_b^(sm) is such a dependency, its Niederreiter-Rosenbloom-Tsfasman weight
 the sum of the d_j it uses, so the minimum weight of the dual space is
-delta = m + 1 - t (m + 1 on a trivial dual).
+delta = m + 1 - t (m + 1 on a trivial dual).  A level is walked depth first
+in lexicographic order, one nonzero part at a time; each prefix keeps a
+state built once from its parent's, its cell key or its rows' echelon form.
 
 Star discrepancy is computed exactly: the supremum over boxes [0, y) is
 attained in the limit at critical corners y built from coordinate values and
@@ -23,7 +25,6 @@ comparisons are integer arithmetic on numerators; the result is a Fraction.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -82,30 +83,35 @@ class BudgetError(Exception):
 # Geometric (t, m, s)-net verification
 # ---------------------------------------------------------------------------
 
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` non-negative ints summing to `total`, in
-    lexicographic order: stars and bars, one bar position set per tuple."""
-    end = total + parts - 1
-    for bars in itertools.combinations(range(end), parts - 1):
-        yield tuple(hi - lo - 1 for lo, hi in zip((-1, *bars), (*bars, end)))
-
-
-def _first_level(levels, m: int, parts: int, holds: Callable) -> Optional[int]:
-    """The first t in levels at which holds(shape) is true for every
-    composition shape of m - t into `parts` parts, or None.  A level is left
-    at its first failing shape; past COMPOSITION_BUDGET checks in all, the
-    walk raises BudgetError."""
+def _first_level(levels, m: int, s: int, empty: Callable, extend: Callable, holds: Callable) -> Optional[int]:
+    """The first t in levels at which holds(state, t) is true for the state
+    of every composition of m - t into s parts, walked by _prefixes from
+    empty(), or None.  A level is left at its first failing composition;
+    past COMPOSITION_BUDGET checks in all, the walk raises BudgetError."""
     checks = 0
     for t in levels:
-        for shape in _compositions(m - t, parts):
+        for state in _prefixes(empty(), 0, m - t, s, extend):
             checks += 1
             if checks > COMPOSITION_BUDGET:
                 raise BudgetError(f"t needs more than {COMPOSITION_BUDGET} compositions checked")
-            if not holds(shape):
+            if not holds(state, t):
                 break
+            del state  # a leaf's key goes before the next one is built
         else:
             return t
     return None
+
+
+def _prefixes(state, k: int, rest: int, s: int, extend: Callable):
+    """The states, after the prefix `state`, of the compositions giving parts
+    k..s-1 the sum rest, in lexicographic order.  extend(state, j, d, last)
+    adds a nonzero part d_j = d, once per prefix, in place for a last child."""
+    if rest == 0:
+        yield state
+        return
+    for j in range(s - 1, k - 1, -1):
+        for d in range(rest if j == s - 1 else 1, rest + 1):
+            yield from _prefixes(extend(state, j, d, j == k and d == rest), j + 1, rest - d, s, extend)
 
 
 def _check_net_input(ps: PointSet, b: int, m: int) -> None:
@@ -114,36 +120,37 @@ def _check_net_input(ps: PointSet, b: int, m: int) -> None:
         raise ValueError("net verification needs an exact point set")
     if ps.count != b ** m:
         raise ValueError(f"expected b^m = {b ** m} points, got {ps.count}")
-    den = b ** m
-    if any(d != den for d in ps.denominators):
-        raise ValueError(f"expected all denominators {den}, got {ps.denominators}")
+    if any(d != b ** m for d in ps.denominators):
+        raise ValueError(f"expected all denominators {b ** m}, got {ps.denominators}")
 
 
-def _cells_balanced(cols: np.ndarray, b: int, m: int, shape: tuple) -> bool:
-    """Does every cell of shape (d_1, ..., d_s) hold b^(m - sum d_j) points?
+def _cell_key(cols: np.ndarray, b: int, m: int, key, j: int, d: int, last: bool):
+    """A prefix's mixed-radix cell key (0 when empty) with coordinate j's leading d digits."""
+    if last:
+        key *= b ** d
+    else:
+        key = key * b ** d
+    key += cols[j] // b ** (m - d)
+    return key
 
-    A point's cell is its leading d_j digits per coordinate, numerator //
-    b^(m - d_j), read as one mixed-radix key; np.bincount counts the cells.
-    """
-    w = sum(shape)
-    key = np.zeros(cols.shape[1], dtype=np.int64)
-    for v, d in zip(cols, shape):
-        if d:
-            key *= b ** d
-            key += v // b ** (m - d)
-    return bool((np.bincount(key, minlength=b ** w) == b ** (m - w)).all())
+
+def _cells_balanced(b: int, m: int, key, t: int) -> bool:
+    """Does each of the b^(m - t) cells that key numbers (one when it is 0) hold b^t points?"""
+    return isinstance(key, int) or bool((np.bincount(key, minlength=b ** (m - t)) == b ** t).all())
+
+
+def _walk_points(ps: PointSet, b: int, m: int, levels) -> Optional[int]:
+    _check_net_input(ps, b, m)  # so the one cell of the empty prefix holds b^m points
+    extend = functools.partial(_cell_key, ps.numerators.T, b, m)
+    return _first_level(levels, m, ps.dim, int, extend, functools.partial(_cells_balanced, b, m))
 
 
 def net_property(ps: PointSet, b: int, m: int, t: int) -> bool:
-    """Does every elementary interval of volume b^(t-m) hold exactly b^t points?
-
-    Checks all digit-resolution shapes (d_1, ..., d_s) with sum = m - t.
-    """
-    _check_net_input(ps, b, m)
+    """Does every elementary interval of volume b^(t-m) hold exactly b^t
+    points, for all digit-resolution shapes (d_1, ..., d_s) of sum m - t?"""
     if not 0 <= t <= m:
         raise ValueError(f"need 0 <= t <= m, got t={t}")
-    holds = functools.partial(_cells_balanced, ps.numerators.T, b, m)
-    return _first_level([t], m, ps.dim, holds) == t
+    return _walk_points(ps, b, m, [t]) == t
 
 
 def minimal_t_geometric(ps: PointSet, b: int, m: int) -> int:
@@ -151,9 +158,7 @@ def minimal_t_geometric(ps: PointSet, b: int, m: int) -> int:
 
     Always terminates: t = m trivially holds (the single cell [0,1)^s).
     """
-    _check_net_input(ps, b, m)
-    holds = functools.partial(_cells_balanced, ps.numerators.T, b, m)
-    return _first_level(range(m + 1), m, ps.dim, holds)
+    return _walk_points(ps, b, m, range(m + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -186,22 +191,34 @@ def dual_space(G: GeneratingMatrixSet) -> DualSpace:
     if G.rows != G.cols:
         raise ValueError("dual space needs square generating matrices")
     b, m, s = G.b, G.rows, G.s
-    all_rows = [row for mat in G.matrices for row in mat]
     # sm minus the rank of all sm rows, which is m minus their nullity
-    dimension = (s - 1) * m + len(nullspace_mod_p(all_rows, m, b))
-
-    def independent(shape):  # the first d_j rows of the C_j, taken together
-        rows = [row for mat, d in zip(G.matrices, shape) if d for row in mat[:d]]
-        return len(nullspace_mod_p(rows, m, b)) == m - len(rows)
-
-    t = _first_level(range(m + 1), m, s, independent)
+    dimension = (s - 1) * m + len(nullspace_mod_p([row for mat in G.matrices for row in mat], m, b))
+    t = _first_level(range(m + 1), m, s, dict, functools.partial(_echelon, G), lambda e, t: e is not None)
     return DualSpace(b=b, m=m, s=s, dimension=dimension, delta=m + 1 - t)
+
+
+def _echelon(G: GeneratingMatrixSet, echelon: Optional[dict], j: int, d: int, last: bool) -> Optional[dict]:
+    """A prefix's rows as {pivot column: row with 0 before it} over F_b, the
+    first d rows of C_j reduced into it; None once the rows are dependent."""
+    if echelon is None:
+        return None
+    echelon = echelon if last else dict(echelon)
+    for row in G.matrices[j][:d]:
+        for c in range(len(row)):  # the columns before c are 0 in row
+            if row[c]:
+                if c not in echelon:
+                    echelon[c] = row
+                    break
+                f, g = row[c], echelon[c][c]
+                row = [(g * v - f * p) % G.b for v, p in zip(row, echelon[c])]
+        else:
+            return None
+    return echelon
 
 
 def minimal_t_dual(G: GeneratingMatrixSet) -> int:
     """t of the digital net from the dual space: t = m + 1 - delta."""
-    d = dual_space(G)
-    return d.m + 1 - d.delta
+    return G.rows + 1 - dual_space(G).delta
 
 
 # ---------------------------------------------------------------------------

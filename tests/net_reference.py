@@ -2,7 +2,9 @@
 the geometric net check used before the numpy kernels, the matrix-product
 digital-point kernel that the half-index tables replaced, the dual-space
 basis (a nullspace of T^T) and its enumeration, which the matrix t route
-used before the rank walk, and the
+used before the rank walk, the walk that checked each composition on its
+own (a fresh cell key, or one nullspace_mod_p, per shape) before both t
+routes kept a state per prefix, and the
 dense dual-lattice grid that P_2's dual sum used before the residue fold,
 kept verbatim as reference implementations.  Also the row-by-row
 Niederreiter matrices: one expansion per row, where the production route
@@ -16,6 +18,7 @@ tests compare the production routes against them value for value.
 """
 
 import cmath
+import itertools
 import math
 from typing import Sequence
 
@@ -23,9 +26,10 @@ import numpy as np
 from factorizer_reference import trial_division_irreducibles
 from polys import monomial
 
+import lowdisc.quality as quality
 from lowdisc.algebra import Poly, laurent_expand, nullspace_mod_p
 from lowdisc.pointsets import GeneratingMatrixSet, PointSet, _index_range
-from lowdisc.quality import BudgetError, DualSpace, _check_net_input, _compositions
+from lowdisc.quality import BudgetError, DualSpace, _check_net_input
 
 DUAL_ENUMERATION_LIMIT = 1 << 22
 
@@ -201,6 +205,61 @@ def polynomial_lattice(f: Poly, g: Sequence[Poly]) -> PointSet:
             "g": [list(gj.coeffs) for gj in g],
         },
     )
+
+
+def _compositions(total: int, parts: int):
+    """All tuples of `parts` non-negative ints summing to `total`, in
+    lexicographic order: stars and bars, one bar position set per tuple."""
+    end = total + parts - 1
+    for bars in itertools.combinations(range(end), parts - 1):
+        yield tuple(hi - lo - 1 for lo, hi in zip((-1, *bars), (*bars, end)))
+
+
+def first_level_by_shapes(levels, m: int, parts: int, holds) -> int | None:
+    """The first t in levels at which holds(shape) is true for every
+    composition shape of m - t into `parts` parts, or None: each shape
+    checked on its own.  A level is left at its first failing shape; past
+    quality.COMPOSITION_BUDGET checks in all, the walk raises BudgetError."""
+    checks = 0
+    for t in levels:
+        for shape in _compositions(m - t, parts):
+            checks += 1
+            if checks > quality.COMPOSITION_BUDGET:
+                raise BudgetError(f"t needs more than {quality.COMPOSITION_BUDGET} compositions checked")
+            if not holds(shape):
+                break
+        else:
+            return t
+    return None
+
+
+def t_geometric_by_shapes(ps: PointSet, b: int, m: int) -> int:
+    """minimal_t_geometric with a fresh mixed-radix cell key per shape."""
+    _check_net_input(ps, b, m)
+    cols = ps.numerators.T
+
+    def balanced(shape):
+        w = sum(shape)
+        key = np.zeros(ps.count, dtype=np.int64)
+        for v, d in zip(cols, shape):
+            if d:
+                key *= b ** d
+                key += v // b ** (m - d)
+        return bool((np.bincount(key, minlength=b ** w) == b ** (m - w)).all())
+
+    return first_level_by_shapes(range(m + 1), m, ps.dim, balanced)
+
+
+def t_dual_by_shapes(G: GeneratingMatrixSet) -> int:
+    """minimal_t_dual with one nullspace_mod_p per shape: the first d_j rows
+    of the C_j, taken together, are independent."""
+    b, m = G.b, G.rows
+
+    def independent(shape):
+        rows = [row for mat, d in zip(G.matrices, shape) if d for row in mat[:d]]
+        return len(nullspace_mod_p(rows, m, b)) == m - len(rows)
+
+    return first_level_by_shapes(range(m + 1), m, G.s, independent)
 
 
 def net_property(ps: PointSet, b: int, m: int, t: int) -> bool:

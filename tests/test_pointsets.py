@@ -231,6 +231,23 @@ def test_a_value_that_is_not_an_int_is_refused_by_name(argument, value):
 
 
 @pytest.mark.parametrize(
+    "call,value",
+    [
+        (lambda: halton([2, 3], 4, start=True), True),
+        (lambda: halton([2, 3], 4, start=1.0), 1.0),
+        (lambda: kronecker(["sqrt(2)"], True), True),
+        (lambda: digital_points(niederreiter_matrices(2, 2, 3), True, 2), True),
+    ],
+    ids=["halton-start-true", "halton-start-float", "kronecker-n-true", "digital-start-true"],
+)
+def test_sizes_and_starts_are_refused_by_name_unless_ints(call, value):
+    # read as ints, True built the set from index 1 or of one point, and
+    # 1.0 failed inside numpy without naming the value
+    with pytest.raises(ValueError, match=re.escape(repr(value))):
+        call()
+
+
+@pytest.mark.parametrize(
     "rows,message",
     [
         ([[0.5], [0.25, 0.75]], "ragged rows"),
@@ -866,6 +883,16 @@ def test_csv_roundtrip_keeps_net_denominators(b, s, m):
     ps = niederreiter_net(b, s, m)
     back = pointset_from_csv(pointset_to_csv(ps), None)
     assert back.denominators == ps.denominators == (b ** m,) * s
+    assert back.numerators.tolist() == ps.numerators.tolist()
+
+
+@pytest.mark.parametrize("block", [7, 1 << 16])
+def test_csv_reads_numerators_column_by_column(monkeypatch, block):
+    # the builders' layout, so a set read back walks its columns as fast
+    monkeypatch.setattr(pointsets, "CSV_READ_BLOCK", block)
+    ps = niederreiter_net(3, 3, 5)
+    back = pointsets.pointset_from_csv_file(io.BytesIO(pointset_to_csv(ps).encode()), None)
+    assert back.numerators.T.flags.c_contiguous and ps.numerators.T.flags.c_contiguous
     assert back.numerators.tolist() == ps.numerators.tolist()
 
 

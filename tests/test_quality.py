@@ -1,11 +1,14 @@
 """Tests for quality assessment: net verification, duality, exact star
 discrepancy, P_2, and the integration harness."""
 
+import gc
 import itertools
 import math
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from star_reference import (
     star_float,
 )
 
+import lowdisc.quality as quality
 from lowdisc.algebra import Poly, monic_irreducibles
 from lowdisc.pointsets import (
     GeneratingMatrixSet,
@@ -120,6 +124,18 @@ def test_geometric_walk_builds_its_cell_keys_in_place():
     finally:
         tracemalloc.stop()
     assert peak < 1.2 * ps.numerators.nbytes
+
+
+def test_geometric_walk_keeps_one_cell_key_per_depth():
+    # at s = 3 a prefix's key lives while its children's keys are built
+    ps = niederreiter_net(2, 3, 12)
+    tracemalloc.start()
+    try:
+        assert minimal_t_geometric(ps, 2, 12) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * ps.numerators.nbytes
 
 
 def test_niederreiter_b2_s3_needs_t_1():
@@ -375,6 +391,69 @@ def test_one_composition_budget_covers_every_walk(monkeypatch):
     rep = assess(ps, b=2, m=4)  # ps's provenance names G
     assert rep.t_geometric is None and rep.t_dual is None
     assert rep.star_discrepancy == Fraction(11, 64)
+
+
+def _t_or_refused(walk, *args):
+    try:
+        return walk(*args)
+    except BudgetError:
+        return "refused"
+
+
+@st.composite
+def matrices_with_zero_rows(draw):
+    """Generating matrices over F_b, b in {2, 3, 5}, s in 1..5, m in 1..5,
+    about half their rows zero, so t = 0 and t = m both occur."""
+    b = draw(st.sampled_from([2, 3, 5]))
+    s, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    row = st.one_of(st.just([0] * m), st.lists(st.integers(0, b - 1), min_size=m, max_size=m))
+    matrix = st.lists(row, min_size=m, max_size=m)
+    return GeneratingMatrixSet(b, draw(st.lists(matrix, min_size=s, max_size=s)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices_with_zero_rows())
+@example(niederreiter_matrices(5, 5, 3))  # t = 0
+@example(GeneratingMatrixSet(3, [[[0] * 4] * 4] * 5))  # t = m
+def test_prefix_walks_match_the_per_shape_walk_under_every_budget(G):
+    # each shape is checked on its own in the oracle, so both prefix walks
+    # must reach the same t, or refuse at the same budgets
+    b, m = G.b, G.rows
+    ps = digital_net(G)
+    for budget in (1, 2, 3, 5, 8, 13, 21, 34, 89, 233, quality.COMPOSITION_BUDGET):
+        with mock.patch.object(quality, "COMPOSITION_BUDGET", budget):
+            want = _t_or_refused(net_reference.t_dual_by_shapes, G)
+            assert _t_or_refused(net_reference.t_geometric_by_shapes, ps, b, m) == want
+            assert _t_or_refused(minimal_t_geometric, ps, b, m) == want
+            assert _t_or_refused(minimal_t_dual, G) == want
+
+
+def test_dual_walk_reduces_rows_without_a_nullspace_per_composition(monkeypatch):
+    calls = []
+    nullspace = quality.nullspace_mod_p
+    monkeypatch.setattr(quality, "nullspace_mod_p", lambda *args: calls.append(args) or nullspace(*args))
+    assert minimal_t_dual(niederreiter_matrices(2, 3, 14)) == 1
+    assert len(calls) <= 1  # the dual's dimension
+
+
+def test_walks_free_the_numerators_without_the_cycle_collector(monkeypatch):
+    # a walk that formed a reference cycle would keep every checked set's
+    # numerators until the collector ran, refused walks included
+    G = niederreiter_matrices(2, 3, 8)
+    for budget in (quality.COMPOSITION_BUDGET, 3):
+        monkeypatch.setattr(quality, "COMPOSITION_BUDGET", budget)
+        ps = digital_net(G)  # its provenance names G, so assess walks both routes
+        numerators = weakref.ref(ps.numerators)
+        gc.disable()
+        try:
+            t = _t_or_refused(minimal_t_geometric, ps, 2, 8)
+            assert t == _t_or_refused(minimal_t_dual, G) == (1 if budget > 3 else "refused")
+            rep = assess(ps, b=2, m=8)
+            assert rep.t_geometric == rep.t_dual == (1 if budget > 3 else None)
+            del ps
+            assert numerators() is None
+        finally:
+            gc.enable()
 
 
 def test_walk_counts_checks_not_level_sizes():
