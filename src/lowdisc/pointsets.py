@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 FIXED_POINT_BITS = 128
-CSV_BLOCK = 1 << 12  # rows of an exact CSV formatted per str.format call
+CSV_BLOCK = 1 << 12  # rows of an exact CSV rendered as one byte array
 CSV_READ_BLOCK = 1 << 16  # bytes of a CSV file read, checked and converted at a time
 
 
@@ -296,7 +296,11 @@ def halton(bases: Sequence[int], n: int, start: int = 0) -> PointSet:
 
     Coordinate j is the radical inverse of k in bases[j].  Bases must be
     pairwise coprime.  Each coordinate's denominator is the power b_j^L
-    needed for the largest index, so a column shares one denominator.
+    needed for the largest index, so a column shares one denominator.  A
+    numerator is k's L base-b digits reversed; with k = k_hi b^h + k_lo and
+    b^(2h) <= n, that is rev_h(k_lo) b^(L-h) + rev_(L-h)(k_hi), so a column
+    is one broadcast sum of two digit-reversal tables of about sqrt(n)
+    entries each, split as _digital_numerators splits its indices.
     """
     n, start = _ints([n, start], "n and start must be ints, not {!r}")
     if n < 1:
@@ -320,16 +324,13 @@ def halton(bases: Sequence[int], n: int, start: int = 0) -> PointSet:
             den *= b
         dens.append(den)
     top = max(dens)
-    columns = np.zeros((len(blist), n), dtype=_int_dtype(top))
+    columns = np.empty((len(blist), n), dtype=_int_dtype(top))
     for column, b, den in zip(columns, blist, dens):
-        # reversing the digits of k, as many as den has, gives its radical
-        # inverse already scaled to den; numerators stay below den
-        k = _index_range(start, n, top)
-        while den > 1:
-            column *= b
-            column += k % b
-            k //= b
-            den //= b
+        h, hi_first, hi_count = _index_halves(b, start, n)
+        block = b ** h
+        lo = _reversed_digits(_index_range(0, block, top), b, block) * (den // block)
+        hi = _reversed_digits(_index_range(hi_first, hi_count, top), b, den // block)
+        column[:] = (hi[:, None] + lo).ravel()[start % block : start % block + n]
     return PointSet.exact(
         columns.T,
         dens,
@@ -427,6 +428,30 @@ def _index_range(start: int, count: int, bound: int) -> np.ndarray:
     return np.arange(count, dtype=_int_dtype(max(bound, start + count - 1))) + start
 
 
+def _index_halves(b: int, start: int, count: int) -> tuple[int, int, int]:
+    """Each index k = start..start+count-1 split as k_hi b^h + k_lo, h the
+    largest with b^(2h) <= count (h = 0 keeps every k whole): h, the first
+    k_hi and the number of k_hi, so tables over all b^h low halves and the
+    high halves in the range hold about 2 sqrt(count) entries."""
+    h = 0
+    while b ** (2 * h + 2) <= count:
+        h += 1
+    hi_first = start // b ** h
+    return h, hi_first, (start + count - 1) // b ** h - hi_first + 1
+
+
+def _reversed_digits(k: np.ndarray, b: int, den: int) -> np.ndarray:
+    """The base-b digits of each k, as many as the power den of b has,
+    in reverse order: k's radical inverse scaled to den, for k < den."""
+    out = np.zeros_like(k)
+    while den > 1:
+        out *= b
+        out += k % b
+        k = k // b
+        den //= b
+    return out
+
+
 def _digit_table(rows: list, b: int, first: int, count: int) -> np.ndarray:
     """The digits of C k for k = first..first+count-1, one matrix row of
     `rows` (each as long as k has digits) per table row: a (len(rows), count)
@@ -483,12 +508,8 @@ def _digital_numerators(G: GeneratingMatrixSet, start: int, count: int) -> np.nd
         raise ValueError(
             f"index {start + count - 1} does not fit in {cols} base-{b} digits"
         )
-    h = 0
-    while b ** (2 * h + 2) <= count:
-        h += 1
+    h, hi_first, hi_count = _index_halves(b, start, count)
     block = b ** h
-    hi_first, lo_first = divmod(start, block)
-    hi_count = (start + count - 1) // block - hi_first + 1
     stacked = [row for mat in G.matrices for row in mat]
     t_lo = _digit_table([row[:h] for row in stacked], b, 0, block)
     t_hi = _digit_table([row[h:] for row in stacked], b, hi_first, hi_count)
@@ -497,7 +518,7 @@ def _digital_numerators(G: GeneratingMatrixSet, start: int, count: int) -> np.nd
     for column, (lo, hi) in zip(columns, tables):
         # Horner over the matrix rows, most significant digit first
         for lo_row, hi_row in zip(lo, hi):
-            digits = (hi_row[:, None] + lo_row).ravel()[lo_first : lo_first + count]
+            digits = (hi_row[:, None] + lo_row).ravel()[start % block : start % block + count]
             if h:  # b^2 <= count, so b < 2^32: read as uint64, d - b wraps above d unless d >= b
                 wrapped = digits.view(np.uint64)
                 np.minimum(wrapped, wrapped - b, out=wrapped)
@@ -660,18 +681,58 @@ def csv_blocks(ps: PointSet, force_float: bool) -> Iterator[str]:
     """pointset_to_csv's text in pieces, so a writer never holds all of it.
 
     Exact sets write num/den tokens unless force_float, CSV_BLOCK rows a
-    piece, each one str.format call over the block's numerators, so only
-    one block's Python ints exist at a time; float sets write repr() so the
-    round trip is bit-exact, in one piece, as as_floats holds every row.
+    piece, each rendered from the block's numerators as one byte array
+    (_exact_rows), so no per-token Python object is made; float sets write
+    repr() so the round trip is bit-exact, in one piece, as as_floats holds
+    every row.  A zero-dimensional set writes empty rows through either.
     """
     yield _csv_header(ps.dim) + "\n"
-    if ps.is_exact and not force_float:
-        row_format = ",".join(f"{{}}/{d}" for d in ps.denominators) + "\n"
+    if ps.is_exact and not force_float and ps.dim:
+        dens = ps.denominators
+        width = len(str(max(dens) - 1))  # digits of the longest numerator
+        tokens = [f"/{d},".encode() for d in dens[:-1]] + [f"/{dens[-1]}\n".encode()]
+        size = max(map(len, tokens))
+        padded = b"".join(token.ljust(size, bytes([_DROPPED])) for token in tokens)
+        tails = np.frombuffer(padded, dtype=np.uint8).reshape(ps.dim, size)
         for lo in range(0, ps.count, CSV_BLOCK):
-            block = ps.numerators[lo : lo + CSV_BLOCK]
-            yield (row_format * len(block)).format(*block.ravel().tolist())
+            yield _exact_rows(ps.numerators[lo : lo + CSV_BLOCK], width, tails).decode()
     else:
         yield "".join(",".join(map(repr, row)) + "\n" for row in ps.as_floats())
+
+
+# A byte no token holds: it marks a cell's leading zeros and padding, and
+# the render deletes it; the digit values 0..9 become their ASCII bytes.
+_DROPPED = 0xFF
+_DIGITS_TO_ASCII = bytes.maketrans(bytes(range(10)), b"0123456789")
+_LIMB_DIGITS = 9  # places rendered at a time: below 10^9, they fit in uint32
+
+
+def _exact_rows(block: np.ndarray, width: int, tails: np.ndarray) -> bytes:
+    """The CSV rows of a (k, s) block of numerators, int64 or Python ints,
+    each below 10^width: one (s, width + tail width, k) byte array of
+    cells, column j's numerators right-aligned in `width` places and then
+    its "/den," or "/den\\n" from `tails` (padded with _DROPPED).  The
+    numerators are taken _LIMB_DIGITS places at a time as uint32, so no
+    place runs on Python ints; one x // 10 pass per place writes the
+    digits, least significant first, and marks a place _DROPPED where
+    nothing of the numerator is left from it up (a leading zero; the units
+    place always stays).  The rows are the cells read row by row with the
+    marks deleted."""
+    cells = np.empty((len(tails), width + tails.shape[1], len(block)), dtype=np.uint8)
+    cells[:, width:] = tails[:, :, None]
+    rest = block.T
+    for low in range(0, width, _LIMB_DIGITS):
+        top = low + _LIMB_DIGITS >= width
+        limb, rest = (rest, 0) if top else (rest % 10 ** _LIMB_DIGITS, rest // 10 ** _LIMB_DIGITS)
+        limb = limb.astype(np.uint32)
+        for place in range(low, min(low + _LIMB_DIGITS, width)):
+            digits = cells[:, width - 1 - place]
+            higher = limb // 10
+            np.subtract(limb, higher * 10, out=digits, casting="unsafe")
+            if place:
+                np.copyto(digits, _DROPPED, where=limb == 0 if top else (limb == 0) & (rest == 0))
+            limb = higher
+    return cells.transpose(2, 0, 1).tobytes().translate(_DIGITS_TO_ASCII, bytes([_DROPPED]))
 
 
 def _csv_header(dim: int) -> str:

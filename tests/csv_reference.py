@@ -1,9 +1,12 @@
 """Two CSV routes the package replaced, kept verbatim as references.
 
-The row-by-row render that pointset_to_csv used before it formatted a
-block of rows per str.format call: the exact branch formats one row at a
-time over s whole-column lists of Python ints, and the tests compare the
-production render against it byte for byte.
+The row-by-row render that pointset_to_csv used before it rendered blocks
+of rows: the exact branch formats one row at a time with str.format over s
+whole-column lists of Python ints.  The production render builds each
+block's digits as one byte array from the numerators, with no str.format
+and no Python int per token; the tests compare it against this one byte for
+byte, at the numerators and denominators where a token gains a digit,
+across block edges, and through the files gen --out writes.
 
 The whole-text parse of the exact layout that pointset_from_csv used before
 the file reader checked and converted one block of rows at a time: the

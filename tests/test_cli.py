@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface: exit codes, JSON shapes,
 artifact determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -10,12 +11,13 @@ import sys
 import time
 import tracemalloc
 
+import csv_reference
 import pytest
 
 import lowdisc
 from lowdisc import algebra, pointsets
 from lowdisc.cli import _read_points, build_parser, main
-from lowdisc.pointsets import halton
+from lowdisc.pointsets import halton, niederreiter_net
 from lowdisc.quality import p_alpha
 
 
@@ -536,6 +538,36 @@ def test_gen_out_writes_the_csv_without_holding_it(tmp_path, capsys, monkeypatch
     wrote = _traced_peak(lambda: main([*_HALTON_20K, "--out", str(tmp_path / "set")]))
     capsys.readouterr()
     assert wrote - built < (tmp_path / "set" / "points.csv").stat().st_size / 2, (wrote, built)
+
+
+_BIG_START = 2 ** 63 + 3
+
+
+@pytest.mark.parametrize("block", [7, pointsets.CSV_BLOCK])
+@pytest.mark.parametrize(
+    "gen,build",
+    [
+        (["--kind", "halton", "--bases", "2,3,5,7,11"], lambda n: halton([2, 3, 5, 7, 11], n)),
+        (["--kind", "niederreiter", "--b", "3", "--s", "3", "--m", "8"], lambda n: niederreiter_net(3, 3, 8)),
+        (
+            ["--kind", "halton", "--bases", "2,3", "--start", str(_BIG_START)],
+            lambda n: halton([2, 3], n, start=_BIG_START),  # Python ints past 2^63
+        ),
+    ],
+    ids=["halton-s5", "net-b3", "halton-past-2^63"],
+)
+def test_gen_out_writes_the_oracle_bytes_across_block_edges(tmp_path, capsys, monkeypatch, block, gen, build):
+    # every golden case is shorter than one block; these cross block edges
+    monkeypatch.setattr(pointsets, "CSV_BLOCK", block)
+    n = 3 * block + 5
+    sized = gen if "niederreiter" in gen else [*gen, "--n", str(n)]
+    code, out = run(capsys, "gen", *sized, "--out", str(tmp_path), "--json")
+    assert code == 0
+    want = csv_reference.pointset_to_csv(build(n)).encode()
+    digest = hashlib.sha256(want).hexdigest()
+    assert (tmp_path / "points.csv").read_bytes() == want
+    assert json.loads((tmp_path / "manifest.json").read_text())["outputs"]["points.csv"] == digest
+    assert json.loads(out)["outputs"]["points.csv"] == digest
 
 
 def test_verify_dimension_mismatch(tmp_path, capsys):

@@ -474,6 +474,38 @@ def test_halton_matches_radical_inverse(bases, start, n):
     _assert_halton_is_radical_inverse(halton(bases, n, start=start), bases, start)
 
 
+@st.composite
+def halton_seam_inputs(draw):
+    """Bases, start and n where halton's half-index tables meet: up to a
+    few thousand points, so b = 2 passes h = 2 and b = 3, 5 pass h = 1;
+    starts at a multiple of b^h or one either side of it, ranges across a
+    power of b (where den grows), or starts past 2^63 (Python ints)."""
+    bases = draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), min_size=1, max_size=3, unique=True))
+    n = draw(st.integers(1, 3000))
+    b = draw(st.sampled_from(bases))
+    h = max(h for h in range(12) if b ** (2 * h) <= n)  # the split _index_halves picks
+    seam = draw(st.sampled_from(["low halves", "power of b", "past 2^63"]))
+    if seam == "low halves":
+        start = draw(st.integers(0, 40)) * b ** h + draw(st.sampled_from([-1, 0, 1]))
+    elif seam == "power of b":
+        start = b ** draw(st.integers(1, 14)) - draw(st.integers(1, n))
+    else:
+        start = 2 ** 63 + draw(st.integers(-n, 10 ** 6))
+    assume(start >= 0)
+    return bases, start, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(halton_seam_inputs())
+@example(([2], 2 ** 5 * 3 - 1, 1024))  # b = 2, h = 5, a start one below a low-half seam
+@example(([7, 3], 49 * 5, 2401))  # b = 7 splits at h = 2
+@example(([5], 5 ** 6 - 7, 3000))  # den grows from 5^6 to 5^7 inside the range
+@example(([2, 3], 2 ** 63 + 1, 3000))  # every column holds Python ints
+def test_halton_matches_radical_inverse_across_table_seams(case):
+    bases, start, n = case
+    _assert_halton_is_radical_inverse(halton(bases, n, start=start), bases, start)
+
+
 @pytest.mark.parametrize(
     "bases,start,n",
     [
@@ -914,6 +946,33 @@ def test_csv_render_matches_row_by_row_oracle(monkeypatch, block, s):
                 expected = csv_reference.pointset_to_csv(ps, force_float).splitlines()
                 assert pointset_to_csv(ps, force_float).splitlines() == expected
                 assert pointset_to_csv(ps, force_float).endswith("\n")
+
+
+def _digit_edges(den: int) -> list[int]:
+    """0, 9, 10, 99, 100, ... below den, and den - 1."""
+    powers = [10 ** p + e for p in range(len(str(den))) for e in (-1, 0)]
+    return sorted({0, den - 1, *(v for v in powers if 0 <= v < den)})
+
+
+_EDGE_DENS = [1, 10, 11, 100, 101, 10 ** 9, 10 ** 9 + 1, 10 ** 18, 10 ** 18 + 1, 2 ** 63 - 1]
+_WIDE_DENS = [2 ** 63 + 1, 10 ** 19, 10 ** 36, 10 ** 36 + 1, 7]
+
+
+@pytest.mark.parametrize("block,n", [(b, n) for b in (5, CSV_BLOCK) for n in (1, b - 1, b, b + 1)])
+@pytest.mark.parametrize("dens", [_EDGE_DENS, _WIDE_DENS, [2 ** 63 - 1], [1], []])
+def test_csv_render_matches_oracle_at_digit_count_edges(monkeypatch, block, n, dens):
+    # where a numerator gains a digit the leading-zero marks change; past 10^9
+    # numerators render in 9-digit pieces, and 19-digit tokens fill int64
+    monkeypatch.setattr(pointsets, "CSV_BLOCK", block)
+    edges = [_digit_edges(d) for d in dens]
+    rows = [[col[(i + j) % len(col)] for j, col in enumerate(edges)] for i in range(n)]
+    ps = PointSet.exact(np.array(rows, dtype=object).reshape(n, len(dens)), dens)
+    assert ps.numerators.dtype == (object if max(dens, default=1) >= 2 ** 63 else np.int64)
+    text, want = pointset_to_csv(ps), csv_reference.pointset_to_csv(ps)
+    assert text.splitlines() == want.splitlines()  # a short diff when they differ
+    assert text == want
+    if n > 100:  # every column then holds each of its edges
+        assert [sorted(set(col)) for col in zip(*rows)] == edges
 
 
 @pytest.mark.parametrize("n", [1, 4, 5, 6, 22])
