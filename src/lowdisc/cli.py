@@ -25,6 +25,8 @@ factor --poly-file, goes through one reader, _list_option: an empty option
 is an empty list, and a blank entry is an error.
 The payloads of cmsweep, inversive, inversive-audit, zaremba and reproduce
 are the fields of the records the library returns, by dataclasses.asdict.
+The finite-field modules and acceptance are imported by the handlers that
+use them, so gen, verify and discrepancy never load them.
 """
 
 from __future__ import annotations
@@ -42,16 +44,6 @@ from typing import Callable, Optional, Sequence
 
 from . import __version__
 from .algebra import Poly
-from .diophantine import zaremba_table
-from .factorizer import factor
-from .generators import (
-    InversiveParams,
-    audit_bound,
-    inversive_sequence,
-    least_period,
-    to_unit_interval,
-)
-from .permutations import fb_sweep, isbn10_weighted_sum
 from .pointsets import (
     GeneratingMatrixSet,
     PointSet,
@@ -68,7 +60,7 @@ from .pointsets import (
     pointset_to_csv,
     provenance_reference,
 )
-from .quality import BudgetError, assess, p_alpha, qmc_integrate, star_discrepancy
+from .quality import P_ALPHA_BUDGET, BudgetError, assess, p_alpha, qmc_integrate, star_discrepancy
 
 __all__ = ["main"]
 
@@ -304,6 +296,8 @@ def cmd_discrepancy(args) -> int:
 
 def cmd_p2(args) -> int:
     a = _list_option(args.a)
+    if args.n * len(a) > P_ALPHA_BUDGET:
+        raise BudgetError(f"P_2 over n*s = {args.n * len(a)} coordinates exceeds the budget {P_ALPHA_BUDGET}")
     value = p_alpha(a, args.n)
     return _finish(args, {"a": a, "n": args.n, "p2": value}, f"P_2 = {value}")
 
@@ -351,6 +345,8 @@ def cmd_integrate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_isbn(args) -> int:
+    from .permutations import isbn10_weighted_sum
+
     total = isbn10_weighted_sum(args.code)  # raises ValueError when malformed
     valid = total % 11 == 0
     payload = {"code": args.code, "valid": valid, "weighted_sum": total}
@@ -360,6 +356,8 @@ def cmd_isbn(args) -> int:
 
 
 def cmd_cmsweep(args) -> int:
+    from .permutations import fb_sweep
+
     result = fb_sweep(args.q)
     payload = asdict(result)
     del payload["mismatches"]
@@ -373,6 +371,8 @@ def cmd_cmsweep(args) -> int:
 
 
 def cmd_factor(args) -> int:
+    from .factorizer import factor
+
     if args.poly_file:
         # a p=<prime> line, then the coefficients as a list option; blank lines skipped
         with open(args.poly_file) as fh:
@@ -411,6 +411,8 @@ def cmd_factor(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_inversive(args) -> int:
+    from .generators import InversiveParams, inversive_sequence, least_period, to_unit_interval
+
     params = InversiveParams(q=args.q, a=args.a, b=args.b, u0=args.u0)
     info = least_period(params)
     n = args.n if args.n is not None else info.period
@@ -426,6 +428,8 @@ def cmd_inversive(args) -> int:
 
 
 def cmd_inversive_audit(args) -> int:
+    from .generators import audit_bound
+
     result = audit_bound(args.qmax)
     payload = asdict(result)
     human = (
@@ -438,6 +442,8 @@ def cmd_inversive_audit(args) -> int:
 
 
 def cmd_zaremba(args) -> int:
+    from .diophantine import zaremba_table
+
     rows = zaremba_table(args.base, args.mmax, args.c)
     lines = ["m,n,witness,max_quotient,quotients"]
     absent = 0

@@ -68,6 +68,8 @@ COMPOSITION_BUDGET = 1 << 16
 SAMPLE_CHUNK = 1 << 22
 # p_alpha takes about this many products k * a_j at a time
 P_ALPHA_CHUNK = 1 << 16
+# lowdisc p2 refuses n * s above this, about 10 s of p_alpha at s = 2
+P_ALPHA_BUDGET = 1 << 28
 # assess builds and compares this many points of a reference set at a time
 REFERENCE_BLOCK = 1 << 16
 # p2_dual_sum folds at most this many terms, which caps its arrays at a few
@@ -225,6 +227,13 @@ def minimal_t_dual(G: GeneratingMatrixSet) -> int:
 # Exact star discrepancy (s <= 3)
 # ---------------------------------------------------------------------------
 
+def _axis_grid(values: np.ndarray, top) -> np.ndarray:
+    """np.unique(np.append(values, top)) by np.unique's own sort route,
+    without the masked-array check through which np.unique imports numpy.ma."""
+    grid = np.sort(np.append(values, top))
+    return grid[np.append(True, grid[1:] != grid[:-1])]
+
+
 def _star_sweep(pts: np.ndarray, tops: Sequence, exact: bool):
     """Largest corner objective of the (n, s) points, s <= 3.
 
@@ -252,7 +261,7 @@ def _star_sweep(pts: np.ndarray, tops: Sequence, exact: bool):
     full grid is built only for the last range.
     """
     n, s = pts.shape
-    grid = np.unique(np.append(pts[:, 0], tops[0]))
+    grid = _axis_grid(pts[:, 0], tops[0])
     unit = math.prod(int(t) for t in tops) if exact else 1
     xs = n * grid if exact else grid
 
@@ -277,7 +286,7 @@ def _star_sweep(pts: np.ndarray, tops: Sequence, exact: bool):
             continue
         vol = closed = counts = scaled = None  # free the last range's arrays first
         head, tail = cuts[lo], cuts[hi]
-        grids = [np.unique(np.append(pts[:tail, j], top)) for j, top in enumerate(tops[1:], 1)]
+        grids = [_axis_grid(pts[:tail, j], top) for j, top in enumerate(tops[1:], 1)]
         ranks = np.stack(
             [np.searchsorted(g, pts[:tail, j]) for j, g in enumerate(grids, 1)], axis=1
         )

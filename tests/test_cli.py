@@ -18,7 +18,7 @@ import lowdisc
 from lowdisc import algebra, pointsets
 from lowdisc.cli import _read_points, build_parser, main
 from lowdisc.pointsets import halton, niederreiter_net
-from lowdisc.quality import p_alpha
+from lowdisc.quality import P_ALPHA_BUDGET, p_alpha
 
 
 def run(capsys, *argv):
@@ -612,6 +612,19 @@ def test_p2_single_point(capsys):
     assert abs(json.loads(out)["p2"] - math.pi ** 2 / 3) < 1e-12
 
 
+def test_p2_refuses_over_budget_work_at_once(capsys, monkeypatch):
+    start = time.perf_counter()
+    code, out = run(capsys, "p2", "--a", "1,3", "--n", "10000000000000")
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert "20000000000000" in error and str(P_ALPHA_BUDGET) in error
+    # the cap bounds n * s itself: work equal to it runs
+    monkeypatch.setattr("lowdisc.cli.P_ALPHA_BUDGET", 110)
+    assert run(capsys, "p2", "--a", "1,34", "--n", "55")[0] == 0
+    assert run(capsys, "p2", "--a", "1,34", "--n", "56")[0] == 1
+
+
 def test_p2_of_an_empty_vector_is_an_error(capsys):
     code, out = run(capsys, "p2", "--a", "", "--n", "5")
     assert code == 1
@@ -915,3 +928,64 @@ def test_parser_is_built_once_and_survives_errors(tmp_path, capsys):
     for name in names:
         reused = (tmp_path / "reused" / name).read_text()
         assert reused.replace("reused", "fresh") == (tmp_path / "fresh" / name).read_text()
+
+
+# ---------------------------------------------------------------------------
+# what a process loads
+# ---------------------------------------------------------------------------
+
+FINITE_FIELD_MODULES = {
+    "lowdisc.factorizer",
+    "lowdisc.generators",
+    "lowdisc.diophantine",
+    "lowdisc.permutations",
+    "lowdisc.acceptance",
+}
+
+
+def _loaded_after(*runs):
+    """The modules of a fresh interpreter that imported lowdisc.cli and then
+    ran main on each argv in runs, each of which must exit 0."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from lowdisc.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps({'codes': codes, 'modules': sorted(sys.modules)}))\n"
+    )
+    src = os.path.dirname(os.path.dirname(lowdisc.__file__))
+    fresh = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(runs)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    result = json.loads(fresh.stdout)
+    assert result["codes"] == [0] * len(runs)
+    return set(result["modules"])
+
+
+def test_importing_the_cli_loads_no_finite_field_module():
+    assert not _loaded_after() & FINITE_FIELD_MODULES
+
+
+def test_the_pipeline_never_imports_numpy_ma(tmp_path):
+    # an exact and a float s = 2 set, each through gen, verify and
+    # discrepancy, so that the exact and the float sweep both run
+    runs = []
+    for kind, options in [("niederreiter", ["--b", "2", "--s", "2", "--m", "5"]),
+                          ("kronecker", ["--alphas", "sqrt(2),sqrt(3)", "--n", "40"])]:
+        out = str(tmp_path / kind)
+        points = os.path.join(out, "points.csv")
+        runs += [
+            ["gen", "--kind", kind, *options, "--out", out],
+            ["verify", "--points", points],
+            ["discrepancy", "--points", points],
+        ]
+    loaded = _loaded_after(*runs)
+    assert "numpy.ma" not in loaded
+    assert not loaded & FINITE_FIELD_MODULES
+
+
+def test_a_finite_field_subcommand_loads_its_module():
+    loaded = _loaded_after(["factor", "--p", "2", "--coeffs", "1,1,1"])
+    assert "lowdisc.factorizer" in loaded
+    assert "lowdisc.generators" not in loaded

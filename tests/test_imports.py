@@ -35,6 +35,7 @@ set's provenance stays what its construction passed."""
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import re
 import typing
@@ -387,6 +388,26 @@ def test_tracer_names_resolve_in_the_package():
         hook = "_on_" + qualname.replace(".", "_")
         assert reads.get(hook, set()) <= set(params), qualname
     assert unresolved_result_reads(TRACING.read_text()) == []
+
+
+def test_tracer_sees_the_calls_of_handler_local_imports(capsys):
+    # a handler that imports its function when it runs reads the module
+    # attribute the tracer rebinds, so the call is recorded
+    from lowdisc import cli
+
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["factor", "--p", "2", "--coeffs", "1,1,1"]) == 0
+        assert cli.main(["cmsweep", "--q", "7"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    traced = {span[0] for span in tracer.spans}
+    assert {"factorizer.factor", "permutations.fb_sweep"} <= traced
 
 
 def test_criterion_4_oracle_uses_no_factorizer_code():

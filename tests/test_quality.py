@@ -697,6 +697,30 @@ def test_star_sweep_equals_quadrant_sweep_at_pipeline_shapes(label):
     assert _identical(star_discrepancy(ps), _by_quadrant_sweep(ps))
 
 
+@pytest.mark.parametrize(
+    "values, top",
+    [
+        (np.array([5, 1, 5, 0, 3, 1], dtype=np.int64), 8),
+        (np.array([4], dtype=np.int64), 7),
+        (np.array([0.5, 0.25, 0.5, 0.0, 0.75]), 1.0),
+        (np.array([0.5]), 1.0),
+        (np.array([0.5, 0.0, -0.0, 0.25, -0.0, 0.0]), 1.0),
+        (np.array([-0.0, 0.5, 0.0]), 1.0),
+    ],
+)
+def test_axis_grid_is_unique_of_the_values_and_top(values, top):
+    want = np.unique(np.append(values, top))
+    got = quality._axis_grid(values, top)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_star_float_with_a_negative_zero_matches_the_quadrant_sweep():
+    ps = PointSet.floating([[-0.0, 0.5], [0.25, -0.0], [0.5, 0.75], [0.0, 0.25]])
+    assert _identical(star_discrepancy(ps), _by_quadrant_sweep(ps))
+
+
 @pytest.mark.parametrize("s", [2, 3])
 def test_star_budget_edges_without_n_limit(s):
     cap = STAR_DISCREPANCY_BUDGET[s]
