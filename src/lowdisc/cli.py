@@ -356,8 +356,10 @@ def cmd_isbn(args) -> int:
 
 
 def cmd_cmsweep(args) -> int:
-    from .permutations import fb_sweep
+    from .permutations import FB_SWEEP_BUDGET, fb_sweep
 
+    if args.q ** 2 > FB_SWEEP_BUDGET:
+        raise BudgetError(f"cmsweep over q^2 = {args.q ** 2} table entries exceeds the budget {FB_SWEEP_BUDGET}")
     result = fb_sweep(args.q)
     payload = asdict(result)
     del payload["mismatches"]
@@ -428,8 +430,14 @@ def cmd_inversive(args) -> int:
 
 
 def cmd_inversive_audit(args) -> int:
-    from .generators import audit_bound
+    from .algebra import is_prime
+    from .generators import AUDIT_BUDGET, audit_bound
 
+    work = 0  # 2 (q - 1) orbits of length q for each odd prime q
+    for q in range(3, args.qmax + 1):
+        work += 2 * (q - 1) * q if is_prime(q) else 0
+        if work > AUDIT_BUDGET:
+            raise BudgetError(f"inversive-audit to q_max = {args.qmax} walks more than its budget of {AUDIT_BUDGET} orbit elements")
     result = audit_bound(args.qmax)
     payload = asdict(result)
     human = (
@@ -442,8 +450,15 @@ def cmd_inversive_audit(args) -> int:
 
 
 def cmd_zaremba(args) -> int:
-    from .diophantine import zaremba_table
+    from .diophantine import ZAREMBA_BUDGET, zaremba_table
 
+    work = 0
+    if args.c > 1 and args.base > 1:  # c = 1 scans nothing
+        for m in range(1, args.mmax + 1):
+            n = args.base ** m
+            work += n - 1 - n // (args.c + 1)  # the a in (n / (c + 1), n)
+            if work > ZAREMBA_BUDGET:
+                raise BudgetError(f"zaremba to m = {args.mmax} may scan more than its budget of {ZAREMBA_BUDGET} candidates")
     rows = zaremba_table(args.base, args.mmax, args.c)
     lines = ["m,n,witness,max_quotient,quotients"]
     absent = 0

@@ -69,6 +69,11 @@ def zaremba_search(n: int, c: int) -> Optional[int]:
     return None
 
 
+# lowdisc zaremba refuses scans that may try more candidates a than this,
+# about 10 s where no a qualifies
+ZAREMBA_BUDGET = 1 << 26
+
+
 @dataclass(frozen=True)
 class ZarembaRow:
     m: int

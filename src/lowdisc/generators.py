@@ -118,6 +118,8 @@ class AuditResult:
 RESIDUE_BOUND_C = 2.2
 # orbit elements per row block of _audit_prime, so memory stays bounded at any q
 AUDIT_BLOCK = 1 << 16
+# lowdisc inversive-audit refuses more orbit elements than this, about 7 s
+AUDIT_BUDGET = 1 << 25
 
 
 def _audit_prime(q: int):

@@ -71,6 +71,10 @@ def fb_criterion(q: int, b: int) -> bool:
     return (b * b - 1) % q in sq and (b * b + 2 * b) % q in sq
 
 
+# lowdisc cmsweep refuses q^2 above this, about 7 s of fb_sweep
+FB_SWEEP_BUDGET = 1 << 25
+
+
 @dataclass(frozen=True)
 class SweepResult:
     q: int

@@ -20,6 +20,9 @@ attained in the limit at critical corners y built from coordinate values and
 1, counting points strictly (< on every axis) against the closed volume for
 the volume-excess side and weakly (<=) for the point-excess side.  All
 comparisons are integer arithmetic on numerators; the result is a Fraction.
+The sweep lives in lowdisc.sweep, loaded by the first call that sweeps; its
+independent ranges of steps are split over two processes when two CPUs are
+free.
 """
 
 from __future__ import annotations
@@ -234,90 +237,6 @@ def _axis_grid(values: np.ndarray, top) -> np.ndarray:
     return grid[np.append(True, grid[1:] != grid[:-1])]
 
 
-def _star_sweep(pts: np.ndarray, tops: Sequence, exact: bool):
-    """Largest corner objective of the (n, s) points, s <= 3.
-
-    Axis j sweeps the grid of its distinct values plus tops[j], the end of
-    the axis (the denominator, or 1.0 on the float path).  Exact objectives
-    are integers over n * prod(tops): counts are carried in units of
-    prod(tops) and the x-step value as n * x.  Float objectives are
-    x * vol - count / n, evaluated elementwise as written.
-
-    For s >= 2 the first axis is swept in steps while the other s - 1 axes
-    form a corner array.  At a fixed corner, x * vol - open count never
-    decreases in x until that corner's open count changes, and closed count
-    - x * vol never increases after a change to its closed count (rounding
-    is monotone, so this holds in float64 too).  So each step evaluates
-    the volume-excess side only over the open quadrant its points are about
-    to enter (everywhere at the last step), and the point-excess side only
-    over their closed quadrant once they are counted.
-
-    Both sides of a step are also maximal at critical corners, whose every
-    coordinate is a value of a point counted so far or the axis end: moving
-    a coordinate up to the next such value keeps the open count and does not
-    lower x * vol, moving it down to the largest such value in the box keeps
-    the closed count.  So the steps run in STAR_SWEEP_CHUNKS equal ranges,
-    each on the corner grid of the points counted by its last step, and the
-    full grid is built only for the last range.
-    """
-    n, s = pts.shape
-    grid = _axis_grid(pts[:, 0], tops[0])
-    unit = math.prod(int(t) for t in tops) if exact else 1
-    xs = n * grid if exact else grid
-
-    def share(counts):
-        return counts if exact else counts / n
-
-    if s == 1:
-        u = np.sort(pts[:, 0])
-        strict = np.searchsorted(u, grid, side="left") * unit
-        weak = np.searchsorted(u, grid, side="right") * unit
-        return max((xs - share(strict)).max(), (share(weak) - xs).max())
-
-    pts = pts[np.argsort(pts[:, 0], kind="stable")]
-    # step k adds the points cuts[k]:cuts[k + 1]; every coordinate is below
-    # its axis end, so each step but the last (the end itself) adds one or more
-    cuts = np.searchsorted(pts[:, 0], grid, side="left")
-    edges = [(len(xs) - 1) * c // STAR_SWEEP_CHUNKS for c in range(STAR_SWEEP_CHUNKS + 1)]
-    inner, trim = (slice(1, None),) * (s - 1), (slice(None, -1),) * (s - 1)
-    best = 0
-    for lo, hi in zip(edges, edges[1:]):
-        if lo == hi:
-            continue
-        vol = closed = counts = scaled = None  # free the last range's arrays first
-        head, tail = cuts[lo], cuts[hi]
-        grids = [_axis_grid(pts[:tail, j], top) for j, top in enumerate(tops[1:], 1)]
-        ranks = np.stack(
-            [np.searchsorted(g, pts[:tail, j]) for j, g in enumerate(grids, 1)], axis=1
-        )
-        vol = functools.reduce(np.multiply.outer, grids)
-        # closed[i + 1] counts the points <= corner i on every axis, so
-        # closed[i] is the open count at corner i: one array serves both
-        # sides, and before a step's points are added it holds the open
-        # counts of that step
-        shape = tuple(len(g) + 1 for g in grids)
-        cells = np.ravel_multi_index(tuple(ranks[:head].T + 1), shape)
-        closed = np.bincount(cells, minlength=math.prod(shape)) * unit
-        closed = closed.astype(vol.dtype).reshape(shape)
-        for axis in range(s - 1):
-            np.cumsum(closed, axis=axis, out=closed)
-        corners = np.minimum.reduceat(ranks[head:], cuts[lo:hi] - head, axis=0)
-        steps = zip(xs[lo:hi], corners.tolist(), cuts[lo:hi], cuts[lo + 1 : hi + 1])
-        for x, corner, a, b in steps:
-            scaled = x * vol[tuple(slice(i, None) for i in corner)]
-            # a view: it holds the open counts now, the closed ones after the add
-            counts = closed[tuple(slice(i + 1, None) for i in corner)]
-            best = max(best, np.maximum.reduce(scaled[inner] - share(counts[trim]), axis=None))
-            if b - a == 1:  # one point, at the corner
-                counts += unit
-            else:
-                for r in ranks[a:b].tolist():
-                    closed[tuple(slice(i + 1, None) for i in r)] += unit
-            best = max(best, np.maximum.reduce(share(counts) - scaled, axis=None))
-    # the last range's grid holds every point
-    return max(best, (xs[-1] * vol - share(closed[trim])).max())
-
-
 def star_discrepancy(ps: PointSet, n_limit: Optional[int] = None):
     """Exact D*_N for s <= 3: a Fraction for exact sets, float otherwise.
 
@@ -346,8 +265,10 @@ def star_discrepancy(ps: PointSet, n_limit: Optional[int] = None):
             f"N={n} exceeds the exact-sweep budget {cap} for s={s}; "
             "pass n_limit to override or use sampled_deviation_lower_bound"
         )
+    from .sweep import star_sweep  # loaded by the first call that sweeps
+
     if not ps.is_exact:
-        return float(_star_sweep(ps.float_rows, [1.0] * s, exact=False))
+        return float(star_sweep(ps.float_rows, [1.0] * s, exact=False))
     full = math.prod(ps.denominators)
     # int64 overflow guard: objectives are bounded by n * prod(dens); it
     # also keeps every denominator, so the numerators, in int64
@@ -356,7 +277,7 @@ def star_discrepancy(ps: PointSet, n_limit: Optional[int] = None):
             "denominator product too large for the exact sweep; "
             "reduce precision or use sampled_deviation_lower_bound"
         )
-    result = Fraction(int(_star_sweep(ps.numerators, ps.denominators, exact=True)), n * full)
+    result = Fraction(int(star_sweep(ps.numerators, ps.denominators, exact=True)), n * full)
     if s == 1:
         # the 1D closed form is independent of the sweep; a mismatch
         # means one of them is broken, which must never pass silently

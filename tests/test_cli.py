@@ -2,6 +2,7 @@
 artifact determinism."""
 
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -625,6 +626,40 @@ def test_p2_refuses_over_budget_work_at_once(capsys, monkeypatch):
     assert run(capsys, "p2", "--a", "1,34", "--n", "56")[0] == 1
 
 
+# the work at each edge: q^2 = 169 table entries for q = 13; 2 (q - 1) q
+# summed over the odd primes q <= 13, 668 orbit elements; and 375 candidates
+# a in (2^m / 4, 2^m) for m <= 8
+@pytest.mark.parametrize(
+    "module, budget, over, edge, at_edge",
+    [
+        ("permutations", "FB_SWEEP_BUDGET", ["cmsweep", "--q", "10007"], 169, ["cmsweep", "--q", "13"]),
+        ("generators", "AUDIT_BUDGET", ["inversive-audit", "--qmax", "1000"], 668, ["inversive-audit", "--qmax", "13"]),
+        (
+            "diophantine", "ZAREMBA_BUDGET", ["zaremba", "--base", "2", "--mmax", "40", "--c", "3"],
+            375, ["zaremba", "--base", "2", "--mmax", "8", "--c", "3"],
+        ),
+    ],
+)
+def test_finite_field_handlers_refuse_over_budget_work_at_once(capsys, monkeypatch, module, budget, over, edge, at_edge):
+    start = time.perf_counter()
+    code, out = run(capsys, *over)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert str(getattr(importlib.import_module(f"lowdisc.{module}"), budget)) in json.loads(out)["error"]
+    # the cap bounds the work itself: work equal to it runs
+    monkeypatch.setattr(f"lowdisc.{module}.{budget}", edge)
+    assert run(capsys, *at_edge, "--json")[0] == 0
+    monkeypatch.setattr(f"lowdisc.{module}.{budget}", edge - 1)
+    code, out = run(capsys, *at_edge, "--json")
+    assert code == 1 and str(edge - 1) in json.loads(out)["error"]
+
+
+def test_zaremba_with_c_1_scans_nothing_so_any_m_runs(capsys):
+    code, out = run(capsys, "zaremba", "--base", "2", "--mmax", "40", "--c", "1", "--json")
+    assert code == 1  # every row absent
+    assert json.loads(out)["absent"] == 40
+
+
 def test_p2_of_an_empty_vector_is_an_error(capsys):
     code, out = run(capsys, "p2", "--a", "", "--n", "5")
     assert code == 1
@@ -983,6 +1018,15 @@ def test_the_pipeline_never_imports_numpy_ma(tmp_path):
     loaded = _loaded_after(*runs)
     assert "numpy.ma" not in loaded
     assert not loaded & FINITE_FIELD_MODULES
+
+
+def test_the_star_sweep_module_loads_with_the_first_sweep(tmp_path):
+    out = str(tmp_path / "net")
+    points = os.path.join(out, "points.csv")
+    gen = ["gen", "--kind", "niederreiter", "--b", "2", "--s", "2", "--m", "5", "--out", out]
+    # gen, and a verify whose D* is refused by its budget, never sweep
+    assert "lowdisc.sweep" not in _loaded_after(gen, ["verify", "--points", points, "--n-limit", "2"])
+    assert "lowdisc.sweep" in _loaded_after(gen, ["discrepancy", "--points", points])
 
 
 def test_a_finite_field_subcommand_loads_its_module():

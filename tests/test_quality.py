@@ -1,10 +1,15 @@
 """Tests for quality assessment: net verification, duality, exact star
 discrepancy, P_2, and the integration harness."""
 
+import contextlib
+import errno
 import gc
 import itertools
 import math
+import os
 import random
+import signal
+import threading
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -25,6 +30,7 @@ from star_reference import (
 )
 
 import lowdisc.quality as quality
+import lowdisc.sweep as sweep
 from lowdisc.algebra import Poly, monic_irreducibles
 from lowdisc.pointsets import (
     GeneratingMatrixSet,
@@ -719,6 +725,158 @@ def test_axis_grid_is_unique_of_the_values_and_top(values, top):
 def test_star_float_with_a_negative_zero_matches_the_quadrant_sweep():
     ps = PointSet.floating([[-0.0, 0.5], [0.25, -0.0], [0.5, 0.75], [0.0, 0.25]])
     assert _identical(star_discrepancy(ps), _by_quadrant_sweep(ps))
+
+
+# ---------------------------------------------------------------------------
+# The sweep's ranges over two processes
+# ---------------------------------------------------------------------------
+
+def _in_process(ps):
+    with mock.patch.object(sweep, "STAR_FORK_WORK", math.inf):
+        return star_discrepancy(ps)
+
+
+@contextlib.contextmanager
+def _two_cpus(fork_work=0):
+    """Sweeps of at least fork_work (any by default) fork as on a machine
+    with two free CPUs; yields a mock that counts the os.fork calls."""
+    with mock.patch.object(sweep, "STAR_FORK_WORK", fork_work), \
+            mock.patch.object(os, "sched_getaffinity", return_value={0, 1}), \
+            mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        yield fork
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@settings(max_examples=100, deadline=None)
+@given(chunked_sweep_sets())
+@example(PointSet.exact([[1, 2]], [3, 5]))
+@example(PointSet.floating([[0.5, 0.25, 0.75]]))
+@example(PointSet.floating([[-0.0, 0.5], [0.25, -0.0], [0.5, 0.75], [0.0, 0.25]]))
+@example(PointSet.exact([[k % 3, k % 2, k % 3] for k in range(60)], [3, 2, 3]))
+@example(PointSet.exact([[k // 4, (7 * k) % 16] for k in range(64)], [16, 16]))
+@example(PointSet.floating([[k / 64, (k % 3) / 3, (k % 2) / 2] for k in range(64)]))
+def test_forked_sweep_equals_the_in_process_sweep(ps):
+    want = _in_process(ps)
+    with _two_cpus() as fork:
+        got = star_discrepancy(ps)
+    assert _identical(got, want)
+    first = ps.numerators[:, 0] if ps.is_exact else ps.float_rows[:, 0]
+    # one child per sweep, unless a single x-step leaves one range
+    assert fork.call_count == (len(set(first.tolist())) > 1)
+    _assert_no_child_left()
+
+
+def test_discrepancy_cli_prints_the_same_bytes_forked_and_in_process(tmp_path, capsys):
+    from lowdisc.cli import main
+
+    assert main(["gen", "--kind", "niederreiter", "--b", "2", "--s", "2", "--m", "13", "--out", str(tmp_path)]) == 0
+    argv = ["discrepancy", "--points", str(tmp_path / "points.csv"), "--json"]
+    capsys.readouterr()
+    with mock.patch.object(sweep, "STAR_FORK_WORK", math.inf):
+        assert main(argv) == 0
+    in_process = capsys.readouterr().out
+    with _two_cpus(sweep.STAR_FORK_WORK) as fork:  # the default threshold
+        assert main(argv) == 0
+    assert fork.call_count == 1
+    assert capsys.readouterr().out == in_process
+    _assert_no_child_left()
+
+
+RANGES, WORK = [(0, 1), (1, 2), (2, 3), (3, 4)], [1, 1, 1, 1]
+
+
+def _child_does(fault):
+    """run(lo, hi) = hi / 3, after fault() in a forked child."""
+    parent = os.getpid()
+
+    def run(lo, hi):
+        if os.getpid() != parent:
+            fault()
+        return hi / 3
+
+    return run
+
+
+def test_two_processes_give_the_max_of_all_ranges():
+    with _two_cpus() as fork:
+        assert _identical(sweep.max_over_two_processes(_child_does(lambda: None), RANGES, WORK, False), 4 / 3)
+        assert sweep.max_over_two_processes(lambda lo, hi: 5 * lo, RANGES, WORK, True) == 15
+    assert fork.call_count == 2
+    _assert_no_child_left()
+
+
+def _child_raises():
+    raise ValueError("in the child")
+
+
+@pytest.mark.parametrize(
+    "fault, code",
+    [
+        (_child_raises, 1),
+        (lambda: os._exit(3), 3),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
+        (lambda: os._exit(0), 0),  # before it replies
+    ],
+    ids=["raises", "exits-3", "sigkill", "no-reply"],
+)
+def test_a_failed_child_raises_and_is_reaped(fault, code):
+    with _two_cpus():
+        with pytest.raises(RuntimeError, match=f"second process failed: exit code {code},"):
+            sweep.max_over_two_processes(_child_does(fault), RANGES, WORK, False)
+    _assert_no_child_left()
+
+
+def test_the_callers_own_error_propagates_after_the_child_is_reaped():
+    parent = os.getpid()
+
+    def run(lo, hi):
+        if os.getpid() == parent and hi == 4:  # this process keeps the last range
+            raise ValueError("in the caller")
+        return hi
+
+    with _two_cpus() as fork:
+        with pytest.raises(ValueError, match="in the caller"):
+            sweep.max_over_two_processes(run, RANGES, WORK, True)
+    assert fork.call_count == 1
+    _assert_no_child_left()
+
+
+@contextlib.contextmanager
+def _second_thread():
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join()
+
+
+@pytest.mark.parametrize("setting", ["one CPU", "a second thread", "no os.fork", "a failing fork"])
+def test_the_sweep_stays_in_process_when_it_cannot_fork(setting, monkeypatch):
+    ps = niederreiter_net(2, 2, 8)
+    want = _in_process(ps)
+    forks = []
+
+    def fork():
+        forks.append(1)
+        raise OSError(errno.EAGAIN, "no process to spare")
+
+    monkeypatch.setattr(sweep, "STAR_FORK_WORK", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if setting == "one CPU" else {0, 1})
+    if setting == "no os.fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", fork)
+    with _second_thread() if setting == "a second thread" else contextlib.nullcontext():
+        assert star_discrepancy(ps) == want
+    assert len(forks) == (setting == "a failing fork")
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("s", [2, 3])
