@@ -14,6 +14,12 @@ from typing import Iterable, Sequence
 
 NEG_INF = float("-inf")
 
+
+class BudgetError(Exception):
+    """The requested exact computation exceeds its default budget.  Defined
+    here, in the one module that loads no numpy, so every module can raise it."""
+
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
 

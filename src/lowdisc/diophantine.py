@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .algebra import BudgetError
+
 __all__ = [
     "continued_fraction",
     "zaremba_search",
@@ -69,7 +71,7 @@ def zaremba_search(n: int, c: int) -> Optional[int]:
     return None
 
 
-# lowdisc zaremba refuses scans that may try more candidates a than this,
+# zaremba_table refuses scans that may try more candidates a than this,
 # about 10 s where no a qualifies
 ZAREMBA_BUDGET = 1 << 26
 
@@ -89,12 +91,19 @@ class ZarembaRow:
 def zaremba_table(base: int, m_max: int, c: int) -> list[ZarembaRow]:
     """zaremba_search along n = base^m for m = 1..m_max, base in {2, 3, 5}.
 
-    Rows come back in ascending m order.
+    Rows come back in ascending m order; work over ZAREMBA_BUDGET raises BudgetError.
     """
     if base not in (2, 3, 5):
         raise ValueError(f"base must be one of 2, 3, 5; got {base}")
     if m_max < 1:
         raise ValueError("need m_max >= 1")
+    work = 0
+    if c > 1:  # c = 1 scans nothing
+        for m in range(1, m_max + 1):
+            n = base ** m
+            work += n - 1 - n // (c + 1)  # the a in (n / (c + 1), n)
+            if work > ZAREMBA_BUDGET:
+                raise BudgetError(f"zaremba to m = {m_max} may scan more than its budget of {ZAREMBA_BUDGET} candidates")
     rows = []
     for m in range(1, m_max + 1):
         n = base ** m

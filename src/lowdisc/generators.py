@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .algebra import check_prime, is_prime
+from .algebra import BudgetError, check_prime, is_prime
 
 __all__ = [
     "InversiveParams",
@@ -118,7 +118,7 @@ class AuditResult:
 RESIDUE_BOUND_C = 2.2
 # orbit elements per row block of _audit_prime, so memory stays bounded at any q
 AUDIT_BLOCK = 1 << 16
-# lowdisc inversive-audit refuses more orbit elements than this, about 7 s
+# audit_bound refuses to walk more orbit elements than this, about 7 s
 AUDIT_BUDGET = 1 << 25
 
 
@@ -172,15 +172,21 @@ def audit_bound(q_max: int) -> AuditResult:
     Degenerate short orbits are included on purpose; no parameter
     combination is excluded.  Results are merged in prime order.
     """
+    primes = []
+    work = 0  # 2 (q - 1) orbits of length q for each odd prime q, before any walk
+    for q in filter(is_prime, range(3, q_max + 1)):
+        primes.append(q)
+        work += 2 * (q - 1) * q
+        if work > AUDIT_BUDGET:
+            raise BudgetError(f"inversive-audit to q_max = {q_max} walks more than its budget of {AUDIT_BUDGET} orbit elements")
     combos = 0
     checks = 0
     violations = []
-    for q in range(3, q_max + 1):
-        if is_prime(q):
-            c, k, v = _audit_prime(q)
-            combos += c
-            checks += k
-            violations.extend(v)
+    for q in primes:
+        c, k, v = _audit_prime(q)
+        combos += c
+        checks += k
+        violations.extend(v)
     return AuditResult(
         q_max=q_max,
         combinations=combos,

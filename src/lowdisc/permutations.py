@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Poly, check_prime
+from .algebra import BudgetError, Poly, check_prime
 
 __all__ = [
     "is_permutation_poly",
@@ -71,7 +71,7 @@ def fb_criterion(q: int, b: int) -> bool:
     return (b * b - 1) % q in sq and (b * b + 2 * b) % q in sq
 
 
-# lowdisc cmsweep refuses q^2 above this, about 7 s of fb_sweep
+# fb_sweep refuses q^2 above this, about 7 s
 FB_SWEEP_BUDGET = 1 << 25
 
 
@@ -89,11 +89,13 @@ def fb_sweep(q: int) -> SweepResult:
     The exhaustive check evaluates f_b at all q field elements (modular
     exponentiation for the sparse power term) and tests both f_b and f_b + X
     for bijectivity.  Witnesses are sorted, so the result is independent of
-    evaluation order.
+    evaluation order.  q^2 over FB_SWEEP_BUDGET raises BudgetError.
     """
     check_prime(q)
     if q == 2:
         raise ValueError("f_b needs an odd prime q")
+    if q ** 2 > FB_SWEEP_BUDGET:
+        raise BudgetError(f"cmsweep over q^2 = {q ** 2} table entries exceeds the budget {FB_SWEEP_BUDGET}")
     e = (q + 1) // 2
     powers = [pow(a, e, q) for a in range(q)]
     witnesses = []

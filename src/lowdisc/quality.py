@@ -35,12 +35,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import nullspace_mod_p
+from .algebra import BudgetError, nullspace_mod_p
 from .pointsets import GeneratingMatrixSet, PointSet, digital_points, provenance_reference
 from .pointsets import _lattice_generator, _lattice_numerators
 
 __all__ = [
-    "BudgetError",
     "net_property",
     "minimal_t_geometric",
     "DualSpace",
@@ -71,17 +70,13 @@ COMPOSITION_BUDGET = 1 << 16
 SAMPLE_CHUNK = 1 << 22
 # p_alpha takes about this many products k * a_j at a time
 P_ALPHA_CHUNK = 1 << 16
-# lowdisc p2 refuses n * s above this, about 10 s of p_alpha at s = 2
+# p_alpha refuses n * s above this, about 10 s at s = 2
 P_ALPHA_BUDGET = 1 << 28
 # assess builds and compares this many points of a reference set at a time
 REFERENCE_BLOCK = 1 << 16
 # p2_dual_sum folds at most this many terms, which caps its arrays at a few
 # tens of MB; criterion 10 (s = 2, H = 1000, N <= 144) needs about 45,000
 P2_FOLD_BUDGET = 1 << 22
-
-
-class BudgetError(Exception):
-    """The requested exact computation exceeds its default budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +235,7 @@ def _axis_grid(values: np.ndarray, top) -> np.ndarray:
 def star_discrepancy(ps: PointSet, n_limit: Optional[int] = None):
     """Exact D*_N for s <= 3: a Fraction for exact sets, float otherwise.
 
-    s = 1 is vectorised and cross-checked against the closed form.  For
+    s = 1 is vectorised; criterion 9 checks it against the closed form.  For
     s = 2, 3 one sweep runs over the first axis and keeps closed-box counts
     on the corner grid of the others up to date with one slice add per
     point; each step evaluates only the quadrant its points enter, on the
@@ -277,16 +272,7 @@ def star_discrepancy(ps: PointSet, n_limit: Optional[int] = None):
             "denominator product too large for the exact sweep; "
             "reduce precision or use sampled_deviation_lower_bound"
         )
-    result = Fraction(int(star_sweep(ps.numerators, ps.denominators, exact=True)), n * full)
-    if s == 1:
-        # the 1D closed form is independent of the sweep; a mismatch
-        # means one of them is broken, which must never pass silently
-        closed = star_discrepancy_1d_closed_form(ps)
-        if closed != result:
-            raise RuntimeError(
-                f"1D sweep {result} disagrees with closed form {closed}"
-            )
-    return result
+    return Fraction(int(star_sweep(ps.numerators, ps.denominators, exact=True)), n * full)
 
 
 def star_discrepancy_1d_closed_form(ps: PointSet) -> Fraction:
@@ -364,6 +350,8 @@ def p_alpha(a: Sequence[int], n: int) -> float:
     B_2(x) = x^2 - x + 1/6, taking about P_ALPHA_CHUNK products k a_j at a time.
     """
     avec = _lattice_generator(a, n)
+    if n * len(avec) > P_ALPHA_BUDGET:
+        raise BudgetError(f"P_2 over n*s = {n * len(avec)} coordinates exceeds the budget {P_ALPHA_BUDGET}")
     step = max(1, P_ALPHA_CHUNK // len(avec))
     total = 0.0  # a single chunk sums its terms exactly as their mean does
     for lo in range(0, n, step):
@@ -504,7 +492,10 @@ def assess(
     if isinstance(ref, tuple):
         a, n = ref
         if _holds(ps, n, lambda lo, k: PointSet.exact(_lattice_numerators(a, n, lo, k), [n] * len(a))):
-            p2 = p_alpha(a, n)
+            try:
+                p2 = p_alpha(a, n)
+            except BudgetError:
+                p2 = None
     diag = None
     # a geometric t implies b and m were given
     if t_geo is not None and d_star is not None and m >= 2:

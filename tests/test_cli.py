@@ -18,8 +18,8 @@ import pytest
 import lowdisc
 from lowdisc import algebra, pointsets
 from lowdisc.cli import _read_points, build_parser, main
-from lowdisc.pointsets import halton, niederreiter_net
-from lowdisc.quality import P_ALPHA_BUDGET, p_alpha
+from lowdisc.pointsets import halton, lattice_points, niederreiter_net
+from lowdisc.quality import P_ALPHA_BUDGET, BudgetError, assess, p_alpha
 
 
 def run(capsys, *argv):
@@ -620,38 +620,69 @@ def test_p2_refuses_over_budget_work_at_once(capsys, monkeypatch):
     assert code == 1
     error = json.loads(out)["error"]
     assert "20000000000000" in error and str(P_ALPHA_BUDGET) in error
-    # the cap bounds n * s itself: work equal to it runs
-    monkeypatch.setattr("lowdisc.cli.P_ALPHA_BUDGET", 110)
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match=str(P_ALPHA_BUDGET)):
+        p_alpha([1, 3], 10 ** 13)
+    assert time.perf_counter() - start < 1
+    # the cap bounds n * s itself: work equal to it runs through the CLI,
+    # the library and assess, and a cap one lower refuses all three
+    fibonacci = lattice_points([1, 34], 55)
+    monkeypatch.setattr("lowdisc.quality.P_ALPHA_BUDGET", 110)
     assert run(capsys, "p2", "--a", "1,34", "--n", "55")[0] == 0
     assert run(capsys, "p2", "--a", "1,34", "--n", "56")[0] == 1
+    assert assess(fibonacci).p2 == p_alpha([1, 34], 55)
+    monkeypatch.setattr("lowdisc.quality.P_ALPHA_BUDGET", 109)
+    assert run(capsys, "p2", "--a", "1,34", "--n", "55")[0] == 1
+    with pytest.raises(BudgetError, match="109"):
+        p_alpha([1, 34], 55)
+    assert assess(fibonacci).p2 is None
 
 
 # the work at each edge: q^2 = 169 table entries for q = 13; 2 (q - 1) q
 # summed over the odd primes q <= 13, 668 orbit elements; and 375 candidates
-# a in (2^m / 4, 2^m) for m <= 8
+# a in (2^m / 4, 2^m) for m <= 8.  Each library call (function, arguments)
+# over the cap is far larger than the CLI's, and is refused as fast.
 @pytest.mark.parametrize(
-    "module, budget, over, edge, at_edge",
+    "module, budget, over, function, args_over, edge, at_edge, args_at_edge",
     [
-        ("permutations", "FB_SWEEP_BUDGET", ["cmsweep", "--q", "10007"], 169, ["cmsweep", "--q", "13"]),
-        ("generators", "AUDIT_BUDGET", ["inversive-audit", "--qmax", "1000"], 668, ["inversive-audit", "--qmax", "13"]),
+        (
+            "permutations", "FB_SWEEP_BUDGET", ["cmsweep", "--q", "10007"], "fb_sweep", (1_000_000_007,),
+            169, ["cmsweep", "--q", "13"], (13,),
+        ),
+        (
+            "generators", "AUDIT_BUDGET", ["inversive-audit", "--qmax", "1000"], "audit_bound", (10 ** 9,),
+            668, ["inversive-audit", "--qmax", "13"], (13,),
+        ),
         (
             "diophantine", "ZAREMBA_BUDGET", ["zaremba", "--base", "2", "--mmax", "40", "--c", "3"],
-            375, ["zaremba", "--base", "2", "--mmax", "8", "--c", "3"],
+            "zaremba_table", (2, 10 ** 6, 3), 375, ["zaremba", "--base", "2", "--mmax", "8", "--c", "3"], (2, 8, 3),
         ),
     ],
 )
-def test_finite_field_handlers_refuse_over_budget_work_at_once(capsys, monkeypatch, module, budget, over, edge, at_edge):
+def test_finite_field_handlers_refuse_over_budget_work_at_once(
+    capsys, monkeypatch, module, budget, over, function, args_over, edge, at_edge, args_at_edge
+):
+    library = importlib.import_module(f"lowdisc.{module}")
+    function = getattr(library, function)
     start = time.perf_counter()
     code, out = run(capsys, *over)
     assert time.perf_counter() - start < 1
     assert code == 1
-    assert str(getattr(importlib.import_module(f"lowdisc.{module}"), budget)) in json.loads(out)["error"]
-    # the cap bounds the work itself: work equal to it runs
-    monkeypatch.setattr(f"lowdisc.{module}.{budget}", edge)
+    assert str(getattr(library, budget)) in json.loads(out)["error"]
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match=str(getattr(library, budget))):
+        function(*args_over)
+    assert time.perf_counter() - start < 1
+    # the cap bounds the work itself: work equal to it runs, through the
+    # CLI and the library, and one less cap refuses both
+    monkeypatch.setattr(library, budget, edge)
     assert run(capsys, *at_edge, "--json")[0] == 0
-    monkeypatch.setattr(f"lowdisc.{module}.{budget}", edge - 1)
+    function(*args_at_edge)
+    monkeypatch.setattr(library, budget, edge - 1)
     code, out = run(capsys, *at_edge, "--json")
     assert code == 1 and str(edge - 1) in json.loads(out)["error"]
+    with pytest.raises(BudgetError, match=str(edge - 1)):
+        function(*args_at_edge)
 
 
 def test_zaremba_with_c_1_scans_nothing_so_any_m_runs(capsys):
@@ -999,25 +1030,25 @@ def _loaded_after(*runs):
 
 
 def test_importing_the_cli_loads_no_finite_field_module():
-    assert not _loaded_after() & FINITE_FIELD_MODULES
+    # nor hashlib, which only the runs that write artifacts use
+    assert not _loaded_after() & (FINITE_FIELD_MODULES | {"hashlib"})
 
 
 def test_the_pipeline_never_imports_numpy_ma(tmp_path):
     # an exact and a float s = 2 set, each through gen, verify and
     # discrepancy, so that the exact and the float sweep both run
-    runs = []
+    # and verify and discrepancy without --out never load hashlib
+    gens, checks = [], []
     for kind, options in [("niederreiter", ["--b", "2", "--s", "2", "--m", "5"]),
                           ("kronecker", ["--alphas", "sqrt(2),sqrt(3)", "--n", "40"])]:
         out = str(tmp_path / kind)
         points = os.path.join(out, "points.csv")
-        runs += [
-            ["gen", "--kind", kind, *options, "--out", out],
-            ["verify", "--points", points],
-            ["discrepancy", "--points", points],
-        ]
-    loaded = _loaded_after(*runs)
-    assert "numpy.ma" not in loaded
-    assert not loaded & FINITE_FIELD_MODULES
+        gens.append(["gen", "--kind", kind, *options, "--out", out])
+        checks += [["verify", "--points", points], ["discrepancy", "--points", points]]
+    for runs, unloaded in [(gens, set()), (checks, {"hashlib"})]:
+        loaded = _loaded_after(*runs)
+        assert "numpy.ma" not in loaded
+        assert not loaded & (FINITE_FIELD_MODULES | unloaded)
 
 
 def test_the_star_sweep_module_loads_with_the_first_sweep(tmp_path):

@@ -23,7 +23,9 @@ divides by, name no factorizer code, so it stays independent of the route
 it checks.
 
 Also: cli.py splits text only inside its one list reader, so a new list
-option cannot bring back a second decoder with rules of its own; and no
+option cannot bring back a second decoder with rules of its own; cli.py
+names no *_BUDGET constant, so each work budget is checked by the library
+function that does the work and no handler grows a work formula; and no
 package code calls itertools.product outside algebra.monic_irreducibles,
 so a second lister of monic polynomials cannot grow back.
 
@@ -471,6 +473,45 @@ def test_split_checker_finds_a_second_decoder():
 
 def test_cli_splits_text_only_in_its_list_reader():
     assert calls_outside((SRC / "cli.py").read_text(), "split", "_list_option") == []
+
+
+def budget_names(source: str) -> list[str]:
+    """"name:line" of each identifier in source ending in _BUDGET: a name,
+    an attribute or an imported name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(node, ast.ImportFrom):
+            found += [f"{alias.name}:{node.lineno}" for alias in node.names if alias.name.endswith("_BUDGET")]
+        elif isinstance(name, str) and name.endswith("_BUDGET"):
+            found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_budget_checker_finds_a_handler_formula():
+    source = (
+        "from .quality import P_ALPHA_BUDGET, p_alpha\n"
+        "def handler(args):\n"
+        "    if args.q ** 2 > permutations.FB_SWEEP_BUDGET or args.n > P_ALPHA_BUDGET:\n"
+        "        raise BudgetError('over')\n"
+    )
+    assert budget_names(source) == ["P_ALPHA_BUDGET:1", "FB_SWEEP_BUDGET:3", "P_ALPHA_BUDGET:3"]
+    cli = (SRC / "cli.py").read_text()
+    planted = cli.replace(
+        "    from .permutations import fb_sweep\n",
+        "    from .permutations import FB_SWEEP_BUDGET, fb_sweep\n\n"
+        "    if args.q ** 2 > FB_SWEEP_BUDGET:\n"
+        "        raise BudgetError(f\"cmsweep over the budget {FB_SWEEP_BUDGET}\")\n",
+        1,
+    )
+    assert planted != cli
+    assert [where.partition(":")[0] for where in budget_names(planted)] == ["FB_SWEEP_BUDGET"] * 3
+
+
+def test_cli_names_no_budget():
+    # a handler that names a cap would repeat the work formula of the
+    # library function behind it, which checks its own work
+    assert budget_names((SRC / "cli.py").read_text()) == []
 
 
 def test_product_checker_finds_a_second_lister():

@@ -557,14 +557,6 @@ def test_star_at_the_int64_boundary_matches_the_closed_form():
     assert star_discrepancy(ps) == closed_form_fractions(ps)
 
 
-def test_star_1d_disagreeing_with_the_closed_form_raises(monkeypatch):
-    import lowdisc.quality as quality
-
-    monkeypatch.setattr(quality, "star_discrepancy_1d_closed_form", lambda ps: Fraction(0))
-    with pytest.raises(RuntimeError, match="disagrees with closed form"):
-        star_discrepancy(lattice_points([1], 8))
-
-
 def test_star_budget_guards():
     with pytest.raises(BudgetError):
         star_discrepancy(lattice_points([1, 3, 5, 7], 16))  # s = 4
@@ -915,8 +907,10 @@ def one_dimensional_sets(draw):
 @example(PointSet.exact([[2 ** 40 - 1]], [2 ** 40]))
 @example(PointSet.exact([[3]] * 5, [7]))
 @example(PointSet.exact([[0], [2 ** 40 - 1], [2 ** 39]], [2 ** 40]))
+@example(PointSet.exact([[0], [(2 ** 62 - 1) // 3 - 1], [2 ** 60]], [(2 ** 62 - 1) // 3]))  # n den = 2^62 - 1
 def test_star_1d_closed_form_matches_fraction_closed_form(ps):
-    assert star_discrepancy_1d_closed_form(ps) == closed_form_fractions(ps)
+    # the sweep, D*'s one production route, against both closed forms
+    assert star_discrepancy(ps) == star_discrepancy_1d_closed_form(ps) == closed_form_fractions(ps)
 
 
 def test_sampled_lower_bound_survives_denominators_beyond_int64():
