@@ -739,12 +739,6 @@ def _csv_header(dim: int) -> str:
     return ",".join(f"x{j + 1}" for j in range(dim))
 
 
-# Every decimal of at most 18 digits is below 2^63, so such tokens read
-# into int64 exactly; np.fromstring would saturate a longer one at 2^63 - 1.
-_INT64_DIGITS = 18
-_SEPARATORS_TO_COMMAS = bytes.maketrans(b"/\n", b",,")
-
-
 def pointset_from_csv(text: str, provenance: Optional[dict]) -> PointSet:
     """pointset_from_csv_file of the text's bytes."""
     return pointset_from_csv_file(io.BytesIO(text.encode()), provenance)
@@ -753,67 +747,20 @@ def pointset_from_csv(text: str, provenance: Optional[dict]) -> PointSet:
 def pointset_from_csv_file(fh: BinaryIO, provenance: Optional[dict]) -> PointSet:
     """Parse the CSV format back from a binary file: num/den tokens rebuild
     an exact set (one denominator per column, the lcm of those written in
-    it), plain decimals rebuild floats.  The exact layout pointset_to_csv
-    writes is read a block at a time; other text is decoded for the line
-    parser."""
-    if not fh.seekable():  # a pipe: the exact route reads the text twice
+    it), plain decimals rebuild floats.  csvread.exact_csv reads the exact
+    layout pointset_to_csv writes, CSV_READ_BLOCK bytes at a time, parsing
+    only the numerators; other text is decoded for the line parser.  A
+    stream that cannot seek is read whole first, as the line parser may
+    need its text after the block reader has read it."""
+    from .csvread import exact_csv  # loaded by the first read
+
+    if not fh.seekable():
         fh = io.BytesIO(fh.read())
-    ps = _exact_csv(fh, provenance)
+    ps = exact_csv(fh, provenance, CSV_READ_BLOCK)
     if ps is None:
         fh.seek(0)
         return _general_csv(fh.read().decode(), provenance)
     return ps
-
-
-def _exact_csv(fh: BinaryIO, provenance: Optional[dict]) -> Optional[PointSet]:
-    """The set in fh when its text is laid out exactly as pointset_to_csv
-    writes an exact set, else None: header x1..xs, then rows d/d,...,d/d
-    ending in a newline, each writing the first row's denominators, each
-    token 1 to 18 ASCII digits.  A first pass counts the rows for one int64
-    array of exactly the numerators, column-major as the builders make it;
-    the second runs every check on the bytes of each block of whole rows,
-    CSV_READ_BLOCK bytes and the rest of the row they end in (no per-line or
-    per-token Python object), and a check failing in any block gives None."""
-    header = fh.readline()
-    dim = header.count(b",") + 1
-    if header != (_csv_header(dim) + "\n").encode():
-        return None
-    body = fh.tell()
-    count = sum(block.count(b"\n") for block in iter(lambda: fh.read(CSV_READ_BLOCK), b""))
-    fh.seek(body)
-    nums = np.empty((count, dim), dtype=np.int64, order="F")
-    layout = np.frombuffer(b"/," * (dim - 1) + b"/\n", dtype=np.uint8)
-    dens, done = None, 0
-    for rows in iter(lambda: fh.read(CSV_READ_BLOCK) + fh.readline(), b""):
-        if not rows.endswith(b"\n"):  # the last row has no newline
-            return None
-        raw = np.frombuffer(rows, dtype=np.uint8)
-        if raw.max() > ord("9"):
-            return None
-        # every other byte sorts below the digits; the layout check below
-        # admits only '/', ',' and '\n' among them
-        seps = np.flatnonzero(raw < ord("0"))
-        if seps.size % layout.size or not (raw[seps].reshape(-1, layout.size) == layout).all():
-            return None
-        gaps = np.diff(seps)  # each token's length plus one, after the first token
-        if not 1 <= seps[0] <= _INT64_DIGITS or gaps.min() < 2 or gaps.max() > _INT64_DIGITS + 1:
-            return None
-        tokens = seps.size
-        del seps, gaps  # 16 bytes a separator: free them before the integers are read
-        # the checks fix the token count; given it, numpy allocates the array
-        # once instead of growing it (and a short read would leave garbage)
-        values = np.fromstring(rows.translate(_SEPARATORS_TO_COMMAS), np.int64, tokens, ",")
-        values = values.reshape(-1, layout.size)
-        dens = values[0, 1::2].copy() if dens is None else dens
-        # digits are never negative, so numerators below the denominators make those >= 1
-        if not ((values[:, 1::2] == dens).all() and (values[:, 0::2] < dens).all()):
-            return None
-        nums[done : done + len(values)] = values[:, 0::2]
-        done += len(values)
-    if dens is None:  # no rows
-        return None
-    nums.flags.writeable = False
-    return PointSet()._fill(nums, tuple(dens.tolist()), None, provenance)
 
 
 def _general_csv(text: str, provenance: Optional[dict]) -> PointSet:

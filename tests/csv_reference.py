@@ -16,7 +16,12 @@ from typing import Optional
 
 import numpy as np
 
-from lowdisc.pointsets import _INT64_DIGITS, _SEPARATORS_TO_COMMAS, PointSet, _csv_header
+from lowdisc.csvread import _INT64_DIGITS
+from lowdisc.pointsets import PointSet, _csv_header
+
+# np.fromstring reads one separator, so '/' and newline become commas; it
+# would saturate a token of more than 18 digits at 2^63 - 1
+_SEPARATORS_TO_COMMAS = bytes.maketrans(b"/\n", b",,")
 
 
 def pointset_to_csv(ps: PointSet, force_float: bool = False) -> str:

@@ -1060,6 +1060,15 @@ def test_the_star_sweep_module_loads_with_the_first_sweep(tmp_path):
     assert "lowdisc.sweep" in _loaded_after(gen, ["discrepancy", "--points", points])
 
 
+def test_the_csv_reader_module_loads_with_the_first_read(tmp_path):
+    # a process that only writes points, such as the benchmark's launcher,
+    # never compiles the reader
+    out = str(tmp_path / "net")
+    gen = ["gen", "--kind", "niederreiter", "--b", "2", "--s", "2", "--m", "5", "--out", out]
+    assert "lowdisc.csvread" not in _loaded_after(gen)
+    assert "lowdisc.csvread" in _loaded_after(gen, ["verify", "--points", os.path.join(out, "points.csv")])
+
+
 def test_a_finite_field_subcommand_loads_its_module():
     loaded = _loaded_after(["factor", "--p", "2", "--coeffs", "1,1,1"])
     assert "lowdisc.factorizer" in loaded

@@ -27,7 +27,9 @@ option cannot bring back a second decoder with rules of its own; cli.py
 names no *_BUDGET constant, so each work budget is checked by the library
 function that does the work and no handler grows a work formula; and no
 package code calls itertools.product outside algebra.monic_irreducibles,
-so a second lister of monic polynomials cannot grow back.
+so a second lister of monic polynomials cannot grow back; and no package
+code calls numpy's text readers (fromstring, loadtxt, genfromtxt), so the
+exact CSV reader's digit routine stays the one parser of digits in bytes.
 
 Last: no code of the package reads a provenance's fields outside the one
 decoder, pointsets.provenance_reference, or writes into a provenance, so
@@ -534,6 +536,37 @@ def test_only_monic_irreducibles_lists_monics(path):
     # monic polynomials would start
     inside = "monic_irreducibles" if path.name == "algebra.py" else None
     assert calls_outside(path.read_text(), "product", inside) == []
+
+
+# numpy's readers of numbers from text; each would be a second digit parser
+TEXT_READERS = ("fromstring", "loadtxt", "genfromtxt")
+
+
+def text_reader_calls(source: str) -> list[str]:
+    """"name function:line" of each call of a TEXT_READERS function in source."""
+    return [f"{name} {where}" for name in TEXT_READERS for where in calls_outside(source, name, None)]
+
+
+def test_text_reader_checker_finds_numpy_readers():
+    source = (
+        "import numpy as np\n"
+        "def read(data):\n"
+        "    return np.fromstring(data.translate(SEPS), np.int64, sep=',')\n"
+        "TABLE = np.loadtxt('table.csv', delimiter=',')\n"
+        "def other(path):\n"
+        "    return numpy.genfromtxt(path), np.frombuffer(path)\n"
+    )
+    assert text_reader_calls(source) == ["fromstring read:3", "loadtxt <module>:4", "genfromtxt other:6"]
+    # the whole-text oracle keeps the parse the block reader replaced
+    oracle = text_reader_calls((TESTS / "csv_reference.py").read_text())
+    assert [where.partition(":")[0] for where in oracle] == ["fromstring canonical_exact_csv"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_the_package_reads_digits_only_in_its_csv_reader(path):
+    # csvread parses the exact layout's numerators; the line parser reads
+    # tokens with int() and float() after checking them
+    assert text_reader_calls(path.read_text()) == []
 
 
 # where package code may touch a provenance's fields: the decoder, the

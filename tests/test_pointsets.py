@@ -44,7 +44,8 @@ from lowdisc.pointsets import (
     provenance_reference,
 )
 from lowdisc.cli import _read_points
-from lowdisc.pointsets import _exact_csv, _general_csv
+from lowdisc.csvread import exact_csv
+from lowdisc.pointsets import _general_csv
 from lowdisc.quality import p_alpha
 
 
@@ -1028,7 +1029,7 @@ def _read_file(text, provenance):
 
 def _block_route(text, provenance):
     """The block reader alone: the set, or None where the general parser reads the text."""
-    return _exact_csv(io.BytesIO(text.encode()), provenance)
+    return exact_csv(io.BytesIO(text.encode()), provenance, pointsets.CSV_READ_BLOCK)
 
 
 def _whole_text_route(text, provenance):
@@ -1260,6 +1261,90 @@ def test_a_token_ending_on_a_block_edge_reads_whole(monkeypatch):
         back = _block_route(text, None)
         assert back.denominators == ps.denominators
         assert back.numerators.tolist() == ps.numerators.tolist()
+
+
+def _reads_as_the_oracles(text, accepted, blocks=(1, 7, 40, pointsets.CSV_READ_BLOCK)):
+    """The block reader takes the text (or leaves it to the line parser) as
+    the whole-text parse does, and reads it as both oracles do, at every
+    block size: a block is then one row, a few rows, or the whole text."""
+    oracle = _outcome(_general_csv, text)
+    assert (_whole_text_route(text, None) is not None) == accepted
+    for block in blocks:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pointsets, "CSV_READ_BLOCK", block)
+            fast = _block_route(text, None)
+            assert (fast is not None) == accepted
+            if accepted:
+                assert _outcome(lambda t, p: fast, text) == _outcome(csv_reference.canonical_exact_csv, text)
+                assert _outcome(lambda t, p: fast, text) == oracle
+            assert _outcome(pointset_from_csv, text) == _outcome(_read_file, text) == oracle
+
+
+@pytest.mark.parametrize("digits", [1, 7, 8, 9, 15, 16, 17, 18])
+def test_tokens_on_the_eight_digit_word_edges_read_as_the_oracles_read_them(digits):
+    # a token of 8, 16 or 18 digits fills one, two or three words; of 9 or 17, one digit more
+    top = 10 ** digits - 1  # at 18 digits, the largest denominator the block reader takes
+    nums = {0, 1, 7, top // 3, top - 1} | {10 ** k for k in range(digits)}
+    nums = sorted(nums | {10 ** k - 1 for k in range(1, digits)})
+    rows = "".join(f"{v}/{top},{v % 7}/7,{v % 10}/10\n" for v in nums)
+    _reads_as_the_oracles("x1,x2,x3\n" + rows, accepted=True)
+    # a numerator of as many digits as its denominator
+    _reads_as_the_oracles(f"x1\n{top}/{top}\n", accepted=False)
+    _reads_as_the_oracles(f"x1,x2\n{top - 1}/{top},{top // 2}/{top}\n", accepted=True)
+
+
+@pytest.mark.parametrize(
+    "text,accepted",
+    [
+        ("x1,x2\n0007/0010,000000000000000003/04\n9/10,0/4\n", True),  # leading zeros
+        ("x1\n000000000000000001/2\n", True),  # 18 digits, 17 of them zeros
+        ("x1\n0000000000000000001/2\n", False),  # 19 digits: the line parser's
+        ("x1\n1/07\n2/7\n3/7\n4/7\n", True),  # the first row spells 7 with a zero
+        ("x1\n1/7\n2/7\n3/07\n4/7\n", True),  # a later row does
+        ("x1,x2\n1/7,1/3\n2/7,2/3\n3/7,2/0003\n4/7,0/3\n", True),
+        ("x1\n1/7\n2/7\n3/8\n4/7\n", False),  # a later row's denominator differs
+        ("x1\n1/8\n2/7\n3/7\n", False),
+        ("x1\n1/7\n2/7\n3/17\n", False),  # one digit more, the same last digit
+        ("x1\n1/17\n2/17\n3/7\n", False),
+        ("x1\n5/999999999999999999\n0/0999999999999999999\n", False),  # 19 digits
+        ("x1\n5/999999999999999999\n0/099999999999999999\n", False),  # a smaller value
+    ],
+)
+def test_denominators_spelled_unlike_the_first_row_read_as_the_oracles_read_them(text, accepted):
+    body = len(text) - text.index("\n")  # block sizes from one byte to the whole body
+    _reads_as_the_oracles(text, accepted, blocks=range(1, body + 2))
+
+
+def test_a_denominator_of_18_nines_compares_as_bytes_in_three_words():
+    top = 10 ** 18 - 1
+    ps = PointSet.exact([[top - 1, 2], [0, 0], [12345678912345678, 1], [10 ** 17, 2]], [top, 3])
+    text = pointset_to_csv(ps)
+    _reads_as_the_oracles(text, accepted=True)
+    back = _block_route(text, None)
+    assert back.denominators == (top, 3) and back.numerators.tolist() == ps.numerators.tolist()
+    # the last row's first denominator differs in its last word: its value differs too
+    last = text.rindex(f"/{top},")
+    _reads_as_the_oracles(f"{text[:last]}/{top - 1}{text[last + 19:]}", accepted=False)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pointset_to_csv(halton([2, 3, 5], 50, start=11)),
+        pointset_to_csv(niederreiter_net(3, 2, 3)),
+        "x1,x2\n1/07,1/3\n2/7,2/03\n",  # the block reader, by the denominators' values
+        "x1\n1/4\n3/8\n",  # the line parser
+        "x1\n 1/4\n1/2\n",
+        "x1\n0.25\n0.5\n",
+        "x1\n5/4\n",  # an error
+        "x1\n1/4",
+        "",
+    ],
+)
+@pytest.mark.parametrize("block", [3, pointsets.CSV_READ_BLOCK])
+def test_a_pipe_reads_as_the_file(monkeypatch, text, block):
+    monkeypatch.setattr(pointsets, "CSV_READ_BLOCK", block)
+    assert _outcome(pointsets.pointset_from_csv_file, _Pipe(text.encode())) == _outcome(_read_file, text)
 
 
 # ---------------------------------------------------------------------------
