@@ -3,7 +3,7 @@
 One executable, twelve subcommands: generation (gen), verification (verify,
 discrepancy, p2, integrate), applied checks (isbn, cmsweep, factor,
 inversive, inversive-audit, zaremba), and reproduce, which runs one
-acceptance experiment end to end.
+acceptance experiment end to end, or all of them.
 
 Conventions: exit 0 = success/valid, 1 = domain failure/invalid, 2 = usage
 error.  Every subcommand takes --json for machine output (human-readable
@@ -27,6 +27,9 @@ The payloads of cmsweep, inversive, inversive-audit, zaremba and reproduce
 are the fields of the records the library returns, by dataclasses.asdict.
 The finite-field modules and acceptance are imported by the handlers that
 use them, so gen, verify and discrepancy never load them.
+reproduce all shares its criteria with one forked child, claimed in order
+(sweep.map_over_two_processes); its output stays in criterion order, and
+elapsed_seconds is each criterion's own wall time in the process that ran it.
 """
 
 from __future__ import annotations
@@ -472,7 +475,8 @@ def cmd_zaremba(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_reproduce(args) -> int:
-    from .acceptance import ALL_CRITERIA, format_result_line, run_criterion
+    from .acceptance import ALL_CRITERIA, CriterionResult, format_result_line, run_criterion
+    from .sweep import map_over_two_processes
 
     if args.criterion == "all":
         ids = sorted(ALL_CRITERIA)
@@ -482,10 +486,10 @@ def cmd_reproduce(args) -> int:
             raise ValueError(
                 f"unknown criterion {ids[0]}; valid: {sorted(ALL_CRITERIA)}"
             )
-    results = [run_criterion(cid) for cid in ids]
-    payload = [{**asdict(r), "elapsed_seconds": round(r.elapsed_seconds, 3)} for r in results]
-    human = "\n".join(format_result_line(r) for r in results)
-    return _finish(args, payload, human, 0 if all(r.passed for r in results) else 1)
+    rows = map_over_two_processes(lambda cid: asdict(run_criterion(cid)), ids)
+    payload = [{**row, "elapsed_seconds": round(row["elapsed_seconds"], 3)} for row in rows]
+    human = "\n".join(format_result_line(CriterionResult(**row)) for row in rows)
+    return _finish(args, payload, human, 0 if all(row["passed"] for row in rows) else 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,18 @@
-"""The exact star-discrepancy sweep behind quality.star_discrepancy.
-
-The sweep runs in STAR_SWEEP_CHUNKS independent ranges of steps, which a
-large sweep splits between this process and one forked child when two
-CPUs are free.  quality.star_discrepancy imports this module on its first
-call that sweeps, so a process that never computes D* never loads it.
+"""The exact star-discrepancy sweep behind quality.star_discrepancy, and
+map_over_two_processes, the package's one fork: a large sweep's ranges,
+heaviest first, and `reproduce all`'s criteria, in order, are claimed one by
+one from a pipe by this process and one forked child when two CPUs are free,
+one split at a time.  quality.star_discrepancy imports this module on its
+first call that sweeps, so gen and a verify without D* never load it.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import math
 import os
 import threading
-from itertools import starmap
 from typing import Callable, Sequence
 
 import numpy as np
@@ -113,46 +113,51 @@ def star_sweep(pts: np.ndarray, tops: Sequence, exact: bool):
 
     ranges = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi]
     work = [(hi - lo) * int(cuts[hi]) ** (s - 1) for lo, hi in ranges]
-    return max_over_two_processes(sweep, ranges, work, exact)
+    ranges = [r for _, r in sorted(zip(work, ranges), reverse=True)]  # claimed heaviest first
+    number = int if exact else float  # a JSON value, as the child sends it back
+    return max(map_over_two_processes(lambda r: number(sweep(*r)), ranges, sum(work) >= STAR_FORK_WORK))
 
 
-def max_over_two_processes(run: Callable, ranges: list, work: list, exact: bool):
-    """max(run(lo, hi) for lo, hi in ranges), bit for bit.
+_splitting = False  # while set, this process takes part in a split and forks no other
 
-    When the work reaches STAR_FORK_WORK, two CPUs are free and no other
-    thread runs, one forked child takes part of the ranges: this process
-    keeps the last, and the others go, heaviest first, to the side with
-    less work.  Each side runs its ranges in ascending order.  The child
-    writes its maximum to a pipe (a decimal int, or float.hex) and exits;
-    it is always reaped, and a child that fails raises RuntimeError.
+
+def map_over_two_processes(run: Callable, items: list, fork: bool = True) -> list:
+    """[run(item) for item in items], shared with one forked child.
+
+    The child is forked when fork is set, there are two items or more, two
+    CPUs are free, no other thread runs and no split is running already in
+    this process.  Both processes claim the next item index from a pipe
+    (one byte each, so at most 256 items) until none is left; the child
+    sends its results back as one JSON reply, so they must read back equal
+    from JSON.  The child is always reaped, and a child that fails raises
+    RuntimeError.  If a run here raises, the reply pipe is closed before the
+    wait, so a child blocked writing its reply gets EPIPE.
     """
+    global _splitting
     if not (
-        sum(work) >= STAR_FORK_WORK and len(ranges) > 1
+        fork and len(items) > 1 and not _splitting
         and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
         and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1
     ):
-        return max(starmap(run, ranges))
-    mine, theirs, excess = [ranges[-1]], [], work[-1]
-    for w, r in sorted(zip(work[:-1], ranges[:-1]), reverse=True):
-        if excess > 0:
-            theirs.append(r)
-            excess -= w
-        else:
-            mine.append(r)
-            excess += w
-    read_end, write_end = os.pipe()
+        return [run(item) for item in items]
+    claims, queue = os.pipe()
+    os.write(queue, bytes(range(len(items))))
+    os.close(queue)
+    claim = functools.partial(os.read, claims, 1)  # b"" once every item is claimed
+    reply_end, write_end = os.pipe()
     try:
         pid = os.fork()
-    except OSError:  # no process to spare: all ranges here
-        os.close(read_end)
-        os.close(write_end)
-        return max(starmap(run, ranges))
+    except OSError:  # no process to spare: all items here
+        for fd in (claims, reply_end, write_end):
+            os.close(fd)
+        return [run(item) for item in items]
+    _splitting = True
     if pid == 0:
         code = 1
         try:
-            os.close(read_end)
-            best = max(starmap(run, sorted(theirs)))
-            os.write(write_end, (str(int(best)) if exact else float(best).hex()).encode())
+            os.close(reply_end)
+            with open(write_end, "w") as pipe:
+                json.dump([[k, run(items[k])] for k, in iter(claim, b"")], pipe)
             code = 0
         except BaseException:
             import traceback  # the caller raises RuntimeError; the cause shows here
@@ -161,15 +166,20 @@ def max_over_two_processes(run: Callable, ranges: list, work: list, exact: bool)
         finally:
             os._exit(code)
     os.close(write_end)
-    with open(read_end, "rb") as pipe:
-        try:
-            best = max(starmap(run, sorted(mine)))
-            reply = pipe.read()
-        finally:
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    pipe, reply = open(reply_end), ""
+    try:
+        results = {k: run(items[k]) for k, in iter(claim, b"")}
+        reply = pipe.read()
+    finally:
+        os.read(claims, len(items))  # leaves the child nothing more to claim
+        os.close(claims)
+        pipe.close()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        _splitting = False
     try:
         if code == 0:
-            return max(best, int(reply) if exact else float.fromhex(reply.decode()))
-    except ValueError:
+            results.update(json.loads(reply))
+            return [results[k] for k in range(len(items))]
+    except (ValueError, TypeError, KeyError):
         pass
-    raise RuntimeError(f"the star sweep's second process failed: exit code {code}, reply {reply!r}")
+    raise RuntimeError(f"the second process failed: exit code {code}, reply {reply[:80]!r}")

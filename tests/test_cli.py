@@ -959,6 +959,60 @@ def test_reproduce_all_runs_every_criterion_in_order(capsys, monkeypatch):
     assert all(set(row) == keys and row["passed"] for row in payload)
 
 
+def test_reproduce_all_gives_the_same_output_forked_and_in_process(capsys, monkeypatch):
+    real_fork, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    runs = {}
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        code, out = run(capsys, "reproduce", "all", "--json")
+        payload = [{k: v for k, v in row.items() if k != "elapsed_seconds"} for row in json.loads(out)]
+        text_code, text = run(capsys, "reproduce", "all")
+        lines = [re.sub(r"\(\d+\.\d\ds / ", "(", line) for line in text.splitlines()]
+        runs[len(cpus)] = code, payload, text_code, lines
+    # one split per forked run: criterion 9's sweeps inside it stay in their process
+    assert len(forks) == 2
+    assert runs[2] == runs[1]
+    code, payload, _, lines = runs[1]
+    assert code == 0 and [row["criterion"] for row in payload] == list(range(1, 12))
+    assert len(lines) == 11 and all(" PASS (" in line for line in lines)
+
+
+@pytest.mark.parametrize("failing", [1, 2], ids=["first-fails", "second-fails"])
+@pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["forked", "in-process"])
+def test_reproduce_all_reports_a_failed_criterion_from_either_process(capsys, monkeypatch, tmp_path, cpus, failing):
+    from lowdisc import acceptance
+
+    log = tmp_path / "pids"
+    log.touch()
+
+    def criterion(ok):
+        def fn():
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            # forked, each waits until the other has started, so each process runs one
+            deadline = time.monotonic() + 10
+            while len(cpus) > 1 and len(log.read_text().split()) < 2 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            return ok, "patched"
+
+        return fn
+
+    over_budget = 3 - failing
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", {
+        failing: ("patched-fails", 10.0, criterion(False)),
+        over_budget: ("patched-over-budget", 0.0, criterion(True)),
+    })
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    code, out = run(capsys, "reproduce", "all")
+    assert code == 1
+    lines = out.splitlines()
+    names = [f"criterion  {cid} [{acceptance.ALL_CRITERIA[cid][0]}] FAIL (" for cid in (1, 2)]
+    assert len(lines) == 2 and [line[: len(name)] for line, name in zip(lines, names)] == names
+    assert lines[over_budget - 1].endswith("over the 0s budget")
+    assert len(set(log.read_text().split())) == len(cpus)
+
+
 def test_reproduce_unknown_criterion(capsys):
     code, out = run(capsys, "reproduce", "99")
     assert code == 1

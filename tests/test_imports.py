@@ -30,6 +30,10 @@ package code calls itertools.product outside algebra.monic_irreducibles,
 so a second lister of monic polynomials cannot grow back; and no package
 code calls numpy's text readers (fromstring, loadtxt, genfromtxt), so the
 exact CSV reader's digit routine stays the one parser of digits in bytes.
+The package calls os.fork at one place, sweep.map_over_two_processes, so
+a second fork path cannot grow back, and `lowdisc reproduce all` loads no
+process pool (multiprocessing, concurrent.futures) and calls no pickle
+function.
 
 Last: no code of the package reads a provenance's fields outside the one
 decoder, pointsets.provenance_reference, or writes into a provenance, so
@@ -41,7 +45,11 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import json
+import os
 import re
+import subprocess
+import sys
 import typing
 from collections import Counter
 from pathlib import Path
@@ -475,6 +483,43 @@ def test_split_checker_finds_a_second_decoder():
 
 def test_cli_splits_text_only_in_its_list_reader():
     assert calls_outside((SRC / "cli.py").read_text(), "split", "_list_option") == []
+
+
+def test_the_package_calls_os_fork_at_one_place():
+    # the star sweep and reproduce all share one helper, so a second fork
+    # path, with faults, reaping and a reply format of its own, cannot grow back
+    planted = "import os\ndef run():\n    pid = os.fork()\nfork()\n"
+    assert calls_outside(planted, "fork", "") == ["run:3", "<module>:4"]
+    sites = [
+        f"{path.name}:{where.partition(':')[0]}"
+        for path in sorted(SRC.glob("*.py"))
+        for where in calls_outside(path.read_text(), "fork", "")
+    ]
+    assert sites == ["sweep.py:map_over_two_processes"]
+
+
+def test_reproduce_all_loads_no_process_pool_and_calls_no_pickle():
+    # numpy loads pickle when it is imported, so the run is checked for
+    # calls into pickle, on the side that reads the child's reply
+    script = (
+        "import contextlib, io, json, os, pickle, sys\n"
+        "from lowdisc.cli import main\n"
+        "fork, forks, pickled = os.fork, [], []\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}  # the forked path on any machine\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "for name in ('dump', 'dumps', 'load', 'loads'):\n"
+        "    setattr(pickle, name, lambda *args, name=name, **kwargs: pickled.append(name))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['reproduce', 'all'])\n"
+        "print(json.dumps({'code': code, 'forks': len(forks), 'pickled': pickled, 'modules': sorted(sys.modules)}))\n"
+    )
+    fresh = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)}, check=True,
+    )
+    result = json.loads(fresh.stdout)
+    assert (result["code"], result["forks"], result["pickled"]) == (0, 1, [])
+    assert not {m for m in result["modules"] if m.partition(".")[0] in {"multiprocessing", "concurrent"}}
 
 
 def budget_names(source: str) -> list[str]:

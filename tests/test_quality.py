@@ -778,26 +778,96 @@ def test_discrepancy_cli_prints_the_same_bytes_forked_and_in_process(tmp_path, c
     _assert_no_child_left()
 
 
-RANGES, WORK = [(0, 1), (1, 2), (2, 3), (3, 4)], [1, 1, 1, 1]
+RANGES = [(0, 1), (1, 2), (2, 3), (3, 4)]
 
 
-def _child_does(fault):
-    """run(lo, hi) = hi / 3, after fault() in a forked child."""
+@contextlib.contextmanager
+def _both_sides(fault=lambda: None):
+    """Yields wrap(f), a run for map_over_two_processes that returns f(item).
+    A forked child calls fault() before each of its items, and this
+    process's first run waits until the child holds an item (or has died),
+    so that each side runs one at least."""
     parent = os.getpid()
+    ready, child_holds = os.pipe()
+    unsignalled = [child_holds]
 
-    def run(lo, hi):
-        if os.getpid() != parent:
-            fault()
-        return hi / 3
+    def wrap(f):
+        def run(item):
+            if os.getpid() != parent:
+                os.write(child_holds, b".")
+                fault()
+            elif unsignalled:
+                os.close(unsignalled.pop())  # the child's copy alone is left
+                os.read(ready, 1)
+            return f(item)
 
-    return run
+        return run
+
+    try:
+        yield wrap
+    finally:
+        for fd in [ready, *unsignalled]:
+            os.close(fd)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """TimeoutError in this process after seconds, instead of a hang."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_two_processes_give_the_max_of_all_ranges():
-    with _two_cpus() as fork:
-        assert _identical(sweep.max_over_two_processes(_child_does(lambda: None), RANGES, WORK, False), 4 / 3)
-        assert sweep.max_over_two_processes(lambda lo, hi: 5 * lo, RANGES, WORK, True) == 15
+    # floats come back bit for bit and ints exactly, whichever side ran them
+    with _two_cpus() as fork, _both_sides() as wrap:
+        thirds = sweep.map_over_two_processes(wrap(lambda r: r[1] / 3), RANGES)
+        assert all(_identical(got, hi / 3) for got, (_, hi) in zip(thirds, RANGES))
+        assert _identical(max(thirds), 4 / 3)
+        assert max(sweep.map_over_two_processes(lambda r: 5 * r[0] + 2 ** 70, RANGES)) == 15 + 2 ** 70
     assert fork.call_count == 2
+    _assert_no_child_left()
+
+
+def test_each_item_runs_once_and_results_come_back_in_item_order(tmp_path):
+    log = tmp_path / "runs"
+    items = list(range(40))
+
+    def f(k):
+        with open(log, "a") as fh:  # one short append per run: whole lines from both processes
+            fh.write(f"{k}\n")
+        return [k, os.getpid()]
+
+    with _two_cpus() as fork, _both_sides() as wrap:
+        results = sweep.map_over_two_processes(wrap(f), items)
+    assert [k for k, _ in results] == items
+    assert len({pid for _, pid in results}) == 2 and fork.call_count == 1
+    assert sorted(map(int, log.read_text().split())) == items
+    _assert_no_child_left()
+
+
+def test_a_run_inside_a_split_forks_no_second_child():
+    def f(k):
+        inner = sweep.map_over_two_processes(lambda j: os.getpid(), [0, 1, 2])
+        return [os.getpid(), inner, fork.call_count]  # the child inherits the count of one
+
+    with _two_cpus() as fork, _both_sides() as wrap:
+        results = sweep.map_over_two_processes(wrap(f), RANGES)
+    assert all(inner == [pid] * 3 and forks == 1 for pid, inner, forks in results)
+    assert len({pid for pid, _, _ in results}) == 2
+    assert fork.call_count == 1
+    # the split is over: the next call forks again
+    with _two_cpus() as fork:
+        sweep.map_over_two_processes(lambda r: 0, RANGES)
+    assert fork.call_count == 1
     _assert_no_child_left()
 
 
@@ -816,25 +886,28 @@ def _child_raises():
     ids=["raises", "exits-3", "sigkill", "no-reply"],
 )
 def test_a_failed_child_raises_and_is_reaped(fault, code):
-    with _two_cpus():
+    with _two_cpus(), _both_sides(fault) as wrap:
         with pytest.raises(RuntimeError, match=f"second process failed: exit code {code},"):
-            sweep.max_over_two_processes(_child_does(fault), RANGES, WORK, False)
+            sweep.map_over_two_processes(wrap(lambda r: r[1] / 3), RANGES)
     _assert_no_child_left()
 
 
 def test_the_callers_own_error_propagates_after_the_child_is_reaped():
     parent = os.getpid()
+    # the long reply fills the pipe: a caller that waited for the child
+    # before it closed its end would hang
+    for reply_bytes in [1, 1 << 17]:
 
-    def run(lo, hi):
-        if os.getpid() == parent and hi == 4:  # this process keeps the last range
-            raise ValueError("in the caller")
-        return hi
+        def f(r):
+            if os.getpid() == parent:
+                raise ValueError("in the caller")
+            return "x" * reply_bytes
 
-    with _two_cpus() as fork:
-        with pytest.raises(ValueError, match="in the caller"):
-            sweep.max_over_two_processes(run, RANGES, WORK, True)
-    assert fork.call_count == 1
-    _assert_no_child_left()
+        with _two_cpus() as fork, _both_sides() as wrap, _deadline(30):
+            with pytest.raises(ValueError, match="in the caller"):
+                sweep.map_over_two_processes(wrap(f), RANGES)
+        assert fork.call_count == 1
+        _assert_no_child_left()
 
 
 @contextlib.contextmanager
