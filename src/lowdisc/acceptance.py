@@ -15,6 +15,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
@@ -38,11 +39,9 @@ from .quality import (
     minimal_t_geometric,
     net_property,
     p2_dual_sum,
-    p2_tail_bound,
     p_alpha,
     sampled_deviation_lower_bound,
     star_discrepancy,
-    star_discrepancy_1d_closed_form,
 )
 
 __all__ = ["CriterionResult", "ALL_CRITERIA", "run_criterion", "format_result_line"]
@@ -261,6 +260,20 @@ def _criterion_8() -> tuple[bool, str]:
 # 9. Discrepancy engine: closed form, sampling bound, lattice ratio stability
 # ---------------------------------------------------------------------------
 
+def star_discrepancy_1d_closed_form(ps: PointSet) -> Fraction:
+    """D*_N = 1/(2N) + max_i |x_(i) - (2i-1)/(2N)| for one dimension, exact:
+    (den + max_i |2N v_(i) - (2i-1) den|) / (2N den) over sorted numerators v."""
+    if ps.dim != 1:
+        raise ValueError("closed form is one-dimensional only")
+    if not ps.is_exact:
+        raise ValueError("closed form needs an exact point set")
+    n = ps.count
+    den = ps.denominators[0]
+    vs = sorted(ps.numerators[:, 0].tolist())
+    dev = max(abs(2 * n * v - (2 * i - 1) * den) for i, v in enumerate(vs, start=1))
+    return Fraction(den + dev, 2 * n * den)
+
+
 def _criterion_9() -> tuple[bool, str]:
     rng = random.Random(9)
     for _ in range(100):
@@ -303,6 +316,17 @@ def _criterion_9() -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 # 10. P_2 against the truncated dual-lattice sum; Fibonacci improvement
 # ---------------------------------------------------------------------------
+
+def p2_tail_bound(s: int, h_bound: int) -> float:
+    """Upper bound on the dual-sum truncation error: the h with some
+    |h_j| > H contribute at most s * (2/H) * (1 + pi^2/3)^(s-1).  Needs
+    s >= 1 and H >= 1; below them the formula bounds nothing."""
+    if s < 1:
+        raise ValueError("need s >= 1")
+    if h_bound < 1:
+        raise ValueError("need h_bound >= 1")
+    return 2.0 * s * (1.0 + math.pi ** 2 / 3.0) ** (s - 1) / h_bound
+
 
 def _criterion_10() -> tuple[bool, str]:
     rng = random.Random(10)

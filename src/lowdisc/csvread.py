@@ -1,6 +1,6 @@
 """The reader of the exact CSV layout behind pointsets.pointset_from_csv_file,
-loaded by its first read: only the numerators are parsed, eight ASCII
-digits to a 64-bit word, and each denominator is compared as bytes."""
+loaded by its first read: only the numerators are parsed, eight digits to a
+word, and each row's denominators are compared as bytes with the first row's."""
 
 from __future__ import annotations
 
@@ -21,14 +21,14 @@ _MARGIN = b"0" * 24  # around a block, so every word read next to a token lies i
 def exact_csv(fh: BinaryIO, provenance: Optional[dict], block: int) -> Optional[PointSet]:
     """The set in fh when its text is laid out exactly as pointset_to_csv
     writes an exact set, else None: header x1..xs, then rows d/d,...,d/d
-    ending in a newline, each writing the first row's denominators, each
+    ending in a newline, each spelling the first row's denominators, each
     token 1 to 18 ASCII digits.  A first pass counts the rows for one int64
     array of exactly the numerators, column-major as the builders make it;
-    the second checks each block of whole rows, `block` bytes and the rest
-    of the row they end in, with no Python object per token.  The words read
-    for a numerator's last digits also hold the '/', denominator and
-    separator after it, which must be the first row's bytes in that column,
-    or else the block's denominators must have the first row's values."""
+    the second fills all of it, block by block of whole rows (`block` bytes
+    and the rest of the row they end in), with no Python object per token.
+    The words read for a numerator's last digits also hold the '/',
+    denominator and separator after it, which must be the first row's bytes
+    in that column, so only the first row's separators meet the layout."""
     header = fh.readline()
     dim = header.count(b",") + 1
     if header != (_csv_header(dim) + "\n").encode():
@@ -46,10 +46,10 @@ def exact_csv(fh: BinaryIO, provenance: Optional[dict], block: int) -> Optional[
         raw = np.frombuffer(data, dtype=np.uint8)
         if raw.max() > ord("9"):
             return None
-        # every other byte sorts below the digits; the layout check below
-        # admits only '/', ',' and '\n' among them after the margin's newline
+        # every other byte sorts below the digits; after the margin's newline,
+        # the first row's must be the layout, and the byte compare repeats them
         seps = np.flatnonzero(raw < ord("0"))
-        if (seps.size - 1) % layout.size or not (raw[seps[1:]].reshape(-1, layout.size) == layout).all():
+        if (seps.size - 1) % layout.size or dens is None and not (raw[seps[1 : layout.size + 1]] == layout).all():
             return None
         gaps = np.diff(seps)  # each token's length plus one
         if gaps.min() < 2 or gaps.max() > _INT64_DIGITS + 1:
@@ -63,14 +63,16 @@ def exact_csv(fh: BinaryIO, provenance: Optional[dict], block: int) -> Optional[
             keep = np.array(keep, np.uint64)
             spelled = _decimals(data, ends[:1, 0::2], gaps[:1, 0::2], keep.shape[-1])[1] & keep
         values, tails = _decimals(data, ends[:, 0::2], gaps[:, 0::2], keep.shape[-1])
-        if not ((tails & keep) == spelled).all() and not (_decimals(data, ends[:, 1::2], gaps[:, 1::2])[0] == dens).all():
+        if not ((tails & keep) == spelled).all():
             return None
         # digits are never negative, so numerators below the denominators make those >= 1
         if not (values < dens).all():
             return None
+        if done + len(values) > count:  # the file grew after the count
+            return None
         nums[:, done : done + len(values)] = values.T
         done += len(values)
-    if dens is None:  # no rows
+    if dens is None or done < count:  # no rows, or the file shrank after the count
         return None
     nums.flags.writeable = False
     return PointSet()._fill(nums.T, tuple(dens[0].tolist()), None, provenance)

@@ -22,7 +22,8 @@ the volume-excess side and weakly (<=) for the point-excess side.  All
 comparisons are integer arithmetic on numerators; the result is a Fraction.
 The sweep lives in lowdisc.sweep, loaded by the first call that sweeps; its
 independent ranges of steps are split over two processes when two CPUs are
-free.
+free.  The closed form that criterion 9 checks the sweep against at s = 1,
+and criterion 10's P_2 tail bound, live beside those criteria in acceptance.
 """
 
 from __future__ import annotations
@@ -46,11 +47,9 @@ __all__ = [
     "dual_space",
     "minimal_t_dual",
     "star_discrepancy",
-    "star_discrepancy_1d_closed_form",
     "sampled_deviation_lower_bound",
     "p_alpha",
     "p2_dual_sum",
-    "p2_tail_bound",
     "qmc_integrate",
     "QualityReport",
     "assess",
@@ -60,8 +59,6 @@ __all__ = [
 # s = 3; these caps keep the default call interactive, and n_limit=
 # overrides them deliberately
 STAR_DISCREPANCY_BUDGET = {1: 200_000, 2: 8192, 3: 512}
-# the star sweep runs its x-steps in this many ranges of equal length
-STAR_SWEEP_CHUNKS = 16
 # one walk over the compositions of m - t, on either route, checks at most
 # this many; level 0 of b = 17, s = 17, m = 10 alone has 5.3 million
 COMPOSITION_BUDGET = 1 << 16
@@ -225,13 +222,6 @@ def minimal_t_dual(G: GeneratingMatrixSet) -> int:
 # Exact star discrepancy (s <= 3)
 # ---------------------------------------------------------------------------
 
-def _axis_grid(values: np.ndarray, top) -> np.ndarray:
-    """np.unique(np.append(values, top)) by np.unique's own sort route,
-    without the masked-array check through which np.unique imports numpy.ma."""
-    grid = np.sort(np.append(values, top))
-    return grid[np.append(True, grid[1:] != grid[:-1])]
-
-
 def star_discrepancy(ps: PointSet, n_limit: Optional[int] = None):
     """Exact D*_N for s <= 3: a Fraction for exact sets, float otherwise.
 
@@ -273,20 +263,6 @@ def star_discrepancy(ps: PointSet, n_limit: Optional[int] = None):
             "reduce precision or use sampled_deviation_lower_bound"
         )
     return Fraction(int(star_sweep(ps.numerators, ps.denominators, exact=True)), n * full)
-
-
-def star_discrepancy_1d_closed_form(ps: PointSet) -> Fraction:
-    """D*_N = 1/(2N) + max_i |x_(i) - (2i-1)/(2N)| for one dimension, exact:
-    (den + max_i |2N v_(i) - (2i-1) den|) / (2N den) over sorted numerators v."""
-    if ps.dim != 1:
-        raise ValueError("closed form is one-dimensional only")
-    if not ps.is_exact:
-        raise ValueError("closed form needs an exact point set")
-    n = ps.count
-    den = ps.denominators[0]
-    vs = sorted(ps.numerators[:, 0].tolist())
-    dev = max(abs(2 * n * v - (2 * i - 1) * den) for i, v in enumerate(vs, start=1))
-    return Fraction(den + dev, 2 * n * den)
 
 
 def sampled_deviation_lower_bound(
@@ -363,7 +339,7 @@ def p_alpha(a: Sequence[int], n: int) -> float:
 def p2_dual_sum(a: Sequence[int], n: int, h_bound: int) -> float:
     """Truncated dual-lattice sum: sum over 0 < |h|_inf <= h_bound with
     a . h = 0 mod n of prod_j max(1, |h_j|)^(-2).  Independent oracle for
-    p_alpha; the truncation error is bounded by p2_tail_bound.
+    p_alpha; acceptance.p2_tail_bound bounds the truncation error.
 
     The box is a product of axes, so the sum is residue 0 of the cyclic
     convolution of one residue histogram per axis, less the origin's 1.
@@ -384,17 +360,6 @@ def p2_dual_sum(a: Sequence[int], n: int, h_bound: int) -> float:
         hist = np.bincount(h * aj % n, weights=weight, minlength=n)
         fold = sum(hist[r] * np.roll(fold, r) for r in np.flatnonzero(hist))
     return float(fold[0] - 1.0)
-
-
-def p2_tail_bound(s: int, h_bound: int) -> float:
-    """Upper bound on the dual-sum truncation error: the h with some
-    |h_j| > H contribute at most s * (2/H) * (1 + pi^2/3)^(s-1).  Needs
-    s >= 1 and H >= 1; below them the formula bounds nothing."""
-    if s < 1:
-        raise ValueError("need s >= 1")
-    if h_bound < 1:
-        raise ValueError("need h_bound >= 1")
-    return 2.0 * s * (1.0 + math.pi ** 2 / 3.0) ** (s - 1) / h_bound
 
 
 def qmc_integrate(f: Callable[[tuple[float, ...]], float], ps: PointSet) -> float:

@@ -1,10 +1,10 @@
-"""The exact star-discrepancy sweep behind quality.star_discrepancy, and
+"""The exact star-discrepancy sweep behind quality.star_discrepancy, which
+imports it on its first call that sweeps (so gen and a verify without D*
+never load it, and it imports nothing from quality), and
 map_over_two_processes, the package's one fork: a large sweep's ranges,
 heaviest first, and `reproduce all`'s criteria, in order, are claimed one by
 one from a pipe by this process and one forked child when two CPUs are free,
-one split at a time.  quality.star_discrepancy imports this module on its
-first call that sweeps, so gen and a verify without D* never load it.
-"""
+one split at a time."""
 
 from __future__ import annotations
 
@@ -17,12 +17,19 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quality import STAR_SWEEP_CHUNKS, _axis_grid
-
+# the star sweep runs its x-steps in this many ranges of equal length
+STAR_SWEEP_CHUNKS = 16
 # a sweep forks when its corner work, summed over ranges of (steps) x (points
 # counted)^(s - 1), reaches this: about 10 ms of sweeping in one process,
 # where a fork costs about 4 ms
 STAR_FORK_WORK = 1 << 22
+
+
+def _axis_grid(values: np.ndarray, top) -> np.ndarray:
+    """np.unique(np.append(values, top)) by np.unique's own sort route,
+    without the masked-array check through which np.unique imports numpy.ma."""
+    grid = np.sort(np.append(values, top))
+    return grid[np.append(True, grid[1:] != grid[:-1])]
 
 
 def star_sweep(pts: np.ndarray, tops: Sequence, exact: bool):
@@ -50,8 +57,8 @@ def star_sweep(pts: np.ndarray, tops: Sequence, exact: bool):
     the closed count.  So the steps run in STAR_SWEEP_CHUNKS equal ranges,
     each on the corner grid of the points counted by its last step, and the
     full grid is built only for the last range.  A range rebuilds its counts
-    from a bincount of the points before it, so the ranges are independent,
-    and they are split over two processes when two CPUs are free.
+    from a bincount of the points before it, so the ranges are independent:
+    map_over_two_processes shares them once their work reaches STAR_FORK_WORK.
     """
     n, s = pts.shape
     grid = _axis_grid(pts[:, 0], tops[0])
@@ -115,27 +122,28 @@ def star_sweep(pts: np.ndarray, tops: Sequence, exact: bool):
     work = [(hi - lo) * int(cuts[hi]) ** (s - 1) for lo, hi in ranges]
     ranges = [r for _, r in sorted(zip(work, ranges), reverse=True)]  # claimed heaviest first
     number = int if exact else float  # a JSON value, as the child sends it back
-    return max(map_over_two_processes(lambda r: number(sweep(*r)), ranges, sum(work) >= STAR_FORK_WORK))
+    split = map_over_two_processes if sum(work) >= STAR_FORK_WORK else map
+    return max(split(lambda r: number(sweep(*r)), ranges))
 
 
 _splitting = False  # while set, this process takes part in a split and forks no other
 
 
-def map_over_two_processes(run: Callable, items: list, fork: bool = True) -> list:
+def map_over_two_processes(run: Callable, items: list) -> list:
     """[run(item) for item in items], shared with one forked child.
 
-    The child is forked when fork is set, there are two items or more, two
-    CPUs are free, no other thread runs and no split is running already in
-    this process.  Both processes claim the next item index from a pipe
-    (one byte each, so at most 256 items) until none is left; the child
-    sends its results back as one JSON reply, so they must read back equal
-    from JSON.  The child is always reaped, and a child that fails raises
-    RuntimeError.  If a run here raises, the reply pipe is closed before the
-    wait, so a child blocked writing its reply gets EPIPE.
+    The child is forked when there are two items or more, two CPUs are free,
+    no other thread runs and no split is running already in this process.
+    Both processes claim the next item index from a pipe (one byte each, so
+    at most 256 items) until none is left; the child sends its results back
+    as one JSON reply, so they must read back equal from JSON.  The child is
+    always reaped, and a child that fails raises RuntimeError.  If a run
+    here raises, the reply pipe is closed before the wait, so a child
+    blocked writing its reply gets EPIPE.
     """
     global _splitting
     if not (
-        fork and len(items) > 1 and not _splitting
+        len(items) > 1 and not _splitting
         and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
         and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1
     ):

@@ -9,8 +9,9 @@ byte, at the numerators and denominators where a token gains a digit,
 across block edges, and through the files gen --out writes.
 
 The whole-text parse of the exact layout that pointset_from_csv used before
-the file reader checked and converted one block of rows at a time: the
-tests compare the block reader with it and with the general line parser."""
+the file reader checked and converted one block of rows at a time, narrowed
+as that reader is to rows that spell the first row's denominators: the tests
+compare the block reader with it and with the general line parser."""
 
 from typing import Optional
 
@@ -45,7 +46,7 @@ def pointset_to_csv(ps: PointSet, force_float: bool = False) -> str:
 def canonical_exact_csv(text: str, provenance: Optional[dict]) -> Optional[PointSet]:
     """The set in `text` when it is laid out exactly as pointset_to_csv
     writes an exact set, else None: header x1..xs, then rows
-    d/d,...,d/d ending in a newline, each writing the first row's
+    d/d,...,d/d ending in a newline, each spelling the first row's
     denominators, each token 1 to 18 ASCII digits.  The checks run on the
     bytes of the text, so no per-line or per-token Python object is made,
     and the general parser reads any text that fails one of them."""
@@ -70,7 +71,12 @@ def canonical_exact_csv(text: str, provenance: Optional[dict]) -> Optional[Point
     gaps = np.diff(seps)  # each token's length plus one, after the first token
     if not 1 <= seps[0] <= _INT64_DIGITS or gaps.min() < 2 or gaps.max() > _INT64_DIGITS + 1:
         return None
-    del seps, gaps  # 16 bytes a separator: free them before the integers are read
+    # with the values compared below, equal token lengths make every row's
+    # denominators the first row's bytes, as the block reader requires
+    spelled = gaps[0::2].reshape(rows, dim)
+    if not (spelled == spelled[0]).all():
+        return None
+    del seps, gaps, spelled  # 16 bytes a separator: free them before the integers are read
     # the checks fix the token count; given it, numpy allocates the array
     # once instead of growing it (and a short read would leave garbage)
     values = np.fromstring(

@@ -9,8 +9,8 @@ tests compare the production sweep against them value for value (Fractions)
 and bit for bit (floats).
 
 closed_form_fractions is the one-dimensional closed form in one Fraction per
-point, as star_discrepancy_1d_closed_form computed it before it moved to
-integer numerators.
+point, as star_discrepancy_1d_closed_form (now in lowdisc.acceptance, beside
+criterion 9) computed it before it moved to integer numerators.
 
 sampled_deviation_per_sample is sampled_deviation_lower_bound as it was
 before its counts became one comparison per axis and its deviations one

@@ -33,7 +33,8 @@ exact CSV reader's digit routine stays the one parser of digits in bytes.
 The package calls os.fork at one place, sweep.map_over_two_processes, so
 a second fork path cannot grow back, and `lowdisc reproduce all` loads no
 process pool (multiprocessing, concurrent.futures) and calls no pickle
-function.
+function.  lowdisc.sweep imports nothing from lowdisc.quality, which loads
+it, so the two cannot import each other again.
 
 Last: no code of the package reads a provenance's fields outside the one
 decoder, pointsets.provenance_reference, or writes into a provenance, so
@@ -496,6 +497,58 @@ def test_the_package_calls_os_fork_at_one_place():
         for where in calls_outside(path.read_text(), "fork", "")
     ]
     assert sites == ["sweep.py:map_over_two_processes"]
+
+
+def imports_of(source: str, module: str, target: str) -> list[int]:
+    """Lines of the module `module` (a dotted name) that import the module
+    `target` or a name from it, at any depth and in any form: `import`,
+    `from ... import`, relative or absolute, and importlib.import_module or
+    __import__ of a literal name."""
+    package = module.split(".")[:-1]
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            named = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # relative to the package, or to a parent of it
+                base = ".".join(package[: len(package) - node.level + 1] + [base]).strip(".")
+            named = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("import_module", "__import__")
+            and node.args and isinstance(node.args[0], ast.Constant)
+        ):
+            name = node.args[0].value
+            named = [".".join(package) + name if name.startswith(".") else name]
+        else:
+            continue
+        if any(name == target or name.startswith(target + ".") for name in named):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_import_checker_finds_every_form():
+    planted = (
+        "from .quality import x\n"
+        "from . import quality\n"
+        "import lowdisc.quality as q\n"
+        "from lowdisc import quality, pointsets\n"
+        "def f():\n"
+        "    from lowdisc.quality import y\n"
+        "    return importlib.import_module('.quality', 'lowdisc'), __import__('lowdisc.quality')\n"
+        "from . import pointsets\n"
+        "from .qualityx import z\n"
+        "import lowdisc, quality\n"
+        "importlib.import_module('lowdisc.pointsets')\n"
+    )
+    assert imports_of(planted, "lowdisc.sweep", "lowdisc.quality") == [1, 2, 3, 4, 6, 7, 7]
+
+
+def test_the_sweep_imports_nothing_from_quality():
+    # quality loads the sweep; a name it borrowed back would close the cycle
+    assert imports_of((SRC / "sweep.py").read_text(), "lowdisc.sweep", "lowdisc.quality") == []
+    assert imports_of((SRC / "quality.py").read_text(), "lowdisc.quality", "lowdisc.sweep") != []
 
 
 def test_reproduce_all_loads_no_process_pool_and_calls_no_pickle():

@@ -1252,6 +1252,37 @@ def test_a_file_that_cannot_seek_reads_as_one_that_can(text, block):
     )
 
 
+class _Rewritten(io.BytesIO):
+    """Bytes that become `after` at the first seek: a file rewritten between
+    the block reader's row count and its parse."""
+
+    def __init__(self, before, after):
+        super().__init__(before)
+        self.after = after
+
+    def seek(self, *args):
+        if self.after is not None:
+            super().seek(0)
+            self.truncate()
+            self.write(self.after)
+            self.after = None
+        return super().seek(*args)
+
+
+@pytest.mark.parametrize("change", ["shrinks", "grows"])
+@pytest.mark.parametrize("block", [7, pointsets.CSV_READ_BLOCK])
+def test_a_file_rewritten_after_the_row_count_reads_as_it_stands(monkeypatch, change, block):
+    monkeypatch.setattr(pointsets, "CSV_READ_BLOCK", block)
+    text = pointset_to_csv(lattice_points([1, 3], 8))
+    lines = text.splitlines(keepends=True)
+    after = "".join(lines[:-2]) if change == "shrinks" else text + "".join(lines[1:3])
+    assert exact_csv(_Rewritten(text.encode(), after.encode()), None, block) is None
+    rewritten = _Rewritten(text.encode(), after.encode())
+    assert _outcome(lambda t, p: pointsets.pointset_from_csv_file(rewritten, p), after) == (
+        _outcome(_general_csv, after)
+    )
+
+
 def test_a_token_ending_on_a_block_edge_reads_whole(monkeypatch):
     ps = halton([2, 3, 5], 40)
     text = pointset_to_csv(ps)
@@ -1296,18 +1327,25 @@ def test_tokens_on_the_eight_digit_word_edges_read_as_the_oracles_read_them(digi
 @pytest.mark.parametrize(
     "text,accepted",
     [
-        ("x1,x2\n0007/0010,000000000000000003/04\n9/10,0/4\n", True),  # leading zeros
+        ("x1,x2\n0007/0010,000000000000000003/04\n9/0010,0/04\n", True),  # leading zeros
+        ("x1,x2\n0007/0010,000000000000000003/04\n9/10,0/4\n", False),  # in the first row only
         ("x1\n000000000000000001/2\n", True),  # 18 digits, 17 of them zeros
         ("x1\n0000000000000000001/2\n", False),  # 19 digits: the line parser's
-        ("x1\n1/07\n2/7\n3/7\n4/7\n", True),  # the first row spells 7 with a zero
-        ("x1\n1/7\n2/7\n3/07\n4/7\n", True),  # a later row does
-        ("x1,x2\n1/7,1/3\n2/7,2/3\n3/7,2/0003\n4/7,0/3\n", True),
+        ("x1\n1/07\n2/7\n3/7\n4/7\n", False),  # the first row spells 7 with a zero
+        ("x1\n1/7\n2/7\n3/07\n4/7\n", False),  # a later row does
+        ("x1,x2\n1/7,1/3\n2/7,2/3\n3/7,2/0003\n4/7,0/3\n", False),
         ("x1\n1/7\n2/7\n3/8\n4/7\n", False),  # a later row's denominator differs
         ("x1\n1/8\n2/7\n3/7\n", False),
         ("x1\n1/7\n2/7\n3/17\n", False),  # one digit more, the same last digit
         ("x1\n1/17\n2/17\n3/7\n", False),
         ("x1\n5/999999999999999999\n0/0999999999999999999\n", False),  # 19 digits
         ("x1\n5/999999999999999999\n0/099999999999999999\n", False),  # a smaller value
+        # a later row laid out otherwise: only the first row's separators meet
+        # the layout, and the byte compare of its denominators catches these
+        ("x1,x2\n1/4,3/8\n1/4/3/8\n0/4,1/8\n", False),  # a '/' where ',' belongs
+        ("x1,x2\n1/4,3/8\n1 /4,3/8\n0/4,1/8\n", False),
+        ("x1,x2\n1/4,3/8\n1/4,3/8 \n0/4,1/8\n", False),
+        ("x1,x2\n1/4,3/8\n1/4\n3/4,1/8,3/8\n0/4,1/8\n", False),  # short, then long: the count divides
     ],
 )
 def test_denominators_spelled_unlike_the_first_row_read_as_the_oracles_read_them(text, accepted):
@@ -1332,7 +1370,7 @@ def test_a_denominator_of_18_nines_compares_as_bytes_in_three_words():
     [
         pointset_to_csv(halton([2, 3, 5], 50, start=11)),
         pointset_to_csv(niederreiter_net(3, 2, 3)),
-        "x1,x2\n1/07,1/3\n2/7,2/03\n",  # the block reader, by the denominators' values
+        "x1,x2\n1/07,1/3\n2/7,2/03\n",  # the line parser: a later row spells its denominators otherwise
         "x1\n1/4\n3/8\n",  # the line parser
         "x1\n 1/4\n1/2\n",
         "x1\n0.25\n0.5\n",

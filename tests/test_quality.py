@@ -31,6 +31,7 @@ from star_reference import (
 
 import lowdisc.quality as quality
 import lowdisc.sweep as sweep
+from lowdisc.acceptance import p2_tail_bound, star_discrepancy_1d_closed_form
 from lowdisc.algebra import Poly, monic_irreducibles
 from lowdisc.pointsets import (
     GeneratingMatrixSet,
@@ -46,7 +47,6 @@ from lowdisc.pointsets import (
 )
 from lowdisc.quality import (
     STAR_DISCREPANCY_BUDGET,
-    STAR_SWEEP_CHUNKS,
     BudgetError,
     QualityReport,
     assess,
@@ -55,12 +55,10 @@ from lowdisc.quality import (
     minimal_t_geometric,
     net_property,
     p2_dual_sum,
-    p2_tail_bound,
     p_alpha,
     qmc_integrate,
     sampled_deviation_lower_bound,
     star_discrepancy,
-    star_discrepancy_1d_closed_form,
 )
 
 
@@ -653,7 +651,7 @@ def chunked_sweep_sets(draw):
     sets take the same grid values k / d as floats."""
     s = draw(st.sampled_from([2, 3]))
     dens = draw(st.lists(st.sampled_from([1, 2, 3, 5, 16, 64, 1000]), min_size=s, max_size=s))
-    n = draw(st.integers(1, 4 * STAR_SWEEP_CHUNKS))
+    n = draw(st.integers(1, 4 * sweep.STAR_SWEEP_CHUNKS))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = random.Random(seed)
     rows = [[rng.randrange(d) for d in dens] for _ in range(n)]
@@ -708,7 +706,7 @@ def test_star_sweep_equals_quadrant_sweep_at_pipeline_shapes(label):
 )
 def test_axis_grid_is_unique_of_the_values_and_top(values, top):
     want = np.unique(np.append(values, top))
-    got = quality._axis_grid(values, top)
+    got = sweep._axis_grid(values, top)
     assert got.dtype == want.dtype
     assert got.tolist() == want.tolist()
     assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -784,21 +782,27 @@ RANGES = [(0, 1), (1, 2), (2, 3), (3, 4)]
 @contextlib.contextmanager
 def _both_sides(fault=lambda: None):
     """Yields wrap(f), a run for map_over_two_processes that returns f(item).
-    A forked child calls fault() before each of its items, and this
-    process's first run waits until the child holds an item (or has died),
-    so that each side runs one at least."""
+    A forked child calls fault() before each of its items, and each side's
+    first run waits until the other side holds an item (this process's also
+    stops waiting if the child has died), so that each side runs one at
+    least however the two are scheduled."""
     parent = os.getpid()
-    ready, child_holds = os.pipe()
+    parent_ready, parent_holds = os.pipe()
+    child_ready, child_holds = os.pipe()
     unsignalled = [child_holds]
 
     def wrap(f):
         def run(item):
             if os.getpid() != parent:
-                os.write(child_holds, b".")
+                if unsignalled:
+                    unsignalled.pop()
+                    os.write(child_holds, b".")
+                    os.read(parent_ready, 1)
                 fault()
             elif unsignalled:
+                os.write(parent_holds, b".")
                 os.close(unsignalled.pop())  # the child's copy alone is left
-                os.read(ready, 1)
+                os.read(child_ready, 1)
             return f(item)
 
         return run
@@ -806,7 +810,7 @@ def _both_sides(fault=lambda: None):
     try:
         yield wrap
     finally:
-        for fd in [ready, *unsignalled]:
+        for fd in [parent_ready, parent_holds, child_ready, *unsignalled]:
             os.close(fd)
 
 
