@@ -48,15 +48,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
-_KNOWN_PRIMES: set[int] = set()
-
-
 def check_prime(p: int) -> int:
-    """Return p if it is a prime int, else raise ValueError.  Caches
-    positives; the type is checked first, cached or not."""
-    if not isinstance(p, int) or (p not in _KNOWN_PRIMES and not is_prime(p)):
+    """Return p if it is a prime int, else raise ValueError.  Each call
+    decides afresh by is_prime; the type is checked first."""
+    if not isinstance(p, int) or not is_prime(p):
         raise ValueError(f"modulus must be prime, got {p!r}")
-    _KNOWN_PRIMES.add(p)
     return p
 
 
@@ -375,6 +371,8 @@ def monic_irreducibles(p: int, count: int) -> list[Poly]:
     earlier with 2 deg g <= d and g(0) != 0, h monic with h(0) = c / g(0).
     """
     check_prime(p)
+    if not isinstance(count, int):
+        raise ValueError(f"count must be an int, got {count!r}")
     if count < 1:
         raise ValueError("count must be >= 1")
     out = [Poly._reduced([c, 1], p) for c in range(min(p, count))]

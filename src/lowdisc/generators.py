@@ -1,8 +1,8 @@
 """Inversive congruential generators over F_q and the audit of their residue bound.
 
 The recurrence u_{n+1} = a * u_n^(-1) + b (with 0 mapped to b) is a bijection
-of F_q, so every orbit is purely periodic: least_period always reports a
-pre-period of 0, but computes it honestly rather than assuming it.
+of F_q, so every orbit is purely periodic: least_period walks to the first
+return to u0, keeps nothing of the orbit, and reports a pre-period of 0.
 
 For s | q-1 the s-power residues R_s = {0} union {w : w^((q-1)/s) = 1} are
 exactly the s-th powers.  Along any orbit prefix of length N within one
@@ -76,17 +76,15 @@ class PeriodInfo:
 
 
 def least_period(params: InversiveParams) -> PeriodInfo:
-    """Least period and pre-period of the orbit of u0, by direct iteration."""
+    """Least period of the orbit of u0: the steps to its first return to u0.
+    The map is a bijection, so the orbit is purely periodic (pre-period 0)."""
     q, a, b = params.q, params.a, params.b
-    seen: dict[int, int] = {}
-    u = params.u0
-    n = 0
-    while u not in seen:
-        seen[u] = n
+    u = inversive_step(q, a, b, params.u0)
+    n = 1
+    while u != params.u0:
         u = inversive_step(q, a, b, u)
         n += 1
-    first = seen[u]
-    return PeriodInfo(period=n - first, pre_period=first)
+    return PeriodInfo(period=n, pre_period=0)
 
 
 def to_unit_interval(seq: Iterable[int], q: int) -> list[float]:

@@ -12,7 +12,6 @@ definitions literally at q = 2 (where no complete mappings exist).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,20 +54,15 @@ def is_complete_mapping(f: Poly) -> bool:
     return _is_complete_table(value_table(f), f.p)
 
 
-@functools.lru_cache(maxsize=1)  # fb_sweep asks for one q's table q times
-def _nonzero_squares(q: int) -> frozenset[int]:
-    return frozenset(z * z % q for z in range(1, q))
-
-
 def fb_criterion(q: int, b: int) -> bool:
     """Square-based test: f_b is complete iff b^2 - 1 and b^2 + 2b are
-    both nonzero squares in F_q."""
+    both nonzero squares in F_q, each decided by Euler's criterion
+    v^((q-1)/2) = 1 (generators.s_power_residues at s = 2)."""
     check_prime(q)
     if q == 2:
         raise ValueError("f_b needs an odd prime q")
-    sq = _nonzero_squares(q)
-    b %= q
-    return (b * b - 1) % q in sq and (b * b + 2 * b) % q in sq
+    e = (q - 1) // 2
+    return pow(b * b - 1, e, q) == 1 and pow(b * b + 2 * b, e, q) == 1
 
 
 # fb_sweep refuses q^2 above this, about 7 s

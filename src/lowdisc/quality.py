@@ -38,7 +38,7 @@ import numpy as np
 
 from .algebra import BudgetError, nullspace_mod_p
 from .pointsets import GeneratingMatrixSet, PointSet, digital_points, provenance_reference
-from .pointsets import _lattice_generator, _lattice_numerators
+from .pointsets import _ints, _lattice_generator, _lattice_numerators
 
 __all__ = [
     "net_property",
@@ -346,6 +346,7 @@ def p2_dual_sum(a: Sequence[int], n: int, h_bound: int) -> float:
     Work over P2_FOLD_BUDGET raises BudgetError before any allocation.
     """
     avec = _lattice_generator(a, n)
+    h_bound = _ints([h_bound], "h_bound {!r} is not an int")[0]
     if h_bound < 0:
         raise ValueError("need h_bound >= 0")
     width = 2 * h_bound + 1

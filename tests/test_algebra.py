@@ -3,7 +3,10 @@
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import timeit
 
 import pytest
@@ -63,7 +66,7 @@ def test_equal_polys_hash_alike_and_ints_are_not_polys():
 
 
 def test_modulus_must_be_prime():
-    assert check_prime(2) == 2  # cached, yet no other type passes for it
+    assert check_prime(2) == 2  # decided afresh, and no other type passes for it
     for bad in (0, 1, 4, 6, 9, 100, 2.0, True):
         with pytest.raises(ValueError):
             Poly([1], bad)
@@ -249,6 +252,31 @@ def test_gcd_properties(p):
 def test_zero_polynomial_and_count_guards(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+def test_a_non_int_count_is_refused_not_listed_forever():
+    # no list length equals 2.5, so the lister once appended irreducibles
+    # without end; in a subprocess with a timeout that fails, not hangs
+    script = (
+        "from lowdisc.algebra import monic_irreducibles\n"
+        "from lowdisc.pointsets import niederreiter_matrices, niederreiter_net\n"
+        "calls = (\n"
+        "    lambda: monic_irreducibles(2, 2.5),\n"
+        "    lambda: niederreiter_matrices(2, 2.5, 4),\n"
+        "    lambda: niederreiter_net(2, 2.5, 4),\n"
+        ")\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=30, check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout.splitlines() == ["count must be an int, got 2.5"] * 3
 
 
 def test_floor_division_and_mod_refuse_a_non_polynomial():

@@ -55,6 +55,19 @@ def test_param_validation():
         inversive_sequence(InversiveParams(q=7, a=1, b=0, u0=0), -1)
 
 
+def dict_walk_period(params):
+    """(period, pre_period) of the orbit of u0, found by keeping the step at
+    which each element was first seen until one comes back: assumes nothing
+    of the map."""
+    seen = {}
+    u, n = params.u0, 0
+    while u not in seen:
+        seen[u] = n
+        u = inversive_step(params.q, params.a, params.b, u)
+        n += 1
+    return n - seen[u], seen[u]
+
+
 @pytest.mark.parametrize("q", PRIMES)
 def test_map_is_bijective_so_no_pre_period(q):
     rng = random.Random(q)
@@ -63,8 +76,32 @@ def test_map_is_bijective_so_no_pre_period(q):
         b = rng.randrange(q)
         images = {inversive_step(q, a, b, u) for u in range(q)}
         assert images == set(range(q))
-        u0 = rng.randrange(q)
-        assert least_period(InversiveParams(q, a, b, u0)).pre_period == 0
+        params = InversiveParams(q, a, b, rng.randrange(q))
+        assert least_period(params).pre_period == dict_walk_period(params)[1] == 0
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+def test_period_equals_the_dict_walk(q):
+    for a in range(1, q):
+        for b in range(q):
+            for u0 in range(q):
+                params = InversiveParams(q, a, b, u0)
+                info = least_period(params)
+                assert (info.period, info.pre_period) == dict_walk_period(params), params
+
+
+def test_period_walk_keeps_no_orbit():
+    # q = 20011 is prime and this orbit holds 20009 of its elements, so a
+    # walk that kept them would trace over a megabyte
+    params = InversiveParams(20011, 1, 1, 0)
+    tracemalloc.start()
+    try:
+        info = least_period(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 10, peak
+    assert (info.period, info.pre_period) == dict_walk_period(params) == (20009, 0)
 
 
 def test_period_matches_naive_rescan():

@@ -34,7 +34,10 @@ The package calls os.fork at one place, sweep.map_over_two_processes, so
 a second fork path cannot grow back, and `lowdisc reproduce all` loads no
 process pool (multiprocessing, concurrent.futures) and calls no pickle
 function.  lowdisc.sweep imports nothing from lowdisc.quality, which loads
-it, so the two cannot import each other again.
+it, so the two cannot import each other again.  The package keeps one
+memo, on cli.build_parser, and one global statement, for _splitting in
+sweep.map_over_two_processes, so a store that its own rule makes
+unnecessary (a cache of known primes, a table of squares) cannot grow back.
 
 Last: no code of the package reads a provenance's fields outside the one
 decoder, pointsets.provenance_reference, or writes into a provenance, so
@@ -746,3 +749,82 @@ def test_provenance_checker_finds_a_second_reader():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_only_the_decoder_reads_provenance_fields(path):
     assert provenance_reads_outside(path.read_text(), PROVENANCE_READERS) == []
+
+
+# the names of functools' memoizing decorators, bare or as functools.<name>
+MEMOIZERS = {"cache", "lru_cache"}
+
+
+def _memoizes(decorator: ast.expr) -> bool:
+    """Is decorator cache or lru_cache, bare, called or as an attribute?"""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return (getattr(decorator, "attr", None) or getattr(decorator, "id", None)) in MEMOIZERS
+
+
+def stores(source: str) -> list[str]:
+    """"qualname memo" for each def or class in source under a memoizing
+    decorator, and "qualname global name" for each name a global statement
+    in it binds, qualname being where each is ("<module>" at top level)."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = child.name if where == "<module>" else f"{where}.{child.name}"
+                found.extend(f"{name} memo" for d in child.decorator_list if _memoizes(d))
+                visit(child, name)
+                continue
+            if isinstance(child, ast.Global):
+                found.extend(f"{where} global {name}" for name in child.names)
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_store_checker_finds_memos_and_globals():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache, wraps\n"
+        "@functools.lru_cache(maxsize=1)\n"
+        "def squares(q): return {z * z % q for z in range(1, q)}\n"
+        "@cache\n"
+        "def parser(): pass\n"
+        "@wraps(parser)\n"
+        "def plain(): pass\n"
+        "class Table:\n"
+        "    @lru_cache\n"
+        "    def row(self, i): return i\n"
+        "    @functools.cache\n"
+        "    @property\n"
+        "    def size(self): return 0\n"
+        "def run():\n"
+        "    global _known, _count\n"
+        "    def inner():\n"
+        "        global _seen\n"
+        "global _top\n"
+    )
+    assert stores(source) == [
+        "squares memo",
+        "parser memo",
+        "Table.row memo",
+        "Table.size memo",
+        "run global _known",
+        "run global _count",
+        "run.inner global _seen",
+        "<module> global _top",
+    ]
+    permutations = (SRC / "permutations.py").read_text()
+    planted = permutations.replace(
+        "def fb_criterion(", "@functools.lru_cache(maxsize=1)\ndef fb_criterion(", 1
+    )
+    assert planted != permutations
+    assert stores(planted) == ["fb_criterion memo"]
+
+
+def test_the_package_keeps_one_memo_and_one_global():
+    # each is needed: build_parser's cache saves most of a criterion 1 run,
+    # and the fork helper's flag keeps a process in a split from forking again
+    found = [f"{path.stem}.{where}" for path in sorted(SRC.glob("*.py")) for where in stores(path.read_text())]
+    assert found == ["cli.build_parser memo", "sweep.map_over_two_processes global _splitting"]

@@ -117,6 +117,22 @@ def test_fb_criterion_equals_exhaustive(q):
         assert crit == is_complete_mapping(fb_poly(q, b))
 
 
+ODD_PRIMES_BELOW_200 = [q for q in range(3, 200, 2) if all(q % d for d in range(3, q, 2) if d * d <= q)]
+
+
+@pytest.mark.parametrize("q", ODD_PRIMES_BELOW_200)
+def test_fb_criterion_equals_the_square_table(q):
+    sq = {z * z % q for z in range(1, q)}
+    for b in range(q):
+        assert fb_criterion(q, b) == ((b * b - 1) % q in sq and (b * b + 2 * b) % q in sq), b
+
+
+def test_fb_criterion_refuses_a_float():
+    # 2.5 is no element of F_7; it must not read as some b
+    with pytest.raises(TypeError):
+        fb_criterion(7, 2.5)
+
+
 def test_fb_rejects_q2():
     with pytest.raises(ValueError):
         fb_criterion(2, 1)

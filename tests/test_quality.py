@@ -1231,6 +1231,14 @@ def test_p2_dual_sum_rejects_bad_input_and_over_budget(monkeypatch):
         p2_dual_sum([1, 3], 10, 3)
 
 
+@pytest.mark.parametrize("h_bound", [2.5, 2.0, True, "2", Fraction(2)])
+def test_p2_dual_sum_refuses_a_non_int_h_bound(h_bound):
+    # 2.5 once summed over a lopsided box and True read as 1
+    with pytest.raises(ValueError, match=r"^h_bound .* is not an int$"):
+        p2_dual_sum([1, 3], 13, h_bound)
+    assert p2_dual_sum([1, 3], 13, np.int64(2)) == p2_dual_sum([1, 3], 13, 2)
+
+
 # ---------------------------------------------------------------------------
 # Integration harness
 # ---------------------------------------------------------------------------
