@@ -275,35 +275,38 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     return a.monic() if not a.is_zero else a
 
 
+def reduce_into(echelon: dict[int, Sequence[int]], row: Sequence[int], p: int) -> bool:
+    """Reduce row over F_p by echelon, {pivot column: row that is 0 mod p
+    before it and nonzero at it}.  A nonzero remainder goes in at its first
+    nonzero column and the call returns True; a row in the span returns
+    False.  Entries may lie outside [0, p).  The package's one elimination."""
+    for c in range(len(row)):  # the columns before c are 0 in row
+        f = row[c] % p
+        if f:
+            if c not in echelon:
+                echelon[c] = row
+                return True
+            pivot = echelon[c]
+            g = pivot[c]
+            row = [(g * v - f * q) % p for v, q in zip(row, pivot)]
+    return False
+
+
 def nullspace_mod_p(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[list[int]]:
-    """Basis of {v : M v = 0} over F_p in deterministic RREF parametrization."""
+    """Basis of {v : M v = 0} over F_p in deterministic RREF parametrization:
+    one vector per free column, 1 there and 0 at the other free columns,
+    solved for the pivot columns from the last pivot up."""
     check_prime(p)
-    mat = [list(row) for row in rows]
-    pivot_of_col: dict[int, int] = {}
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] % p:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        inv = inv_mod(mat[rank][col], p)
-        mat[rank] = [v * inv % p for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] % p:
-                factor = mat[r][col]
-                mat[r] = [(a - factor * b) % p for a, b in zip(mat[r], mat[rank])]
-        pivot_of_col[col] = rank
-        rank += 1
+    echelon: dict[int, Sequence[int]] = {}
+    for row in rows:
+        reduce_into(echelon, row, p)
+    pivots = [(c, echelon[c], inv_mod(echelon[c][c], p)) for c in sorted(echelon, reverse=True)]
     basis = []
-    for free_col in (c for c in range(ncols) if c not in pivot_of_col):
+    for free_col in (c for c in range(ncols) if c not in echelon):
         v = [0] * ncols
         v[free_col] = 1
-        for col, r in pivot_of_col.items():
-            v[col] = (-mat[r][free_col]) % p
+        for col, row, inv in pivots:  # row is 0 before col, and v[col] is still 0
+            v[col] = -sum(map(operator.mul, row, v)) * inv % p
         basis.append(v)
     return basis
 

@@ -35,9 +35,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Poly, is_irreducible, nullspace_mod_p, poly_gcd
+from .algebra import BudgetError, Poly, is_irreducible, nullspace_mod_p, poly_gcd
 
 SUPPORTED_PRIMES = (2, 3, 5)
+# factor refuses a degree above this; the kernel's elimination grows about
+# as d^3, and degree 256 takes up to about 1 s over F_5
+FACTOR_DEGREE_BUDGET = 256
 
 
 def _check_modulus(f: Poly) -> None:
@@ -145,14 +148,17 @@ class FactorizationResult:
 def factor(f: Poly) -> FactorizationResult:
     """Full factorization into monic irreducibles times the content.
 
-    Supported characteristics: 2, 3, 5.  Requires deg f >= 1.  The result is
-    sorted by degree then lexicographically on coefficient tuples, and an
-    internal reassembly check guards every call.
+    Supported characteristics: 2, 3, 5.  Requires deg f >= 1; a degree
+    above FACTOR_DEGREE_BUDGET raises BudgetError before any work.  The
+    result is sorted by degree then lexicographically on coefficient
+    tuples, and an internal reassembly check guards every call.
     """
     if f.p not in SUPPORTED_PRIMES:
         raise ValueError(f"characteristic {f.p} unsupported (need one of {SUPPORTED_PRIMES})")
     if f.degree < 1:
         raise ValueError("factor needs deg f >= 1")
+    if f.degree > FACTOR_DEGREE_BUDGET:
+        raise BudgetError(f"factor takes degree at most {FACTOR_DEGREE_BUDGET}, got {f.degree}")
     content = f.leading
     work = f.monic()
     found: dict[Poly, int] = {}

@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import BudgetError, nullspace_mod_p
+from .algebra import BudgetError, reduce_into
 from .pointsets import GeneratingMatrixSet, PointSet, digital_points, provenance_reference
 from .pointsets import _ints, _lattice_generator, _lattice_numerators
 
@@ -188,8 +188,9 @@ def dual_space(G: GeneratingMatrixSet) -> DualSpace:
     if G.rows != G.cols:
         raise ValueError("dual space needs square generating matrices")
     b, m, s = G.b, G.rows, G.s
-    # sm minus the rank of all sm rows, which is m minus their nullity
-    dimension = (s - 1) * m + len(nullspace_mod_p([row for mat in G.matrices for row in mat], m, b))
+    # sm minus the rank of all sm rows: each row outside the span of those before it adds a pivot
+    pivots: dict = {}
+    dimension = s * m - sum(reduce_into(pivots, row, b) for mat in G.matrices for row in mat)
     t = _first_level(range(m + 1), m, s, dict, functools.partial(_echelon, G), lambda e, t: e is not None)
     return DualSpace(b=b, m=m, s=s, dimension=dimension, delta=m + 1 - t)
 
@@ -200,17 +201,7 @@ def _echelon(G: GeneratingMatrixSet, echelon: Optional[dict], j: int, d: int, la
     if echelon is None:
         return None
     echelon = echelon if last else dict(echelon)
-    for row in G.matrices[j][:d]:
-        for c in range(len(row)):  # the columns before c are 0 in row
-            if row[c]:
-                if c not in echelon:
-                    echelon[c] = row
-                    break
-                f, g = row[c], echelon[c][c]
-                row = [(g * v - f * p) % G.b for v, p in zip(row, echelon[c])]
-        else:
-            return None
-    return echelon
+    return echelon if all(reduce_into(echelon, row, G.b) for row in G.matrices[j][:d]) else None
 
 
 def minimal_t_dual(G: GeneratingMatrixSet) -> int:

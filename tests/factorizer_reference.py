@@ -21,9 +21,10 @@ kept before it of at most half its degree divides it.  The tests compare
 
 import itertools
 
+from algebra_reference import reference_nullspace
 from polys import monomial
 
-from lowdisc.algebra import Poly, inv_mod, nullspace_mod_p
+from lowdisc.algebra import Poly, inv_mod
 from lowdisc.factorizer import _check_modulus, kernel_basis
 
 
@@ -117,9 +118,10 @@ def operator_rows(f: Poly) -> list[list[int]]:
 
 
 def reference_kernel_basis(f: Poly) -> list[Poly]:
-    """The nullspace of `operator_rows`, as the factorizer computed it."""
+    """The nullspace of `operator_rows` by the reference elimination, as
+    the factorizer computed it."""
     rows = operator_rows(f)
-    return [Poly(v, f.p) for v in nullspace_mod_p(rows, f.degree, f.p)]
+    return [Poly(v, f.p) for v in reference_nullspace(rows, f.degree, f.p)]
 
 
 def kernel_dimension(f: Poly) -> int:

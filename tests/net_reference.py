@@ -3,14 +3,15 @@ the geometric net check used before the numpy kernels, the matrix-product
 digital-point kernel that the half-index tables replaced, the dual-space
 basis (a nullspace of T^T) and its enumeration, which the matrix t route
 used before the rank walk, the walk that checked each composition on its
-own (a fresh cell key, or one nullspace_mod_p, per shape) before both t
+own (a fresh cell key, or one nullspace, per shape) before both t
 routes kept a state per prefix, and the
 dense dual-lattice grid that P_2's dual sum used before the residue fold,
 kept verbatim as reference implementations.  Also the row-by-row
 Niederreiter matrices: one expansion per row, where the production route
 reads the rows of one power of p_j as windows of one expansion, with the
 p_j listed by trial division (`factorizer_reference`), not by the
-production sieve.
+production sieve.  Every nullspace here is the reference Gauss-Jordan
+elimination (`algebra_reference`), not the production kernel it checks.
 
 Each builds or counts one point (or one dual vector or row) at a time, or
 materialises the whole box, so these are slow but straightforward; the
@@ -23,11 +24,12 @@ import math
 from typing import Sequence
 
 import numpy as np
+from algebra_reference import reference_nullspace
 from factorizer_reference import trial_division_irreducibles
 from polys import monomial
 
 import lowdisc.quality as quality
-from lowdisc.algebra import Poly, laurent_expand, nullspace_mod_p
+from lowdisc.algebra import Poly, laurent_expand
 from lowdisc.pointsets import GeneratingMatrixSet, PointSet, _index_range
 from lowdisc.quality import BudgetError, DualSpace, _check_net_input
 
@@ -251,13 +253,13 @@ def t_geometric_by_shapes(ps: PointSet, b: int, m: int) -> int:
 
 
 def t_dual_by_shapes(G: GeneratingMatrixSet) -> int:
-    """minimal_t_dual with one nullspace_mod_p per shape: the first d_j rows
+    """minimal_t_dual with one reference_nullspace per shape: the first d_j rows
     of the C_j, taken together, are independent."""
     b, m = G.b, G.rows
 
     def independent(shape):
         rows = [row for mat, d in zip(G.matrices, shape) if d for row in mat[:d]]
-        return len(nullspace_mod_p(rows, m, b)) == m - len(rows)
+        return len(reference_nullspace(rows, m, b)) == m - len(rows)
 
     return first_level_by_shapes(range(m + 1), m, G.s, independent)
 
@@ -323,7 +325,7 @@ def dual_basis(G: GeneratingMatrixSet) -> list[list[int]]:
         [G.matrices[j][i][k] for j in range(s) for i in range(m)]
         for k in range(m)
     ]
-    return nullspace_mod_p(tt_rows, s * m, b)
+    return reference_nullspace(tt_rows, s * m, b)
 
 
 def dual_space(G: GeneratingMatrixSet) -> DualSpace:

@@ -10,6 +10,7 @@ import sys
 import timeit
 
 import pytest
+from algebra_reference import reference_nullspace
 from factorizer_reference import binom_mod, hasse_derivative
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from lowdisc.algebra import (
     is_prime,
     laurent_expand,
     monic_irreducibles,
+    nullspace_mod_p,
     poly_gcd,
 )
 from lowdisc.cli import main
@@ -351,6 +353,36 @@ def test_pth_power_and_root(p):
         assert (f ** p).pth_root() == f
     with pytest.raises(ValueError):
         Poly([0, 1], 2).pth_root()
+
+
+# --- nullspaces mod p ---------------------------------------------------------
+
+@st.composite
+def matrices_mod_p(draw):
+    """(rows, ncols, p): p in {2, 3, 5, 7, 17}, up to 8 rows of up to 8
+    columns, about half the rows zero, entries in [-2p, 2p]."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 17]))
+    ncols = draw(st.integers(0, 8))
+    row = st.one_of(st.just([0] * ncols), st.lists(st.integers(-2 * p, 2 * p), min_size=ncols, max_size=ncols))
+    return draw(st.lists(row, max_size=8)), ncols, p
+
+
+@settings(max_examples=400)
+@given(matrices_mod_p())
+@example(([], 3, 5))                                    # no rows: every column free
+@example(([[0, 0, 0]] * 4, 3, 2))                       # zero rows, rank 0
+@example(([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3, 3))     # full rank
+@example(([[1, 2], [2, 4], [3, 6], [0, 5]], 2, 7))      # more rows than columns
+@example(([[1, 2, 3, 4, 5], [0, 0, 0, 1, 1]], 5, 17))   # more columns than rows
+@example(([[-1, 5, -17], [-3, -15, 3], [4, 0, 0]], 3, 3))  # entries outside [0, p)
+@example(([[0, 0, 2, 1], [0, 0, 1, 3], [1, 1, 1, 1]], 4, 5))  # pivots out of row order
+def test_nullspace_matches_the_reference_elimination(case):
+    rows, ncols, p = case
+    copied = [list(row) for row in rows]
+    basis = nullspace_mod_p(rows, ncols, p)
+    assert rows == copied  # the input is not reduced in place
+    assert basis == reference_nullspace(rows, ncols, p)
+    assert all(sum(a * v for a, v in zip(row, vec)) % p == 0 for row in rows for vec in basis)
 
 
 # --- evaluation, interpolation ----------------------------------------------

@@ -17,6 +17,7 @@ import pytest
 
 import lowdisc
 from lowdisc import pointsets
+from lowdisc.algebra import Poly
 from lowdisc.cli import _read_points, build_parser, main
 from lowdisc.pointsets import halton, lattice_points, niederreiter_net
 from lowdisc.quality import P_ALPHA_BUDGET, BudgetError, assess, p_alpha
@@ -639,8 +640,8 @@ def test_p2_refuses_over_budget_work_at_once(capsys, monkeypatch):
 
 
 # the work at each edge: q^2 = 169 table entries for q = 13; 2 (q - 1) q
-# summed over the odd primes q <= 13, 668 orbit elements; and 375 candidates
-# a in (2^m / 4, 2^m) for m <= 8.  Each library call (function, arguments)
+# summed over the odd primes q <= 13, 668 orbit elements; 375 candidates
+# a in (2^m / 4, 2^m) for m <= 8; and degree 2 for x^2 + x + 1.  Each library call (function, arguments)
 # over the cap is far larger than the CLI's, and is refused as fast.
 @pytest.mark.parametrize(
     "module, budget, over, function, args_over, edge, at_edge, args_at_edge",
@@ -656,6 +657,10 @@ def test_p2_refuses_over_budget_work_at_once(capsys, monkeypatch):
         (
             "diophantine", "ZAREMBA_BUDGET", ["zaremba", "--base", "2", "--mmax", "40", "--c", "3"],
             "zaremba_table", (2, 10 ** 6, 3), 375, ["zaremba", "--base", "2", "--mmax", "8", "--c", "3"], (2, 8, 3),
+        ),
+        (
+            "factorizer", "FACTOR_DEGREE_BUDGET", ["factor", "--p", "2", "--coeffs", ",".join(["1"] * 258)], "factor",
+            (Poly([1] * 10 ** 5, 2),), 2, ["factor", "--p", "2", "--coeffs", "1,1,1"], (Poly([1, 1, 1], 2),),
         ),
     ],
 )
@@ -848,6 +853,16 @@ def test_factor_refuses_a_large_prime_characteristic_at_once(capsys):
     assert time.perf_counter() - start < 1
     assert code == 1
     assert "unsupported" in json.loads(out)["error"]
+
+
+def test_factor_refuses_a_poly_file_over_its_degree_budget_at_once(tmp_path, capsys):
+    path = tmp_path / "f.txt"
+    path.write_text("p=2\n" + ",".join(["1"] * 258) + "\n")  # degree 257, one over the cap
+    start = time.perf_counter()
+    code, out = run(capsys, "factor", "--poly-file", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert json.loads(out) == {"error": "factor takes degree at most 256, got 257"}
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from factorizer_reference import (
@@ -17,8 +18,9 @@ from hypothesis import strategies as st
 from polys import monomial
 
 from lowdisc.acceptance import _naive_factor
-from lowdisc.algebra import NEG_INF, Poly, is_prime, monic_irreducibles, poly_gcd
+from lowdisc.algebra import NEG_INF, BudgetError, Poly, is_prime, monic_irreducibles, poly_gcd
 from lowdisc.factorizer import (
+    FACTOR_DEGREE_BUDGET,
     FactorizationResult,
     factor,
     kernel_basis,
@@ -266,6 +268,17 @@ def test_factor_input_validation():
         factor(Poly.one(3))
     with pytest.raises(ValueError):
         factor(Poly([1, 1], 7))
+
+
+def test_factor_takes_its_degree_budget_and_refuses_one_more_at_once():
+    f = Poly([1] + [0] * 255 + [1], 2)  # x^256 + 1 = (x + 1)^256, cheap to split
+    assert f.degree == FACTOR_DEGREE_BUDGET == 256
+    assert factor(f).factors == ((Poly([1, 1], 2), 256),)
+    start = time.perf_counter()
+    for p in (2, 3, 5):
+        with pytest.raises(BudgetError, match="at most 256, got 257"):
+            factor(Poly([1] * 258, p))
+    assert time.perf_counter() - start < 1
 
 
 def test_factorization_result_verify_catches_tampering():

@@ -38,6 +38,8 @@ it, so the two cannot import each other again.  The package keeps one
 memo, on cli.build_parser, and one global statement, for _splitting in
 sweep.map_over_two_processes, so a store that its own rule makes
 unnecessary (a cache of known primes, a table of squares) cannot grow back.
+The package combines rows mod p at one place, in algebra.reduce_into, the
+one elimination kernel, so a second elimination cannot grow back.
 
 Last: no code of the package reads a provenance's fields outside the one
 decoder, pointsets.provenance_reference, or writes into a provenance, so
@@ -637,6 +639,57 @@ def test_only_monic_irreducibles_lists_monics(path):
     # monic polynomials would start
     inside = "monic_irreducibles" if path.name == "algebra.py" else None
     assert calls_outside(path.read_text(), "product", inside) == []
+
+
+def row_combinations(source: str) -> list[str]:
+    """"function:line" (or "<module>:line") of each comprehension in source
+    over zip(...) whose element is a % expression, as a row operation mod p
+    is written."""
+    found = []
+    for node in ast.parse(source).body:
+        where = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        found += [
+            f"{where}:{comp.lineno}"
+            for comp in ast.walk(node)
+            if isinstance(comp, (ast.ListComp, ast.GeneratorExp, ast.SetComp))
+            and isinstance(comp.elt, ast.BinOp)
+            and isinstance(comp.elt.op, ast.Mod)
+            and any(isinstance(g.iter, ast.Call) and getattr(g.iter.func, "id", None) == "zip" for g in comp.generators)
+        ]
+    return found
+
+
+def test_row_combination_checker_finds_a_second_elimination():
+    source = (
+        "def dot(a, b, p):\n"
+        "    return sum(x * y for x, y in zip(a, b)) % p\n"
+        "def scale(row, f, p):\n"
+        "    return [v * f % p for v in row]\n"
+        "def combine(row, f, pivot, p):\n"
+        "    return [(v - f * q) % p for v, q in zip(row, pivot)]\n"
+        "SUMS = {(a + b) % 2 for a, b in zip(X, Y)}\n"
+    )
+    assert row_combinations(source) == ["combine:6", "<module>:7"]
+    quality = (SRC / "quality.py").read_text()
+    planted = quality.replace(
+        "    echelon = echelon if last else dict(echelon)\n",
+        "    echelon = echelon if last else dict(echelon)\n"
+        "    rows = [[(v - w) % G.b for v, w in zip(row, G.matrices[0][0])] for row in G.matrices[j][:d]]\n",
+        1,
+    )
+    assert planted != quality
+    assert [where.partition(":")[0] for where in row_combinations(planted)] == ["_echelon"]
+
+
+def test_the_package_combines_rows_at_one_place():
+    # nullspace_mod_p, the dual walk's echelon and the dual's rank all
+    # reduce rows through algebra.reduce_into
+    found = [
+        f"{path.stem}.{where.partition(':')[0]}"
+        for path in sorted(SRC.glob("*.py"))
+        for where in row_combinations(path.read_text())
+    ]
+    assert found == ["algebra.reduce_into"]
 
 
 # numpy's readers of numbers from text; each would be a second digit parser

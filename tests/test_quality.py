@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from algebra_reference import reference_nullspace
 import net_reference
 from net_reference import character_orthogonality, nrt_weight
 from star_reference import (
@@ -29,6 +30,7 @@ from star_reference import (
     star_float,
 )
 
+import lowdisc.algebra as algebra
 import lowdisc.quality as quality
 import lowdisc.sweep as sweep
 from lowdisc.acceptance import p2_tail_bound, star_discrepancy_1d_closed_form
@@ -48,6 +50,7 @@ from lowdisc.pointsets import (
 from lowdisc.quality import (
     STAR_DISCREPANCY_BUDGET,
     BudgetError,
+    DualSpace,
     QualityReport,
     assess,
     dual_space,
@@ -433,11 +436,32 @@ def test_prefix_walks_match_the_per_shape_walk_under_every_budget(G):
 
 
 def test_dual_walk_reduces_rows_without_a_nullspace_per_composition(monkeypatch):
+    # the walk and the dual's dimension both reduce rows into an echelon;
+    # quality is patched too in case it binds the name again
     calls = []
-    nullspace = quality.nullspace_mod_p
-    monkeypatch.setattr(quality, "nullspace_mod_p", lambda *args: calls.append(args) or nullspace(*args))
+    nullspace = algebra.nullspace_mod_p
+
+    def counted(*args):
+        calls.append(args)
+        return nullspace(*args)
+
+    monkeypatch.setattr(algebra, "nullspace_mod_p", counted)
+    monkeypatch.setattr(quality, "nullspace_mod_p", counted, raising=False)
     assert minimal_t_dual(niederreiter_matrices(2, 3, 14)) == 1
-    assert len(calls) <= 1  # the dual's dimension
+    assert len(calls) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices_with_zero_rows())
+@example(niederreiter_matrices(5, 5, 3))  # full rank, t = 0
+@example(GeneratingMatrixSet(3, [[[0] * 4] * 4] * 5))  # rank 0, t = m
+def test_dual_space_matches_the_per_shape_oracle(G):
+    # the dimension from the reference elimination over all sm rows, and
+    # delta from the walk that checks each shape on its own
+    b, m, s = G.b, G.rows, G.s
+    nullity = len(reference_nullspace([row for mat in G.matrices for row in mat], m, b))
+    want = DualSpace(b=b, m=m, s=s, dimension=(s - 1) * m + nullity, delta=m + 1 - net_reference.t_dual_by_shapes(G))
+    assert dual_space(G) == want
 
 
 def test_walks_free_the_numerators_without_the_cycle_collector(monkeypatch):
